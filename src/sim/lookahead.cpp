@@ -165,7 +165,7 @@ void HorizonMap::relax_full(const std::vector<Instr>& keys,
 // differs in some bit b, and D[i ^ b] holds keys[j] + w * (hops - 1)) and
 // adds only the self echo keys[i] + 2w — a smaller, still-conservative
 // candidate. Exact self exclusion does not separate across dimensions; the
-// echo costs at most one window of run-ahead for an isolated busy node.
+// echo never binds, because the driver folds keys[i] itself back in.
 void HorizonMap::relax_cube(const std::vector<Instr>& keys,
                             std::vector<Instr>* out) {
   const std::size_t n = keys.size();

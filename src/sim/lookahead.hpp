@@ -6,21 +6,23 @@
 // wire_min + per_hop * hops(j, i), so node i is causally shielded from j for
 // per_hop * hops(j, i) extra instructions. The per-node horizon
 //
-//   H_i = wire_min + min_{j != i} (key_j + per_hop * hops(j, i))
+//   H_i = wire_min + min_j (key_j + per_hop * hops(j, i))
 //
 // is therefore still conservative — any packet that could affect a quantum
 // of node i with key < H_i was sent by some j at key >= key_j and arrives at
 // >= key_j + wire_min + per_hop * hops(j, i) >= H_i — while letting nodes far
-// from the global minimum run far ahead. Crucially the self term j == i is
-// excluded: the runtime never sends a packet to its own node (local delivery
-// short-circuits before Network::send on every path), so a node's own key
-// does not bound its horizon. An isolated busy node (all others idle at
-// kInstrInf) gets H_i = kInstrInf and drains in a single window, where the
-// flat bound would re-barrier every wire_min instructions.
+// from the global minimum run far ahead. The min includes the self term
+// j == i at hops = 0: the runtime does send packets to its own node (a
+// remote create whose placement picks the caller's node ships a real packet
+// through Network::send), so a node's own key caps its horizon at key_i +
+// wire_min, as under the flat bound. An isolated busy node therefore still
+// re-barriers every wire_min instructions; the gain is that nodes farther
+// from the busy ones run further ahead.
 //
-// HorizonMap computes the hop term B_i = min_{j != i} (key_j + per_hop *
-// hops(j, i)) for all i in O(N) per call (O(N log N) for the hypercube) via
-// exclude-self min-plus transforms:
+// HorizonMap computes the exclude-self hop term B_i = min_{j != i} (key_j +
+// per_hop * hops(j, i)) for all i in O(N) per call (O(N log N) for the
+// hypercube), and the driver folds key_i back in (ParallelMachine::
+// compute_horizons). The transforms:
 //   - ring: linear prefix/suffix sweeps plus two wrap terms, all excluding i;
 //   - torus/mesh: separable — an exclude-self pass along rows combined with
 //     an exclude-self pass down columns of the include-self row transform;

@@ -1,5 +1,7 @@
 #include "sim/machine.hpp"
 
+#include <algorithm>
+
 #include "util/assert.hpp"
 
 namespace abcl::sim {
@@ -11,25 +13,30 @@ Driver::Driver(std::vector<NodeExec*> nodes) : nodes_(std::move(nodes)) {
   }
 }
 
-Machine::Machine(std::vector<NodeExec*> nodes, util::QueueKind queue)
-    : Driver(std::move(nodes)), heap_(queue) {
-  heap_key_.assign(nodes_.size(), kInstrInf);
+ReadySet::ReadySet(std::size_t nodes, std::size_t shards, util::QueueKind queue)
+    : key_(nodes, kInstrInf), owner_(nodes, 0) {
+  ABCL_CHECK(shards >= 1);
+  shards_.reserve(shards);
+  for (std::size_t s = 0; s < shards; ++s) shards_.emplace_back(queue);
 }
 
-Instr Machine::effective_key(NodeExec& n) const {
-  if (n.runnable()) return n.clock();
-  return n.next_wake();  // kInstrInf when idle with nothing in flight
+void ReadySet::set_owner(NodeId id, std::size_t shard) {
+  ABCL_CHECK(shard < shards_.size());
+  owner_[index(id)] = shard;
+  const Instr key = key_[index(id)];
+  if (key != kInstrInf) shards_[shard].queue.push(Entry{key, id});
 }
+
+void ReadySet::clear() {
+  std::fill(key_.begin(), key_.end(), kInstrInf);
+  for (Shard& s : shards_) s.queue.clear();
+}
+
+Machine::Machine(std::vector<NodeExec*> nodes, util::QueueKind queue)
+    : Driver(std::move(nodes)), ready_(nodes_.size(), 1, queue) {}
 
 void Machine::push_node(NodeId id) {
-  NodeExec& n = *nodes_[static_cast<std::size_t>(id)];
-  Instr key = effective_key(n);
-  if (key == kInstrInf) return;
-  auto& best = heap_key_[static_cast<std::size_t>(id)];
-  if (key < best) {
-    best = key;
-    heap_.push(HeapEntry{key, id});
-  }
+  ready_.push(id, effective_key(*nodes_[static_cast<std::size_t>(id)]));
 }
 
 void Machine::notify_work(NodeId dst) { push_node(dst); }
@@ -45,19 +52,14 @@ Machine::RunReport Machine::run_impl(Instr max_time, std::uint64_t max_quanta) {
   for (std::size_t i = 0; i < nodes_.size(); ++i) push_node(static_cast<NodeId>(i));
 
   std::uint64_t ran = 0;
-  while (!heap_.empty() && ran < max_quanta) {
-    HeapEntry e = heap_.top();
-    heap_.pop();
-    auto idx = static_cast<std::size_t>(e.node);
-    if (heap_key_[idx] != e.key) continue;  // stale duplicate
-    heap_key_[idx] = kInstrInf;
-
-    NodeExec& n = *nodes_[idx];
+  ReadySet::Entry e{};
+  while (ran < max_quanta && ready_.pop_below(0, kInstrInf, &e)) {
+    NodeExec& n = *nodes_[static_cast<std::size_t>(e.node)];
     Instr key = effective_key(n);
     if (key == kInstrInf) continue;  // became idle since insertion
     if (key > e.key) {
       // The node's earliest work moved later; re-queue at the new key.
-      push_node(e.node);
+      ready_.push(e.node, key);
       continue;
     }
     if (key > max_time) continue;

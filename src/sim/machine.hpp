@@ -13,6 +13,7 @@
 // bit-identical results.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -79,7 +80,117 @@ class Driver {
   std::size_t num_nodes() const { return nodes_.size(); }
 
  protected:
+  // The key both drivers order nodes by: the clock when runnable, else the
+  // next packet arrival (kInstrInf when idle with nothing in flight).
+  static Instr effective_key(NodeExec& n) {
+    return n.runnable() ? n.clock() : n.next_wake();
+  }
+
   std::vector<NodeExec*> nodes_;
+};
+
+// Key-ordered set of the nodes that have work, shared by both drivers.
+//
+// A node's key is its Driver::effective_key; kInstrInf (idle, nothing in
+// flight) means absent. Nodes are partitioned into shards, each a
+// min-queue over (key, node) — the serial Machine uses one shard,
+// ParallelMachine one per worker. Entries are never erased: push() only
+// enters a key below the node's present one, and pop_below()/top() drop an
+// entry whose key is no longer its node's (superseded by a lower push, or
+// already popped) or whose node has moved to another shard. Between a
+// node's own steps its key can only fall — an arrival only lowers
+// next_wake, and every arrival reaches the driver through
+// Driver::notify_work — so keys() holds each node's exact key whenever the
+// node is not popped; the distance-horizon driver relaxes over it directly.
+//
+// Threading: a shard's queue and the key slots of the nodes it owns belong
+// to whoever drives that shard; owners change only through set_owner(),
+// which callers run single-threaded. pop_below()/top() read a foreign
+// node's owner slot (never its key slot) to discard a moved node's entry.
+class ReadySet {
+ public:
+  struct Entry {
+    Instr key;
+    NodeId node;
+  };
+
+  // Every node starts absent and owned by shard 0. `shards` >= 1.
+  ReadySet(std::size_t nodes, std::size_t shards,
+           util::QueueKind queue = util::QueueKind::kBucket);
+
+  std::size_t owner(NodeId id) const { return owner_[index(id)]; }
+  const std::vector<Instr>& keys() const { return key_; }
+
+  // Hands `id` to `shard`, re-entering its present key there.
+  void set_owner(NodeId id, std::size_t shard);
+
+  // Enters `id` at `key` into its owner's shard unless it is already
+  // present at or below `key` (so kInstrInf is a no-op).
+  void push(NodeId id, Instr key) {
+    Instr& best = key_[index(id)];
+    if (key < best) {
+      best = key;
+      shards_[owner_[index(id)]].queue.push(Entry{key, id});
+    }
+  }
+
+  // Removes the smallest entry of `shard` into *out if its key is below
+  // `limit`. The node is absent until pushed again.
+  bool pop_below(std::size_t shard, Instr limit, Entry* out) {
+    Queue& q = shards_[shard].queue;
+    while (!q.empty()) {
+      const Entry e = q.top();
+      if (e.key >= limit) return false;
+      q.pop();
+      if (!live(shard, e)) continue;
+      key_[index(e.node)] = kInstrInf;
+      *out = e;
+      return true;
+    }
+    return false;
+  }
+
+  // Smallest key present in `shard` (kInstrInf when none).
+  Instr top(std::size_t shard) {
+    Queue& q = shards_[shard].queue;
+    while (!q.empty()) {
+      const Entry& e = q.top();
+      if (live(shard, e)) return e.key;
+      q.pop();
+    }
+    return kInstrInf;
+  }
+
+  // Makes every node absent; owners are kept.
+  void clear();
+
+ private:
+  struct EntryKey {
+    Instr operator()(const Entry& e) const { return e.key; }
+  };
+  // Ascending (key, node) — the serial execution order.
+  struct EntryLess {
+    bool operator()(const Entry& a, const Entry& b) const {
+      return a.key != b.key ? a.key < b.key : a.node < b.node;
+    }
+  };
+  using Queue = util::BucketQueue<Entry, EntryKey, EntryLess>;
+  // Cache-line aligned: parallel workers drain their shards concurrently.
+  struct alignas(64) Shard {
+    explicit Shard(util::QueueKind kind) : queue(kind) {}
+    Queue queue;
+  };
+
+  static std::size_t index(NodeId id) { return static_cast<std::size_t>(id); }
+  // Owner first: a moved node's key slot belongs to another shard.
+  bool live(std::size_t shard, const Entry& e) const {
+    const std::size_t i = index(e.node);
+    return owner_[i] == shard && key_[i] == e.key;
+  }
+
+  std::vector<Instr> key_;  // per node; kInstrInf = absent
+  std::vector<std::size_t> owner_;
+  std::vector<Shard> shards_;
 };
 
 class Machine : public Driver {
@@ -98,28 +209,10 @@ class Machine : public Driver {
   RunReport run_quanta(std::uint64_t max_quanta);
 
  private:
-  struct HeapEntry {
-    Instr key;
-    NodeId node;
-  };
-  struct EntryKey {
-    Instr operator()(const HeapEntry& e) const { return e.key; }
-  };
-  // Ascending (key, node) — the serial execution order. A strict total
-  // order: push_node never inserts the same (key, node) twice.
-  struct EntryLess {
-    bool operator()(const HeapEntry& a, const HeapEntry& b) const {
-      return a.key != b.key ? a.key < b.key : a.node < b.node;
-    }
-  };
-
-  Instr effective_key(NodeExec& n) const;
   void push_node(NodeId id);
   RunReport run_impl(Instr max_time, std::uint64_t max_quanta);
 
-  // best key currently present in the queue per node; kInstrInf = absent.
-  std::vector<Instr> heap_key_;
-  util::BucketQueue<HeapEntry, EntryKey, EntryLess> heap_;
+  ReadySet ready_;  // one shard
   std::uint64_t quanta_ = 0;
 };
 

@@ -22,6 +22,7 @@ ParallelMachine::ParallelMachine(std::vector<NodeExec*> nodes,
       workers_(static_cast<std::size_t>(num_threads < 1 ? 1 : num_threads)),
       distance_(opts.horizon == HorizonKind::kDistance && net != nullptr &&
                 !net->faults_enabled()),
+      ready_(nodes_.size(), workers_.size()),
       // On a single hardware thread, every spin cycle is stolen from the
       // thread being waited on — park immediately instead.
       spin_limit_(std::thread::hardware_concurrency() > 1 ? kSpinIters : 0) {
@@ -30,7 +31,7 @@ ParallelMachine::ParallelMachine(std::vector<NodeExec*> nodes,
   // assignment preserves determinism; round-robin balances the common case
   // where load correlates with id ranges.
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    workers_[i % workers_.size()].shard.push_back(static_cast<NodeId>(i));
+    ready_.set_owner(static_cast<NodeId>(i), i % workers_.size());
   }
   if (distance_) {
     hmap_ = std::make_unique<HorizonMap>(&net_->topology(),
@@ -42,7 +43,6 @@ ParallelMachine::ParallelMachine(std::vector<NodeExec*> nodes,
     // the real price. Positivity for j != i follows from the network's
     // ctor invariant wire_latency + per_hop > 0 and hops >= 1.
     dist_base_ = net_->min_packet_latency_raw();
-    node_key_.assign(nodes_.size(), kInstrInf);
     horizons_.assign(nodes_.size(), 0);
   }
   if (opts.shard == ShardKind::kBalanced && workers_.size() > 1) {
@@ -57,20 +57,20 @@ ParallelMachine::~ParallelMachine() {
   ABCL_CHECK(threads_.empty());  // threads only live inside run()
 }
 
-Instr ParallelMachine::effective_key(NodeExec& n) const {
-  if (n.runnable()) return n.clock();
-  return n.next_wake();  // kInstrInf when idle with nothing in flight
-}
-
-void ParallelMachine::run_shard(Worker& w) {
+void ParallelMachine::run_shard(std::size_t me) {
+  Worker& w = workers_[me];
   const Instr global_horizon = window_horizon_;
   const Instr max_time = window_max_time_;
   const bool distance = distance_;
   const bool balanced = balancer_ != nullptr;
-  Instr shard_min = kInstrInf;
+  // Only nodes keyed below the shard's widest horizon can run; each popped
+  // node then runs to its own horizon.
+  Instr limit = distance ? w.max_horizon : global_horizon;
+  if (max_time < limit) limit = max_time + 1;
   std::uint64_t active = 0;
-  for (NodeId id : w.shard) {
-    const auto idx = static_cast<std::size_t>(id);
+  ReadySet::Entry e{};
+  while (ready_.pop_below(me, limit, &e)) {
+    const auto idx = static_cast<std::size_t>(e.node);
     NodeExec& n = *nodes_[idx];
     const Instr horizon = distance ? horizons_[idx] : global_horizon;
     const std::uint64_t before = w.quanta;
@@ -86,13 +86,14 @@ void ParallelMachine::run_shard(Worker& w) {
     }
     if (w.quanta != before) ++active;
     if (balanced) window_quanta_[idx] += w.quanta - before;
-    // The break-time key is the node's final key for this window: nothing
-    // else touches the node until the flush, whose deliveries are folded in
-    // via notify_work (which also refreshes node_key_).
-    if (distance) node_key_[idx] = key;
-    if (key < shard_min) shard_min = key;
+    w.popped.push_back(ReadySet::Entry{key, e.node});
   }
-  w.shard_min = shard_min;
+  // The break-time key is the node's final key for this window: nothing
+  // else touches the node until the flush, whose deliveries arrive through
+  // notify_work. Re-entering popped nodes only now keeps a node that stopped
+  // at its own (distance) horizon from being popped again this window.
+  for (const ReadySet::Entry& p : w.popped) ready_.push(p.node, p.key);
+  w.popped.clear();
   w.active = active;
   // Pre-sort this worker's run inside the parallel region so the barrier
   // flush only has to merge. Skipped under the kSort ablation, which
@@ -102,7 +103,8 @@ void ParallelMachine::run_shard(Worker& w) {
   }
 }
 
-void ParallelMachine::worker_main(Worker& w) {
+void ParallelMachine::worker_main(std::size_t me) {
+  Worker& w = workers_[me];
   std::uint64_t seen = 0;
   while (true) {
     std::uint64_t e;
@@ -119,7 +121,7 @@ void ParallelMachine::worker_main(Worker& w) {
     e = epoch_.load(std::memory_order_acquire);
     seen = e;
     if (stop_.load(std::memory_order_acquire)) return;
-    run_shard(w);
+    run_shard(me);
     w.done.store(e, std::memory_order_release);
     // Empty critical section: orders the store above before the notify so
     // a coordinator observing an old `done` under wake_mu_ cannot miss it.
@@ -129,15 +131,22 @@ void ParallelMachine::worker_main(Worker& w) {
 }
 
 void ParallelMachine::compute_horizons() {
-  hmap_->relax(node_key_, &node_bound_);
+  const std::vector<Instr>& keys = ready_.keys();
+  hmap_->relax(keys, &node_bound_);
   horizons_.resize(node_bound_.size());
+  for (auto& w : workers_) w.max_horizon = 0;
   for (std::size_t i = 0; i < node_bound_.size(); ++i) {
     // Fold the node's own key back in with hops = 0: the runtime does emit
     // genuine self-packets (e.g. a remote-create whose placement picks the
     // caller's node), and those travel through Network::send with the same
     // wire floor as any other packet. Excluding the self term would let a
     // node run past the arrival of a packet it has not sent yet.
-    horizons_[i] = sat_add(std::min(node_bound_[i], node_key_[i]), dist_base_);
+    horizons_[i] = sat_add(std::min(node_bound_[i], keys[i]), dist_base_);
+    // Absent nodes are never popped, so only present ones widen the
+    // shard's pop limit.
+    if (keys[i] == kInstrInf) continue;
+    Instr& widest = workers_[ready_.owner(static_cast<NodeId>(i))].max_horizon;
+    if (horizons_[i] > widest) widest = horizons_[i];
   }
 }
 
@@ -194,7 +203,8 @@ void ParallelMachine::replay_traces(Instr frontier) {
                      trace_merge_.begin() + static_cast<std::ptrdiff_t>(n));
 }
 
-void ParallelMachine::install_node(NodeId id, Worker& w) {
+void ParallelMachine::install_node(NodeId id) {
+  Worker& w = workers_[ready_.owner(id)];
   if (saved_tracers_[static_cast<std::size_t>(id)] != nullptr) {
     nodes_[static_cast<std::size_t>(id)]->swap_tracer(&w.traces);
   }
@@ -209,46 +219,33 @@ void ParallelMachine::apply_rebalance() {
   if (moved == 0) return;
   rebalances_ += 1;
   shard_moves_ += static_cast<std::uint64_t>(moved);
-  // Rebuild every shard from the new assignment and reinstall the per-node
-  // redirection pointers (outbox, poll magazine, trace buffer). Outboxes
-  // and trace buffers are drained at this point — the barrier's flush and
-  // replay just ran — so moving a node never splits its program order
-  // across two buffers within one window. Reinstalling unmoved nodes
-  // rewrites the same pointers; cheaper than tracking the diff.
+  // Hand each moved node to its new worker: its ready-set entry (the old
+  // shard's copy goes stale) and its outbox, poll magazine and trace buffer.
+  // Outboxes and trace buffers are drained at this point — the barrier's
+  // flush and replay just ran — so moving a node never splits its program
+  // order across two buffers within one window.
   const auto& asg = balancer_->assignment();
-  for (auto& w : workers_) w.shard.clear();
   for (std::size_t i = 0; i < asg.size(); ++i) {
-    Worker& w = workers_[static_cast<std::size_t>(asg[i])];
-    w.shard.push_back(static_cast<NodeId>(i));
-    install_node(static_cast<NodeId>(i), w);
+    const auto id = static_cast<NodeId>(i);
+    const auto to = static_cast<std::size_t>(asg[i]);
+    if (ready_.owner(id) == to) continue;
+    ready_.set_owner(id, to);
+    install_node(id);
   }
 }
 
 void ParallelMachine::notify_work(NodeId dst) {
-  Instr k = effective_key(*nodes_[static_cast<std::size_t>(dst)]);
-  if (k < notified_min_) notified_min_ = k;
-  if (distance_) node_key_[static_cast<std::size_t>(dst)] = k;
+  ready_.push(dst, effective_key(*nodes_[static_cast<std::size_t>(dst)]));
 }
 
 Driver::RunReport ParallelMachine::run(Instr max_time) {
   // Interpose per-worker outboxes and trace buffers. Nodes without a tracer
   // keep none (recording into a buffer nobody replays would cost time).
   saved_tracers_.assign(nodes_.size(), nullptr);
-  for (auto& w : workers_) {
-    w.quanta = 0;
-    for (NodeId id : w.shard) {
-      NodeExec& n = *nodes_[static_cast<std::size_t>(id)];
-      Tracer* old = n.swap_tracer(&w.traces);
-      if (old == nullptr) {
-        n.swap_tracer(nullptr);
-      } else {
-        saved_tracers_[static_cast<std::size_t>(id)] = old;
-      }
-      if (net_ != nullptr) {
-        net_->set_outbox(id, &w.outbox);
-        net_->set_poll_magazine(id, &w.magazine);
-      }
-    }
+  for (auto& w : workers_) w.quanta = 0;
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    saved_tracers_[i] = nodes_[i]->swap_tracer(nullptr);
+    install_node(static_cast<NodeId>(i));
   }
   if (net_ != nullptr) net_->set_windowed_stats(true);
 
@@ -258,19 +255,21 @@ Driver::RunReport ParallelMachine::run(Instr max_time) {
     stop_.store(false, std::memory_order_relaxed);
     for (auto& w : workers_) w.done.store(0, std::memory_order_relaxed);
     threads_.reserve(workers_.size());
-    for (auto& w : workers_) {
-      threads_.emplace_back([this, &w] { worker_main(w); });
+    for (std::size_t me = 0; me < workers_.size(); ++me) {
+      threads_.emplace_back([this, me] { worker_main(me); });
     }
   }
 
-  // One full scan seeds the window loop (and, under distance horizons, the
-  // per-node key vector); afterwards both are maintained incrementally —
-  // each worker reports its shard's keys and flush-time deliveries fold in
-  // through notify_work.
+  // Re-seed every shard's set from one full scan, as the serial driver
+  // re-seeds its ready set: nothing a previous run(), boot() or restore
+  // left behind is trusted. Afterwards the sets are maintained
+  // incrementally — each worker re-enters the nodes it popped and
+  // flush-time deliveries enter through notify_work.
+  ready_.clear();
   Instr min_key = kInstrInf;
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    Instr k = effective_key(*nodes_[i]);
-    if (distance_) node_key_[i] = k;
+    const Instr k = effective_key(*nodes_[i]);
+    ready_.push(static_cast<NodeId>(i), k);
     if (k < min_key) min_key = k;
   }
 
@@ -296,15 +295,17 @@ Driver::RunReport ParallelMachine::run(Instr max_time) {
         }
       }
     } else {
-      run_shard(workers_[0]);
+      run_shard(0);
     }
 
-    notified_min_ = kInstrInf;
     flush_commits();
-    min_key = notified_min_;
-    for (auto& w : workers_) {
-      if (w.shard_min < min_key) min_key = w.shard_min;
-      occupancy_sum_ += w.active;
+    // The shard tops hold every node's post-flush key: each worker
+    // re-entered what it popped, and the flush's deliveries entered through
+    // notify_work.
+    min_key = kInstrInf;
+    for (std::size_t me = 0; me < workers_.size(); ++me) {
+      min_key = std::min(min_key, ready_.top(me));
+      occupancy_sum_ += workers_[me].active;
     }
     // min_key is the next window's floor: every later quantum (and so every
     // later send or trace event) carries a key >= it. Release the deferred
@@ -336,18 +337,15 @@ Driver::RunReport ParallelMachine::run(Instr max_time) {
   // Restore tracers and the direct send/release paths. Worker threads are
   // joined (or never existed), so draining their magazines back to the
   // depot from this thread is race-free.
-  for (auto& w : workers_) {
-    for (NodeId id : w.shard) {
-      NodeExec& n = *nodes_[static_cast<std::size_t>(id)];
-      if (Tracer* orig = saved_tracers_[static_cast<std::size_t>(id)]) {
-        n.swap_tracer(orig);
-      }
-      if (net_ != nullptr) {
-        net_->set_outbox(id, nullptr);
-        net_->set_poll_magazine(id, nullptr);
-      }
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    if (Tracer* orig = saved_tracers_[i]) nodes_[i]->swap_tracer(orig);
+    if (net_ != nullptr) {
+      net_->set_outbox(static_cast<NodeId>(i), nullptr);
+      net_->set_poll_magazine(static_cast<NodeId>(i), nullptr);
     }
-    if (net_ != nullptr) net_->packet_pool().flush(w.magazine);
+  }
+  if (net_ != nullptr) {
+    for (auto& w : workers_) net_->packet_pool().flush(w.magazine);
   }
 
   RunReport rep;

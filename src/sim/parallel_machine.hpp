@@ -10,16 +10,16 @@
 // executes all of them concurrently.
 //
 // Distance-aware horizons (HorizonKind::kDistance): the flat bound ignores
-// that a packet from j to i is priced at >= lookahead + per_hop *
-// hops(j, i), so node i may instead run to the per-node horizon
-//   H_i = lookahead + min_{j != i} (key_j + per_hop * hops(j, i))
-// computed each window by sim::HorizonMap in O(N) (see lookahead.hpp for the
-// exclude-self transforms and why excluding j == i is sound: the runtime
-// never sends to its own node). Windows get wider the farther a node sits
-// from the global minimum — an isolated busy node runs to quiescence in one
-// window — which only changes *when* barriers happen, never what executes:
-// any conservative window executes the same quanta with the same inputs as
-// the serial driver.
+// that a packet from j to i is priced at >= raw_wire + per_hop * hops(j, i),
+// so node i may instead run to the per-node horizon
+//   H_i = raw_wire + min_j (key_j + per_hop * hops(j, i))
+// where j ranges over all nodes, i itself included at hops = 0: the runtime
+// does send packets to its own node. sim::HorizonMap computes the
+// exclude-self hop term in O(N) per window (see lookahead.hpp) and
+// compute_horizons folds key_i back in. Windows get wider the farther a
+// node sits from the busy ones, which only changes *when* barriers happen,
+// never what executes: any conservative window executes the same quanta
+// with the same inputs as the serial driver.
 //
 // Determinism: workers never touch the shared network state. Sends are
 // buffered into per-worker outboxes, stamped with the issuing quantum's
@@ -46,18 +46,36 @@
 // bit-identical at any thread count. Reassignment happens only between
 // windows, when outboxes and trace buffers are drained, so each source
 // still lives in exactly one outbox per window and the canonical commit
-// order (and with it every simulated result) is untouched.
+// order (and with it every simulated result) is untouched. A moved node's
+// ready-set entry follows it into the new worker's shard.
+//
+// Active sets: each worker drives one shard of a sim::ReadySet
+// (machine.hpp), the key-ordered set of its nodes that have work. A window
+// pops only the nodes keyed below the horizon — under distance horizons,
+// below the shard's widest per-node horizon, each popped node then running
+// to its own — so it costs O(nodes that run), not O(shard size). Popped
+// nodes re-enter at their break-time keys after the pop loop, and
+// flush-time deliveries enter through notify_work. The next window's floor
+// is the min of the shard tops after the flush — exactly the min over all
+// nodes' keys, so the window sequence is the one a full rescan would give.
+// run() re-seeds every shard from one full scan at entry, so no driver
+// state outlives a run() and snapshots carry none.
 //
 // Thread-safety partition during a window: a worker touches only its own
 // nodes' state, those nodes' destination queues (poll side), its own outbox,
-// trace buffer and packet-pool magazine, plus its nodes' slots in the
-// per-node key/quanta arrays (disjoint indices). The shared mutable state is
-// the network's in-flight counter (atomic) and the packet pool's depot,
-// which a worker only reaches through its magazine's overflow path
-// (mutex-guarded, amortized one trip per kMagazineCap frees). Window
-// parameters — horizon, per-node horizon vector, shard vectors — are
-// written by the coordinator between windows and published by the
-// release/acquire pair on epoch_.
+// trace buffer, packet-pool magazine and ready-set shard, plus its nodes'
+// slots in the per-node key/quanta arrays (disjoint indices). It also reads
+// the ready set's node -> worker owner map, to drop entries of nodes moved
+// away; only the coordinator writes that map (apply_rebalance). The shared
+// mutable state is the network's in-flight counter (atomic) and the packet
+// pool's depot, which a worker only reaches through its magazine's overflow
+// path (mutex-guarded, amortized one trip per kMagazineCap frees). Between
+// windows the coordinator alone runs the flush, and its notify_work calls
+// push woken nodes into their owners' shards. Window parameters — horizon,
+// per-node horizons and the shards' pop limits, the owner map — are written
+// by the coordinator between windows and published by the release/acquire
+// pair on epoch_; each worker's shard writes reach the coordinator through
+// the release-store on its `done`.
 //
 // Epoch waits are spin-then-park: a bounded busy-wait burst (skipped
 // entirely on single-core hosts, where spinning only steals cycles from
@@ -106,9 +124,9 @@ class ParallelMachine : public Driver {
   ~ParallelMachine() override;
 
   // Only ever invoked on the coordinator thread (commits happen at window
-  // barriers or outside run()); folds the destination's new key into the
-  // running minimum for the next window. Arrivals only lower next_wake, so
-  // min over notification-time keys equals the post-flush key.
+  // barriers or outside run()); enters the destination into its owner's
+  // shard at its new key. Arrivals only lower next_wake, so the entry is
+  // the node's exact post-flush key.
   void notify_work(NodeId dst) override;
   RunReport run(Instr max_time = kInstrInf) override;
 
@@ -154,28 +172,29 @@ class ParallelMachine : public Driver {
   };
 
   struct Worker {
-    std::vector<NodeId> shard;
     net::Network::Outbox outbox;
     // Thread-local cache of free packet slots; polls on this shard release
     // into it, touching the shared depot only on overflow.
     net::PacketPool::Magazine magazine;
     WindowTraceBuffer traces;
+    // Nodes popped in the current window with their break-time keys,
+    // re-entered into the shard's set after its pop loop.
+    std::vector<ReadySet::Entry> popped;
     std::uint64_t quanta = 0;
     // Nodes of this shard that executed >= 1 quantum in the last window.
     std::uint64_t active = 0;
-    // Min effective key across the shard after the window's execution
-    // (published to the coordinator by the release-store on `done`).
-    Instr shard_min = kInstrInf;
+    // Widest per-node horizon among the shard's present nodes: the pop
+    // limit under distance horizons (written by the coordinator).
+    Instr max_horizon = 0;
     std::atomic<std::uint64_t> done{0};
   };
 
-  Instr effective_key(NodeExec& n) const;
-  void run_shard(Worker& w);
-  void worker_main(Worker& w);
+  void run_shard(std::size_t me);
+  void worker_main(std::size_t me);
   void compute_horizons();
   void flush_commits();
   void replay_traces(Instr frontier);
-  void install_node(NodeId id, Worker& w);
+  void install_node(NodeId id);
   void apply_rebalance();
 
   net::Network* net_;
@@ -185,9 +204,12 @@ class ParallelMachine : public Driver {
 
   // Window parameters, written by the coordinator before it releases an
   // epoch; the release/acquire pair on epoch_ publishes them (along with
-  // horizons_ and any shard reassignment).
+  // horizons_, the workers' max_horizon and any shard reassignment).
   Instr window_horizon_ = 0;
   Instr window_max_time_ = kInstrInf;
+
+  // One shard per worker; its owner map is the node -> worker assignment.
+  ReadySet ready_;
 
   std::vector<std::thread> threads_;
   std::atomic<std::uint64_t> epoch_{0};
@@ -201,14 +223,12 @@ class ParallelMachine : public Driver {
   std::condition_variable epoch_cv_;  // workers park here between windows
   std::condition_variable done_cv_;   // coordinator parks here at barriers
 
-  // Distance-horizon state: per-node window-start keys (each worker writes
-  // only its shard's slots; the coordinator folds flush-time deliveries in
-  // via notify_work) and the per-node horizons derived from them.
+  // Distance-horizon state: the per-node horizons relaxed from the ready
+  // set's keys at each barrier.
   std::unique_ptr<HorizonMap> hmap_;
   // Unclamped wire floor for the per-pair bound (see ctor); the clamped
   // lookahead_ stays the flat policy's window width.
   Instr dist_base_ = 1;
-  std::vector<Instr> node_key_;
   std::vector<Instr> node_bound_;  // relax() scratch
   std::vector<Instr> horizons_;
 
@@ -225,7 +245,6 @@ class ParallelMachine : public Driver {
   std::vector<net::Network::Outbox*> outbox_ptrs_;
   std::vector<WindowTraceBuffer::Tagged> trace_merge_;
   std::vector<Tracer*> saved_tracers_;
-  Instr notified_min_ = kInstrInf;  // min key among flush-time deliveries
   std::uint64_t windows_ = 0;
   std::uint64_t occupancy_sum_ = 0;
   std::uint64_t rebalances_ = 0;

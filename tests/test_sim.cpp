@@ -75,6 +75,7 @@ class MockNode : public sim::NodeExec {
   sim::NodeId node_id() const override { return id_; }
   Instr clock() const override { return clock_; }
   bool runnable() const override {
+    ++queries;
     if (pending_local_ > 0) return true;
     for (const auto& d : inbox_) {
       if (!d.consumed && d.when <= clock_) return true;
@@ -82,6 +83,7 @@ class MockNode : public sim::NodeExec {
     return false;
   }
   Instr next_wake() const override {
+    ++queries;
     Instr w = sim::kInstrInf;
     for (const auto& d : inbox_) {
       if (!d.consumed && d.when < w) w = d.when;
@@ -116,6 +118,8 @@ class MockNode : public sim::NodeExec {
   Instr step_cost = 10;
   int pending_local_ = 0;
   int steps_run = 0;
+  // runnable() + next_wake() calls: the driver's per-node query cost.
+  mutable std::uint64_t queries = 0;
   std::vector<Delivery> inbox_;
   std::vector<std::pair<sim::NodeId, Instr>>* exec_order = nullptr;
 };
@@ -231,17 +235,27 @@ struct ParallelFixture {
   std::vector<std::vector<std::pair<sim::NodeId, Instr>>> per_node_order;
   std::unique_ptr<sim::ParallelMachine> machine;
 
-  ParallelFixture(int n, int threads) : per_node_order(static_cast<size_t>(n)) {
+  ParallelFixture(int n, int threads, sim::ParallelOptions opts = {})
+      : per_node_order(static_cast<size_t>(n)) {
     for (int i = 0; i < n; ++i) {
       owned.push_back(std::make_unique<MockNode>(i, &raw));
       owned.back()->exec_order = &per_node_order[static_cast<size_t>(i)];
       raw.push_back(owned.back().get());
     }
     std::vector<sim::NodeExec*> execs(raw.begin(), raw.end());
-    machine = std::make_unique<sim::ParallelMachine>(std::move(execs),
-                                                     /*net=*/nullptr, threads);
+    machine = std::make_unique<sim::ParallelMachine>(
+        std::move(execs), /*net=*/nullptr, threads, opts);
   }
 };
+
+// Splits a serial run's global execution order into per-node sequences.
+std::vector<std::vector<std::pair<sim::NodeId, Instr>>> per_node(
+    const std::vector<std::pair<sim::NodeId, Instr>>& order, int n) {
+  std::vector<std::vector<std::pair<sim::NodeId, Instr>>> out(
+      static_cast<size_t>(n));
+  for (const auto& e : order) out[static_cast<size_t>(e.first)].push_back(e);
+  return out;
+}
 
 class ParallelMachineThreads : public ::testing::TestWithParam<int> {};
 
@@ -278,9 +292,7 @@ TEST_P(ParallelMachineThreads, PerNodeQuantumSequencesMatchSerial) {
   s.machine->run();
   p.machine->run();
 
-  // Split the serial global order into per-node sequences.
-  std::vector<std::vector<std::pair<sim::NodeId, Instr>>> serial_per_node(5);
-  for (auto& e : s.order) serial_per_node[static_cast<size_t>(e.first)].push_back(e);
+  const auto serial_per_node = per_node(s.order, 5);
   for (int i = 0; i < 5; ++i) {
     EXPECT_EQ(p.per_node_order[static_cast<size_t>(i)], serial_per_node[static_cast<size_t>(i)])
         << "node " << i;
@@ -318,7 +330,94 @@ TEST_P(ParallelMachineThreads, WindowsAdvanceWithUnitLookahead) {
   EXPECT_GT(p.machine->windows_run(), 0u);
 }
 
+// The per-shard active sets make a window cost O(nodes that run), not
+// O(shard size): one busy node among 511 idle ones pays a small constant
+// number of runnable()/next_wake() queries per quantum, plus the one full
+// seeding scan (two queries per idle node) at run() entry. A driver that
+// rescans its shard every window makes ~N queries per window instead.
+TEST_P(ParallelMachineThreads, NodeQueriesScaleWithQuantaNotNodes) {
+  constexpr int kNodes = 512;
+  constexpr std::uint64_t kQuanta = 1000;
+  ParallelFixture p(kNodes, GetParam());
+  p.raw[kNodes / 3]->pending_local_ = static_cast<int>(kQuanta);
+  auto rep = p.machine->run();
+  ASSERT_EQ(rep.quanta, kQuanta);
+  // Unit lookahead, 10-instruction quanta: one quantum per window.
+  EXPECT_EQ(p.machine->windows_run(), kQuanta);
+  std::uint64_t queries = 0;
+  for (const auto* n : p.raw) queries += n->queries;
+  EXPECT_LE(queries, 8 * kQuanta + 2 * kNodes);
+}
+
+// A run stopped at max_time and resumed must execute exactly the quanta of
+// one uninterrupted run: run() re-seeds every shard's set at entry, so no
+// entry left behind by the stopped leg can be lost or replayed.
+TEST_P(ParallelMachineThreads, InterruptedRunMatchesUninterrupted) {
+  auto setup = [](ParallelFixture& f) {
+    f.raw[0]->pending_local_ = 9;
+    f.raw[1]->pending_local_ = 4;
+    f.raw[1]->step_cost = 35;
+    f.raw[2]->deliver_at(60, nullptr);
+    f.raw[2]->deliver_at(200, nullptr);
+    f.raw[4]->deliver_at(45, nullptr);
+    f.raw[4]->pending_local_ = 1;
+    f.raw[4]->step_cost = 7;
+  };
+  ParallelFixture whole(5, GetParam());
+  setup(whole);
+  auto want = whole.machine->run();
+
+  ParallelFixture split(5, GetParam());
+  setup(split);
+  auto first = split.machine->run(/*max_time=*/64);
+  ASSERT_GT(first.quanta, 0u);
+  ASSERT_LT(first.quanta, want.quanta);
+  auto second = split.machine->run();
+
+  EXPECT_EQ(first.quanta + second.quanta, want.quanta);
+  EXPECT_EQ(second.end_time, want.end_time);
+  for (int i = 0; i < 5; ++i) {
+    const auto u = static_cast<size_t>(i);
+    EXPECT_EQ(split.raw[u]->clock_, whole.raw[u]->clock_) << "node " << i;
+    EXPECT_EQ(split.per_node_order[u], whole.per_node_order[u]) << "node " << i;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Threads, ParallelMachineThreads,
                          ::testing::Values(1, 2, 8));
+
+// Balanced shards move nodes between workers at barriers; each move hands
+// the node's ready-set entry to its new owner. Load that travels from node
+// to node (each wakes for a burst, staggered in time) keeps the balancer
+// moving nodes, and every node must still run the serial quantum sequence.
+TEST(ParallelMachineBalanced, MovingLoadMatchesSerialPerNode) {
+  constexpr int kNodes = 32;
+  constexpr int kBurst = 20;
+  MachineFixture s(kNodes);
+  sim::ParallelOptions opts;
+  opts.shard = sim::ShardKind::kBalanced;
+  ParallelFixture p(kNodes, 8, opts);
+  for (auto* f : {&s.raw, &p.raw}) {
+    for (int i = 0; i < kNodes; ++i) {
+      for (int k = 0; k < kBurst; ++k) {
+        (*f)[static_cast<size_t>(i)]->deliver_at(
+            static_cast<Instr>(i * 100 + k * 10), nullptr);
+      }
+    }
+  }
+  auto want = s.machine->run();
+  auto got = p.machine->run();
+
+  EXPECT_EQ(p.machine->shard_kind(), sim::ShardKind::kBalanced);
+  EXPECT_GT(p.machine->shard_moves(), 0u);
+  EXPECT_EQ(got.quanta, want.quanta);
+  EXPECT_EQ(got.end_time, want.end_time);
+  const auto serial_per_node = per_node(s.order, kNodes);
+  for (int i = 0; i < kNodes; ++i) {
+    EXPECT_EQ(p.per_node_order[static_cast<size_t>(i)],
+              serial_per_node[static_cast<size_t>(i)])
+        << "node " << i;
+  }
+}
 
 }  // namespace

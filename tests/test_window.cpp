@@ -158,8 +158,9 @@ TEST(Lookahead, RelaxAllIdleOrSingletonIsInf) {
   for (Instr v : got) EXPECT_EQ(v, kInstrInf);
 
   // One busy node: every *other* node is bounded by it, the busy node
-  // itself sees only idle peers and gets inf — the isolated-hot-node case
-  // that lets a lone busy node drain in a single window.
+  // itself sees only idle peers and gets inf. This is the exclude-self term
+  // alone; the driver folds the node's own key back in, so a lone busy node
+  // still re-barriers every wire latency.
   keys[5] = 1000;
   hmap.relax(keys, &got);
   EXPECT_EQ(got[5], kInstrInf);
