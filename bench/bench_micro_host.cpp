@@ -123,58 +123,6 @@ void BM_NetworkSendPollDeep(benchmark::State& state) {
 }
 BENCHMARK(BM_NetworkSendPollDeep)->Arg(1)->Arg(0);
 
-// ---- time queues ------------------------------------------------------------
-
-struct QEntry {
-  sim::Instr key;
-  std::int32_t id;
-};
-struct QKey {
-  sim::Instr operator()(const QEntry& e) const { return e.key; }
-};
-struct QLess {
-  bool operator()(const QEntry& a, const QEntry& b) const {
-    return a.key != b.key ? a.key < b.key : a.id < b.id;
-  }
-};
-
-// Standing-depth push/pop ping-pong: pop the min, reinsert it a pseudo-random
-// small stride later — the drifting-time-front shape both the machine's ready
-// set and the per-destination arrival queues produce. state.range(0) = depth.
-void queue_push_pop(benchmark::State& state, util::QueueKind kind) {
-  const auto depth = static_cast<int>(state.range(0));
-  util::BucketQueue<QEntry, QKey, QLess> q(kind);
-  std::uint64_t x = 0x9e3779b97f4a7c15ull;
-  auto next = [&x] {
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    return x;
-  };
-  sim::Instr t = 0;
-  for (int i = 0; i < depth; ++i) {
-    t += static_cast<sim::Instr>(next() % 64);
-    q.push({t, i});
-  }
-  for (auto _ : state) {
-    QEntry e = q.top();
-    q.pop();
-    benchmark::DoNotOptimize(e);
-    e.key += 1 + static_cast<sim::Instr>(next() % 512);
-    q.push(e);
-  }
-}
-
-void BM_BucketQueuePushPop(benchmark::State& state) {
-  queue_push_pop(state, util::QueueKind::kBucket);
-}
-BENCHMARK(BM_BucketQueuePushPop)->Arg(16)->Arg(256)->Arg(4096);
-
-void BM_BinaryHeapPushPop(benchmark::State& state) {
-  queue_push_pop(state, util::QueueKind::kHeap);
-}
-BENCHMARK(BM_BinaryHeapPushPop)->Arg(16)->Arg(256)->Arg(4096);
-
 // ---- barrier flush ----------------------------------------------------------
 
 // flush_outboxes ablation: the coordinator-side cost of committing a window's
@@ -189,7 +137,7 @@ void BM_FlushOutboxesMerge(benchmark::State& state) {
   constexpr std::int32_t kNodes = 64;
   sim::CostModel cm = sim::CostModel::ap1000();
   net::Network net(net::Topology(net::TopologyKind::kTorus2D, kNodes), &cm, {},
-                   true, util::QueueKind::kBucket,
+                   true,
                    merge ? net::FlushKind::kMerge : net::FlushKind::kSort);
   net::Network::Outbox boxes[kBoxes];
   net::Network::Outbox* ptrs[kBoxes];

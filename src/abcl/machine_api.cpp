@@ -37,16 +37,6 @@ bool parse_pooling_env(const char* text) {
   return *i < 3;
 }
 
-util::QueueKind parse_queue_env(const char* text) {
-  if (text == nullptr || *text == '\0') return util::QueueKind::kBucket;
-  std::optional<std::size_t> i = util::parse_choice(text, {"bucket", "heap"});
-  ABCL_CHECK_MSG(i.has_value(),
-                 util::choice_error("ABCLSIM_QUEUE", text, "bucket or heap",
-                                    "the bucketed time queue")
-                     .c_str());
-  return *i == 0 ? util::QueueKind::kBucket : util::QueueKind::kHeap;
-}
-
 net::FlushKind parse_flush_env(const char* text) {
   if (text == nullptr || *text == '\0') return net::FlushKind::kMerge;
   std::optional<std::size_t> i = util::parse_choice(text, {"merge", "sort"});
@@ -93,7 +83,6 @@ WorldConfig WorldConfig::from_env() {
   // from this config later never re-reads the environment.
   cfg.host_threads = *threads == 0 ? -1 : *threads;
   cfg.pooling = parse_pooling_env(std::getenv("ABCLSIM_POOLING"));
-  cfg.queue = parse_queue_env(std::getenv("ABCLSIM_QUEUE"));
   cfg.flush = parse_flush_env(std::getenv("ABCLSIM_FLUSH"));
   cfg.horizon = parse_horizon_env(std::getenv("ABCLSIM_HORIZON"));
   cfg.shard = parse_shard_env(std::getenv("ABCLSIM_SHARD"));
@@ -158,8 +147,8 @@ World::World(core::Program& prog, WorldConfig cfg) : cfg_(cfg), prog_(&prog) {
 
   net_ = std::make_unique<net::Network>(
       net::Topology(cfg_.topology, cfg_.nodes), &cfg_.cost,
-      std::function<void(core::NodeId)>{}, cfg_.pooling, cfg_.queue,
-      cfg_.flush, cfg_.faults);
+      std::function<void(core::NodeId)>{}, cfg_.pooling, cfg_.flush,
+      cfg_.faults);
 
   {
     std::string merr;
@@ -210,7 +199,7 @@ void World::build_machine() {
         std::move(execs), net_.get(), threads, opts);
     host_threads_ = threads;
   } else {
-    machine_ = std::make_unique<sim::Machine>(std::move(execs), cfg_.queue);
+    machine_ = std::make_unique<sim::Machine>(std::move(execs));
     host_threads_ = 1;
   }
 

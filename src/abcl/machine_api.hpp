@@ -50,10 +50,8 @@ struct WorldConfig {
   // buffers (default) vs general-purpose allocation everywhere (the
   // bench_alloc ablation baseline). Never changes simulation results.
   bool pooling = true;
-  // Time-queue structure for the serial machine's ready set and the
-  // network's per-destination queues: bucketed calendar queue (default) vs
-  // binary-heap ablation (ABCLSIM_QUEUE=heap). Pop order is identical —
-  // results never change.
+  // No-op, kept so older callers compile: every time queue is now one
+  // binary heap (util/min_heap.hpp), and nothing reads this field.
   util::QueueKind queue = util::QueueKind::kBucket;
   // Barrier commit strategy for the host-parallel driver: N-way merge over
   // worker-pre-sorted outbox runs (default) vs the old coordinator-side
@@ -99,12 +97,11 @@ struct WorldConfig {
   // once, strictly: ABCLSIM_HOST_THREADS (see parse_host_threads; unset ->
   // serial, recorded as host_threads = -1 so the result never re-consults
   // the environment), ABCLSIM_POOLING (unset/1/true/on -> pooled,
-  // 0/false/off -> ablation baseline), ABCLSIM_QUEUE (unset/bucket or
-  // heap), ABCLSIM_FLUSH (unset/merge or sort), ABCLSIM_HORIZON
-  // (unset/global or distance), ABCLSIM_SHARD (unset/static or balanced)
-  // and ABCLSIM_FAULTS (unset or
-  // "off" -> no faults; otherwise a strict net::parse_fault_spec string
-  // like "drop=0.05,dup=0.01,seed=7") and ABCLSIM_MIGRATION (unset or "off"
+  // 0/false/off -> ablation baseline), ABCLSIM_FLUSH (unset/merge or
+  // sort), ABCLSIM_HORIZON (unset/global or distance), ABCLSIM_SHARD
+  // (unset/static or balanced) and ABCLSIM_FAULTS (unset or "off" -> no
+  // faults; otherwise a strict net::parse_fault_spec string like
+  // "drop=0.05,dup=0.01,seed=7") and ABCLSIM_MIGRATION (unset or "off"
   // -> no migration; otherwise a strict remote::parse_migration_spec string
   // like "interval=32,hysteresis=2,seed=7"); anything else aborts.
   // New environment knobs must be absorbed here, not scattered.
@@ -126,6 +123,7 @@ struct WorldConfig {
   WorldConfig& with_seed(std::uint64_t s) { seed = s; return *this; }
   WorldConfig& with_host_threads(int t) { host_threads = t; return *this; }
   WorldConfig& with_pooling(bool on) { pooling = on; return *this; }
+  // No-op shim: see `queue`.
   WorldConfig& with_queue(util::QueueKind q) { queue = q; return *this; }
   WorldConfig& with_flush(net::FlushKind f) { flush = f; return *this; }
   WorldConfig& with_horizon(sim::HorizonKind h) { horizon = h; return *this; }

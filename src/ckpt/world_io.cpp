@@ -25,6 +25,7 @@
 // when it ships resume entries as raw words.
 #include <algorithm>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "abcl/machine_api.hpp"
@@ -77,7 +78,6 @@ struct WorldIo {
     w.u64(cfg.seed);
     w.i64(cfg.host_threads);
     w.b(cfg.pooling);
-    w.u32(static_cast<std::uint32_t>(cfg.queue));
     w.u32(static_cast<std::uint32_t>(cfg.flush));
     w.raw(cfg.faults);
     w.raw(cfg.migration);
@@ -109,7 +109,6 @@ struct WorldIo {
     cfg.seed = r.u64();
     cfg.host_threads = static_cast<int>(r.i64());
     cfg.pooling = r.b();
-    cfg.queue = static_cast<util::QueueKind>(r.u32());
     cfg.flush = static_cast<net::FlushKind>(r.u32());
     r.raw_into(cfg.faults);
     r.raw_into(cfg.migration);
@@ -128,9 +127,9 @@ struct WorldIo {
 
     world.net_ = std::make_unique<net::Network>(
         net::Topology(cfg.topology, cfg.nodes), &cfg.cost,
-        std::function<void(core::NodeId)>{}, cfg.pooling, cfg.queue,
-        cfg.flush, cfg.faults);
-    load_network(r, *world.net_);
+        std::function<void(core::NodeId)>{}, cfg.pooling, cfg.flush,
+        cfg.faults);
+    load_network(r, *world.net_, world.prog_->am().size());
 
     world.nodes_.reserve(static_cast<std::size_t>(cfg.nodes));
     for (std::int32_t i = 0; i < cfg.nodes; ++i) {
@@ -209,23 +208,21 @@ struct WorldIo {
     }
   }
 
-  static void load_network(Reader& r, net::Network& n) {
+  static void load_network(Reader& r, net::Network& n, std::size_t handlers) {
     r.raw_into(n.stats_);
     for (std::uint64_t& s : n.src_seq_) s = r.u64();
     load_channel_words(r, n.use_matrix_, n.channel_matrix_, n.channel_map_);
 
-    std::uint64_t total = 0;
     for (std::size_t dst = 0; dst < n.queues_.size(); ++dst) {
       std::uint64_t count = r.u64();
       for (std::uint64_t i = 0; i < count; ++i) {
         net::Packet* slot = n.pool_.acquire(n.home_mag_);
         r.raw_into(*slot);
+        check_packet(*slot, dst, n.queues_.size(), handlers);
         n.queues_[dst].push(net::Network::QueuedPacket{
             slot->arrive_time, slot->src, slot->seq, slot});
       }
-      total += count;
     }
-    n.in_flight_.store(total, std::memory_order_relaxed);
 
     if (n.fault_plan_ != nullptr) {
       r.raw_into(n.fault_commit_);
@@ -244,6 +241,36 @@ struct WorldIo {
         }
       }
     }
+  }
+
+  // A restored packet is dispatched verbatim, and Packet::at and
+  // AmRegistry::entry bound their index only in debug builds. The checksum
+  // proves integrity, not authorship: a crafted snapshot can re-seal it, so
+  // every field that indexes host memory is checked here, where a
+  // diagnostic can still name the packet.
+  static void check_packet(const net::Packet& p, std::size_t dst,
+                           std::size_t nodes, std::size_t handlers) {
+    auto bad = [dst](const std::string& why) {
+      return "checkpoint restore: packet queued toward node " +
+             std::to_string(dst) + " " + why;
+    };
+    ABCL_CHECK_MSG(p.nwords <= net::kMaxPacketWords,
+                   bad("carries " + std::to_string(p.nwords) +
+                       " payload words (max " +
+                       std::to_string(net::kMaxPacketWords) + ")")
+                       .c_str());
+    ABCL_CHECK_MSG(p.handler < handlers,
+                   bad("names handler " + std::to_string(p.handler) +
+                       ", but the Program registers " +
+                       std::to_string(handlers))
+                       .c_str());
+    ABCL_CHECK_MSG(p.src >= 0 && static_cast<std::size_t>(p.src) < nodes,
+                   bad("has source node " + std::to_string(p.src) +
+                       " outside the " + std::to_string(nodes) + "-node world")
+                       .c_str());
+    ABCL_CHECK_MSG(static_cast<std::size_t>(p.dst) == dst,
+                   bad("is addressed to node " + std::to_string(p.dst))
+                       .c_str());
   }
 
   // Channel-indexed word state (arrival floors, link seqs): flat matrix on

@@ -287,9 +287,9 @@ InterpPatterns register_interp(core::Program& prog) {
 }
 
 FuzzWorld::FuzzWorld(const Spec& spec, int host_threads, sim::Tracer* tracer,
-                     const sim::CostModel& cost, util::QueueKind queue,
-                     net::FlushKind flush, sim::HorizonKind horizon,
-                     sim::ShardKind shard, const ckpt::CheckpointConfig& ck)
+                     const sim::CostModel& cost, net::FlushKind flush,
+                     sim::HorizonKind horizon, sim::ShardKind shard,
+                     const ckpt::CheckpointConfig& ck)
     : spec_(spec) {
   std::string verr;
   ABCL_CHECK_MSG(spec_.validate(&verr), "invalid fuzz spec");
@@ -303,7 +303,6 @@ FuzzWorld::FuzzWorld(const Spec& spec, int host_threads, sim::Tracer* tracer,
       .with_host_threads(host_threads)
       .with_cost(cost)
       .with_seed(spec_.seed | 1)
-      .with_queue(queue)
       .with_flush(flush)
       .with_horizon(horizon)
       .with_shard(shard)

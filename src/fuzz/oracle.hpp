@@ -123,14 +123,12 @@ struct RunResult {
   std::uint64_t migration_holds = 0;
 };
 
-// `queue`/`flush` select the time-queue and commit-path ablations;
-// `horizon`/`shard` the parallel driver's window and shard policies. Every
-// combination must yield a byte-identical RunResult (checked by
-// tests/test_host_parallel.cpp and tests/test_fuzz.cpp over the fuzz
-// corpus).
+// `flush` selects the commit-path ablation; `horizon`/`shard` the parallel
+// driver's window and shard policies. Every combination must yield a
+// byte-identical RunResult (checked by tests/test_host_parallel.cpp and
+// tests/test_fuzz.cpp over the fuzz corpus).
 RunResult run_spec(const Spec& spec, int host_threads,
                    const sim::CostModel& cost = sim::CostModel::ap1000(),
-                   util::QueueKind queue = util::QueueKind::kBucket,
                    net::FlushKind flush = net::FlushKind::kMerge,
                    sim::HorizonKind horizon = sim::HorizonKind::kGlobal,
                    sim::ShardKind shard = sim::ShardKind::kStatic);
@@ -145,7 +143,6 @@ RunResult run_spec_with_checkpoint(
     const Spec& spec, int host_threads, std::uint64_t at,
     int restore_host_threads = 0,
     const sim::CostModel& cost = sim::CostModel::ap1000(),
-    util::QueueKind queue = util::QueueKind::kBucket,
     net::FlushKind flush = net::FlushKind::kMerge,
     sim::HorizonKind horizon = sim::HorizonKind::kGlobal,
     sim::ShardKind shard = sim::ShardKind::kStatic);
@@ -160,7 +157,6 @@ RunResult run_spec_with_crash(
     const Spec& spec, int host_threads, std::uint64_t at,
     std::uint64_t crash_at,
     const sim::CostModel& cost = sim::CostModel::ap1000(),
-    util::QueueKind queue = util::QueueKind::kBucket,
     net::FlushKind flush = net::FlushKind::kMerge,
     sim::HorizonKind horizon = sim::HorizonKind::kGlobal,
     sim::ShardKind shard = sim::ShardKind::kStatic);

@@ -33,16 +33,14 @@ void Network::Stats::merge(const Stats& o) {
 
 Network::Network(Topology topology, const sim::CostModel* cm,
                  std::function<void(NodeId)> on_deliverable, bool pooling,
-                 util::QueueKind queue, FlushKind flush, FaultConfig faults)
+                 FlushKind flush, FaultConfig faults)
     : topology_(topology),
       cm_(cm),
       on_deliverable_(std::move(on_deliverable)),
-      queues_(static_cast<std::size_t>(topology_.num_nodes()),
-              DstQueue(queue)),
+      queues_(static_cast<std::size_t>(topology_.num_nodes())),
       use_matrix_(topology_.num_nodes() <= kMatrixNodeLimit),
       src_seq_(static_cast<std::size_t>(topology_.num_nodes()), 0),
       outboxes_(static_cast<std::size_t>(topology_.num_nodes()), nullptr),
-      queue_kind_(queue),
       flush_(flush),
       flush_touched_mark_(static_cast<std::size_t>(topology_.num_nodes()), 0),
       pool_(pooling),
@@ -167,7 +165,6 @@ void Network::enqueue_copy(const Packet& p, sim::Instr arrive) {
   slot->arrive_time = arrive;
   queues_[static_cast<std::size_t>(dst)].push(
       QueuedPacket{arrive, p.src, p.seq, slot});
-  in_flight_.fetch_add(1, std::memory_order_relaxed);
   if (flush_active_) {
     // Batched wakeups: record the destination once; flush_outboxes runs a
     // single rekey pass per dst after all commits. Equivalent to the
@@ -427,7 +424,6 @@ bool Network::poll(NodeId dst, sim::Instr now, Packet& out, bool* was_dup) {
   PacketPool::Magazine* m = poll_mags_[static_cast<std::size_t>(dst)];
   pool_.release(m != nullptr ? *m : home_mag_, slot);
   q.pop();
-  in_flight_.fetch_sub(1, std::memory_order_relaxed);
   if (was_dup != nullptr) *was_dup = false;
   if (fault_plan_ != nullptr) {
     // Receiver-side dedup: only the first copy of each (src, link_seq) is
@@ -452,6 +448,12 @@ FaultStats Network::fault_stats() const {
     total.dup_suppressed += st.dup_suppressed;
   }
   return total;
+}
+
+std::uint64_t Network::in_flight() const {
+  std::uint64_t n = 0;
+  for (const DstQueue& q : queues_) n += q.size();
+  return n;
 }
 
 sim::Instr Network::next_arrival(NodeId dst) const {

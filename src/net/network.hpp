@@ -20,8 +20,9 @@
 // flush_outboxes commits them at the window barrier in the serial driver's
 // canonical order (quantum key, src, program order), so seqs, channel
 // floors, and Stats are bit-identical to a serial run. Destination queues
-// are only popped by the worker that owns the destination node, so the only
-// send/poll-shared word is the in-flight count, which is atomic.
+// are only popped by the worker that owns the destination node and only
+// pushed by the barrier-side flush; the in-flight count is summed from the
+// queue sizes between runs, so polls update no shared counter.
 //
 // Commit-path hot loop: each worker pre-sorts its own outbox into canonical
 // (quantum key, src) order in parallel before the barrier
@@ -45,7 +46,6 @@
 // reads them.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -58,7 +58,7 @@
 #include "net/packet_pool.hpp"
 #include "net/topology.hpp"
 #include "sim/cost_model.hpp"
-#include "util/bucket_queue.hpp"
+#include "util/min_heap.hpp"
 #include "util/stats.hpp"
 
 namespace abcl::ckpt {
@@ -124,12 +124,10 @@ class Network {
   // a fault-free network.
   Network(Topology topology, const sim::CostModel* cm,
           std::function<void(NodeId)> on_deliverable = {}, bool pooling = true,
-          util::QueueKind queue = util::QueueKind::kBucket,
           FlushKind flush = FlushKind::kMerge, FaultConfig faults = {});
   ~Network();
 
   FlushKind flush_kind() const { return flush_; }
-  util::QueueKind queue_kind() const { return queue_kind_; }
 
   void set_on_deliverable(std::function<void(NodeId)> fn) {
     on_deliverable_ = std::move(fn);
@@ -207,10 +205,10 @@ class Network {
   // The pricing model (per_hop feeds the distance-aware lookahead).
   const sim::CostModel& cost_model() const { return *cm_; }
 
-  bool idle() const { return in_flight_.load(std::memory_order_relaxed) == 0; }
-  std::uint64_t in_flight() const {
-    return in_flight_.load(std::memory_order_relaxed);
-  }
+  // Packets queued toward any destination: the sum of pending(). O(nodes);
+  // read only between runs (World::work_remaining, metrics snapshots).
+  std::uint64_t in_flight() const;
+  bool idle() const { return in_flight() == 0; }
   const Stats& stats() const { return stats_; }
 
   // Routes slot releases for polls on `dst` through `m` (nullptr restores
@@ -244,11 +242,8 @@ class Network {
     std::uint64_t seq;
     Packet* slot;
   };
-  struct PacketKey {
-    sim::Instr operator()(const QueuedPacket& q) const { return q.arrive; }
-  };
   // Delivery order: ascending (arrive, src, seq) — a strict total order
-  // (seqs are unique per src), so bucket and heap modes pop identically.
+  // (seqs are unique per src), so pop order never depends on push order.
   struct PacketOrder {
     bool operator()(const QueuedPacket& a, const QueuedPacket& b) const {
       if (a.arrive != b.arrive) return a.arrive < b.arrive;
@@ -256,7 +251,7 @@ class Network {
       return a.seq < b.seq;
     }
   };
-  using DstQueue = util::BucketQueue<QueuedPacket, PacketKey, PacketOrder>;
+  using DstQueue = util::MinHeap<QueuedPacket, PacketOrder>;
 
   sim::Instr& channel_floor(NodeId src, NodeId dst);
   std::uint64_t& link_seq(NodeId src, NodeId dst);
@@ -264,8 +259,8 @@ class Network {
   // Plays out the whole retry protocol for one committed packet (see
   // net/fault.hpp); enqueues every surviving delivery copy.
   void commit_faulty(Packet& p);
-  // Common tail of commit: acquire a slot, enqueue toward p.dst, bump
-  // in-flight, and record/fire the deliverability wakeup.
+  // Common tail of commit: acquire a slot, enqueue toward p.dst, and
+  // record/fire the deliverability wakeup.
   void enqueue_copy(const Packet& p, sim::Instr arrive);
   void flush_merge(Outbox* const* boxes, std::size_t nboxes);
   void flush_sort(Outbox* const* boxes, std::size_t nboxes);
@@ -281,7 +276,6 @@ class Network {
   bool use_matrix_;
   std::vector<std::uint64_t> src_seq_;
   std::vector<Outbox*> outboxes_;     // per-src redirect; nullptr = direct
-  util::QueueKind queue_kind_;
   FlushKind flush_;
   std::vector<Outbox::Item> merge_;   // kSort flush scratch (reused)
   // Batched-wakeup scratch: destinations touched by the current flush, in
@@ -304,7 +298,6 @@ class Network {
   sim::Instr commit_key_ = 0;  // quantum key of the send being committed
   std::vector<DeferredWireSample> deferred_lat_;
   std::size_t deferred_mid_ = 0;
-  std::atomic<std::uint64_t> in_flight_{0};
   Stats stats_;
   PacketPool pool_;
   PacketPool::Magazine home_mag_;

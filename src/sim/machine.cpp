@@ -13,11 +13,9 @@ Driver::Driver(std::vector<NodeExec*> nodes) : nodes_(std::move(nodes)) {
   }
 }
 
-ReadySet::ReadySet(std::size_t nodes, std::size_t shards, util::QueueKind queue)
-    : key_(nodes, kInstrInf), owner_(nodes, 0) {
+ReadySet::ReadySet(std::size_t nodes, std::size_t shards)
+    : key_(nodes, kInstrInf), owner_(nodes, 0), shards_(shards) {
   ABCL_CHECK(shards >= 1);
-  shards_.reserve(shards);
-  for (std::size_t s = 0; s < shards; ++s) shards_.emplace_back(queue);
 }
 
 void ReadySet::set_owner(NodeId id, std::size_t shard) {
@@ -32,8 +30,8 @@ void ReadySet::clear() {
   for (Shard& s : shards_) s.queue.clear();
 }
 
-Machine::Machine(std::vector<NodeExec*> nodes, util::QueueKind queue)
-    : Driver(std::move(nodes)), ready_(nodes_.size(), 1, queue) {}
+Machine::Machine(std::vector<NodeExec*> nodes)
+    : Driver(std::move(nodes)), ready_(nodes_.size(), 1) {}
 
 void Machine::push_node(NodeId id) {
   ready_.push(id, effective_key(*nodes_[static_cast<std::size_t>(id)]));

@@ -15,10 +15,11 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "sim/time.hpp"
-#include "util/bucket_queue.hpp"
+#include "util/min_heap.hpp"
 
 namespace abcl::sim {
 
@@ -115,8 +116,7 @@ class ReadySet {
   };
 
   // Every node starts absent and owned by shard 0. `shards` >= 1.
-  ReadySet(std::size_t nodes, std::size_t shards,
-           util::QueueKind queue = util::QueueKind::kBucket);
+  ReadySet(std::size_t nodes, std::size_t shards);
 
   std::size_t owner(NodeId id) const { return owner_[index(id)]; }
   const std::vector<Instr>& keys() const { return key_; }
@@ -165,19 +165,15 @@ class ReadySet {
   void clear();
 
  private:
-  struct EntryKey {
-    Instr operator()(const Entry& e) const { return e.key; }
-  };
   // Ascending (key, node) — the serial execution order.
   struct EntryLess {
     bool operator()(const Entry& a, const Entry& b) const {
       return a.key != b.key ? a.key < b.key : a.node < b.node;
     }
   };
-  using Queue = util::BucketQueue<Entry, EntryKey, EntryLess>;
+  using Queue = util::MinHeap<Entry, EntryLess>;
   // Cache-line aligned: parallel workers drain their shards concurrently.
   struct alignas(64) Shard {
-    explicit Shard(util::QueueKind kind) : queue(kind) {}
     Queue queue;
   };
 
@@ -195,12 +191,11 @@ class ReadySet {
 
 class Machine : public Driver {
  public:
-  // `queue` selects the ready structure: the bucketed time queue (default)
-  // or the binary-heap ablation (ABCLSIM_QUEUE=heap via WorldConfig).
-  // Both pop the exact (key, node) total order, so results are
-  // byte-identical either way.
-  explicit Machine(std::vector<NodeExec*> nodes,
-                   util::QueueKind queue = util::QueueKind::kBucket);
+  explicit Machine(std::vector<NodeExec*> nodes);
+  // Former queue-selecting constructor, kept so older callers compile; the
+  // QueueKind is ignored (every time queue is a util::MinHeap).
+  Machine(std::vector<NodeExec*> nodes, util::QueueKind)
+      : Machine(std::move(nodes)) {}
 
   void notify_work(NodeId dst) override;
   RunReport run(Instr max_time = kInstrInf) override;

@@ -94,7 +94,9 @@ void Arena::new_block(std::size_t at_least) {
                  "arena: reserved checkpoint slot exhausted (64 MiB)");
   std::size_t sz = block_bytes_;
   while (sz < at_least) sz *= 2;
-  blocks_.push_back(std::make_unique<std::byte[]>(sz));
+  // No value-initialization: pages stay untouched until first written (see
+  // the uninitialized-memory contract in arena.hpp).
+  blocks_.push_back(std::make_unique_for_overwrite<std::byte[]>(sz));
   cur_ = blocks_.back().get();
   end_ = cur_ + sz;
   bytes_reserved_ += sz;

@@ -17,6 +17,14 @@
 //    MAP_NORESERVE virtual space; pages materialize on first touch, so an
 //    idle node still costs nothing. Only checkpoint-enabled worlds use this
 //    mode; default worlds keep the malloc path bit-for-bit unchanged.
+//
+// Arena memory is uninitialized in both modes: blocks are allocated without
+// value-initialization, so a page materializes only when the slab that owns
+// it is first written, and a node's host footprint tracks the heap it
+// actually uses. Every allocation site must construct (or fully write)
+// whatever it later reads; nothing may rely on fresh memory being zero.
+// (Reserved slots happen to be zero-filled by mmap, but that is not part
+// of the contract either.)
 #pragma once
 
 #include <cstddef>
@@ -47,7 +55,8 @@ class Arena {
   Arena(const Arena&) = delete;
   Arena& operator=(const Arena&) = delete;
 
-  // Bump-allocates `bytes` aligned to `align` (power of two, <= 64).
+  // Bump-allocates `bytes` of uninitialized memory aligned to `align`
+  // (power of two, <= 64).
   void* allocate(std::size_t bytes, std::size_t align = alignof(std::max_align_t));
 
   template <class T, class... Args>

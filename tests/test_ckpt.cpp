@@ -9,8 +9,10 @@
 // that loses a segment of the run and replays it from the last checkpoint.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 
 #include "abcl/machine_api.hpp"
@@ -148,17 +150,15 @@ TEST(CkptEnvDeath, GarbageAbortsWithDiagnostic) {
 TEST(ConfigPrecedence, EnvThenBuilderOverrideForEveryKnob) {
   ScopedEnv e1("ABCLSIM_HOST_THREADS", "3");
   ScopedEnv e2("ABCLSIM_POOLING", "0");
-  ScopedEnv e3("ABCLSIM_QUEUE", "heap");
-  ScopedEnv e4("ABCLSIM_FLUSH", "sort");
-  ScopedEnv e5("ABCLSIM_FAULTS", "drop=0.05,seed=9");
-  ScopedEnv e6("ABCLSIM_MIGRATION", "interval=16,seed=3");
-  ScopedEnv e7("ABCLSIM_CHECKPOINT", "at=123,path=env.ck");
+  ScopedEnv e3("ABCLSIM_FLUSH", "sort");
+  ScopedEnv e4("ABCLSIM_FAULTS", "drop=0.05,seed=9");
+  ScopedEnv e5("ABCLSIM_MIGRATION", "interval=16,seed=3");
+  ScopedEnv e6("ABCLSIM_CHECKPOINT", "at=123,path=env.ck");
 
   WorldConfig cfg = WorldConfig::from_env();
   // from_env() picked up every variable.
   EXPECT_EQ(cfg.host_threads, 3);
   EXPECT_FALSE(cfg.pooling);
-  EXPECT_EQ(cfg.queue, util::QueueKind::kHeap);
   EXPECT_EQ(cfg.flush, net::FlushKind::kSort);
   EXPECT_TRUE(cfg.faults.enabled);
   EXPECT_EQ(cfg.faults.drop_ppm, 50'000u);
@@ -176,14 +176,12 @@ TEST(ConfigPrecedence, EnvThenBuilderOverrideForEveryKnob) {
   mc.interval = 64;
   cfg.with_host_threads(7)
       .with_pooling(true)
-      .with_queue(util::QueueKind::kBucket)
       .with_flush(net::FlushKind::kMerge)
       .with_faults(fc)
       .with_migration(mc)
       .with_ckpt(at_config(456));
   EXPECT_EQ(cfg.host_threads, 7);
   EXPECT_TRUE(cfg.pooling);
-  EXPECT_EQ(cfg.queue, util::QueueKind::kBucket);
   EXPECT_EQ(cfg.flush, net::FlushKind::kMerge);
   EXPECT_EQ(cfg.faults.dup_ppm, 10'000u);
   EXPECT_EQ(cfg.faults.drop_ppm, 0u);
@@ -195,18 +193,17 @@ TEST(ConfigPrecedence, EnvThenBuilderOverrideForEveryKnob) {
 TEST(ConfigPrecedence, OverridingOneKnobLeavesTheOthersAlone) {
   ScopedEnv e1("ABCLSIM_HOST_THREADS", "3");
   ScopedEnv e2("ABCLSIM_POOLING", nullptr);
-  ScopedEnv e3("ABCLSIM_QUEUE", "heap");
-  ScopedEnv e4("ABCLSIM_FLUSH", nullptr);
-  ScopedEnv e5("ABCLSIM_FAULTS", "drop=0.05,seed=9");
-  ScopedEnv e6("ABCLSIM_MIGRATION", nullptr);
-  ScopedEnv e7("ABCLSIM_CHECKPOINT", "at=123");
+  ScopedEnv e3("ABCLSIM_FLUSH", "sort");
+  ScopedEnv e4("ABCLSIM_FAULTS", "drop=0.05,seed=9");
+  ScopedEnv e5("ABCLSIM_MIGRATION", nullptr);
+  ScopedEnv e6("ABCLSIM_CHECKPOINT", "at=123");
 
   WorldConfig cfg = WorldConfig::from_env().with_nodes(64).with_seed(5);
   EXPECT_EQ(cfg.nodes, 64);
   EXPECT_EQ(cfg.seed, 5u);
   // Env-derived knobs survive unrelated with_* calls.
   EXPECT_EQ(cfg.host_threads, 3);
-  EXPECT_EQ(cfg.queue, util::QueueKind::kHeap);
+  EXPECT_EQ(cfg.flush, net::FlushKind::kSort);
   EXPECT_TRUE(cfg.faults.enabled);
   EXPECT_TRUE(cfg.ckpt.enabled);
   EXPECT_EQ(cfg.ckpt.at, 123u);
@@ -265,9 +262,8 @@ TEST(CkptWorld, ResumedQuantaAccountingAcrossRestore) {
   const std::uint64_t at = base.sim_time / 2 + 1;
 
   fuzz::FuzzWorld fw(spec, kSerial, nullptr, sim::CostModel::ap1000(),
-                     util::QueueKind::kBucket, net::FlushKind::kMerge,
-                     sim::HorizonKind::kGlobal, sim::ShardKind::kStatic,
-                     at_config(at));
+                     net::FlushKind::kMerge, sim::HorizonKind::kGlobal,
+                     sim::ShardKind::kStatic, at_config(at));
   RunReport r1 = fw.world().run();
   EXPECT_EQ(r1.stop_reason, StopReason::kCheckpointRequested);
   EXPECT_TRUE(fw.world().work_remaining());
@@ -299,8 +295,8 @@ TEST(CkptWorld, FileCheckpointIsTransparentAndRecaptureRoundTrips) {
   // boundary and resumes inside the same run() call, so a
   // checkpoint-unaware caller sees the uninterrupted run's results.
   fuzz::FuzzWorld fw(spec, kSerial, nullptr, sim::CostModel::ap1000(),
-                     util::QueueKind::kBucket, net::FlushKind::kMerge,
-                     sim::HorizonKind::kGlobal, sim::ShardKind::kStatic, ck);
+                     net::FlushKind::kMerge, sim::HorizonKind::kGlobal,
+                     sim::ShardKind::kStatic, ck);
   RunReport r1 = fw.world().run();
   EXPECT_EQ(r1.stop_reason, StopReason::kQuiesced);
   EXPECT_EQ(r1.quanta, base.quanta);
@@ -330,18 +326,18 @@ TEST(CkptWorld, FileCheckpointIsTransparentAndRecaptureRoundTrips) {
 }
 
 TEST(CkptWorld, SnapshotCarriesWindowAndShardPolicies) {
-  // v2 snapshots record the horizon/shard knobs: a world checkpointed under
-  // (distance, balanced) restores under (distance, balanced) even when the
-  // restore overrides the thread count — the override swaps the driver
-  // width, never the policy.
+  // Snapshots (since v2) record the horizon/shard knobs: a world
+  // checkpointed under (distance, balanced) restores under (distance,
+  // balanced) even when the restore overrides the thread count — the
+  // override swaps the driver width, never the policy.
   const fuzz::Spec spec = fuzz::generate(2);
   const fuzz::RunResult base = fuzz::run_spec(spec, kSerial);
   const std::uint64_t at = base.sim_time / 2 + 1;
 
   fuzz::FuzzWorld fw(spec, /*host_threads=*/8, nullptr,
-                     sim::CostModel::ap1000(), util::QueueKind::kBucket,
-                     net::FlushKind::kMerge, sim::HorizonKind::kDistance,
-                     sim::ShardKind::kBalanced, at_config(at));
+                     sim::CostModel::ap1000(), net::FlushKind::kMerge,
+                     sim::HorizonKind::kDistance, sim::ShardKind::kBalanced,
+                     at_config(at));
   RunReport r1 = fw.world().run();
   EXPECT_EQ(r1.stop_reason, StopReason::kCheckpointRequested);
   ckpt::MemSink sink;
@@ -369,8 +365,8 @@ std::string snapshot_bytes(std::uint64_t seed) {
   const fuzz::Spec spec = fuzz::generate(seed);
   const fuzz::RunResult base = fuzz::run_spec(spec, kSerial);
   fuzz::FuzzWorld fw(spec, kSerial, nullptr, sim::CostModel::ap1000(),
-                     util::QueueKind::kBucket, net::FlushKind::kMerge,
-                     sim::HorizonKind::kGlobal, sim::ShardKind::kStatic,
+                     net::FlushKind::kMerge, sim::HorizonKind::kGlobal,
+                     sim::ShardKind::kStatic,
                      at_config(base.sim_time / 2 + 1));
   fw.world().run();
   ckpt::MemSink sink;
@@ -442,6 +438,57 @@ TEST(CkptIntegrityDeath, DifferentProgramIsRejectedByFingerprint) {
   prog.finalize();
   ckpt::MemSource src(bytes);
   EXPECT_DEATH({ World::restore(prog, src); }, "different Program");
+}
+
+// The checksum proves integrity, not authorship: anyone can re-seal it. So
+// plant one in-flight packet carrying a unique payload word, forge its
+// fields in the raw stream, re-seal, and require restore to refuse every
+// forgery before the packet could ever be dispatched.
+TEST(CkptIntegrityDeath, ForgedQueuedPacketIsRejectedAtRestore) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  constexpr net::Word kMarker = 0x5eedf00dcafe1234ull;
+  std::string bytes;
+  {
+    core::Program prog;
+    fuzz::register_interp(prog);
+    register_completion_latch(prog);
+    prog.finalize();
+    World w(prog, WorldConfig{}.with_nodes(2).with_ckpt(at_config(100)));
+    net::Packet p;
+    p.src = 0;
+    p.dst = 1;
+    p.push(kMarker);
+    w.network().send(std::move(p), net::AmCategory::kService);
+    ckpt::MemSink sink;
+    w.checkpoint(sink);
+    bytes = sink.take();
+  }
+  const std::string marker(reinterpret_cast<const char*>(&kMarker),
+                           sizeof kMarker);
+  const std::size_t at = bytes.find(marker);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(bytes.find(marker, at + 1), std::string::npos);
+  const std::size_t pkt = at - offsetof(net::Packet, payload);
+
+  // Overwrites one field of the planted packet, then re-seals the header's
+  // FNV-1a checksum (header bytes 32..39) over the payload (bytes 40..).
+  auto forge = [&](std::size_t field, const auto& value) {
+    std::string s = bytes;
+    std::memcpy(&s[pkt + field], &value, sizeof value);
+    const std::uint64_t sum = ckpt::fnv1a(s.data() + 40, s.size() - 40);
+    std::memcpy(&s[32], &sum, sizeof sum);
+    return s;
+  };
+  expect_restore_death(
+      forge(offsetof(net::Packet, nwords),
+            static_cast<std::uint8_t>(net::kMaxPacketWords + 1)),
+      "carries 25 payload words");
+  expect_restore_death(forge(offsetof(net::Packet, handler),
+                             static_cast<net::HandlerId>(0xFFFF)),
+                       "names handler 65535");
+  expect_restore_death(
+      forge(offsetof(net::Packet, dst), static_cast<std::int32_t>(0)),
+      "is addressed to node 0");
 }
 
 // --------------------------------------- snapshot-equivalence oracle -------

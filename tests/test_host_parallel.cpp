@@ -312,10 +312,10 @@ TEST(PingPongCrossDriver, BitIdenticalAtEveryThreadCount) {
   }
 }
 
-// The commit-path (merge vs sort) and time-queue (bucket vs heap) ablations
-// must be pure host-side strategies: every observable — metrics_json
-// byte-for-byte, the order-sensitive trace fingerprint, counters — must
-// match the default configuration on the whole committed fuzz corpus.
+// The commit-path ablation (merge vs sort) must be a pure host-side
+// strategy: every observable — metrics_json byte-for-byte, the
+// order-sensitive trace fingerprint, counters — must match the default
+// configuration on the whole committed fuzz corpus.
 void expect_run_identical(const fuzz::RunResult& base,
                           const fuzz::RunResult& alt, const char* what) {
   SCOPED_TRACE(what);
@@ -330,26 +330,16 @@ void expect_run_identical(const fuzz::RunResult& base,
   ASSERT_EQ(alt.metrics_json, base.metrics_json);
 }
 
-TEST(FlushAndQueueAblations, ByteIdenticalOnFuzzCorpus) {
-  using util::QueueKind;
-  using net::FlushKind;
+TEST(FlushAblation, ByteIdenticalOnFuzzCorpus) {
   const sim::CostModel cost = sim::CostModel::ap1000();
   for (std::uint64_t seed = 1; seed <= 64; ++seed) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     fuzz::Spec spec = fuzz::generate(seed);
-    // Baseline: serial driver, default bucket queue + merge flush.
+    // Baseline: serial driver, default merge flush.
     fuzz::RunResult base = fuzz::run_spec(spec, kSerial, cost);
     expect_run_identical(
-        base, fuzz::run_spec(spec, kSerial, cost, QueueKind::kHeap),
-        "serial, heap-queue ablation");
-    expect_run_identical(
-        base,
-        fuzz::run_spec(spec, 8, cost, QueueKind::kBucket, FlushKind::kSort),
+        base, fuzz::run_spec(spec, 8, cost, net::FlushKind::kSort),
         "8 threads, global-sort flush ablation");
-    expect_run_identical(
-        base,
-        fuzz::run_spec(spec, 8, cost, QueueKind::kHeap, FlushKind::kMerge),
-        "8 threads, heap-queue + merge flush");
   }
 }
 
@@ -454,11 +444,9 @@ TEST(HostThreads, ParserRejectsGarbageZeroAndNegative) {
   reject(" ", "blank");
 }
 
-TEST(EnvKnobs, QueueAndFlushSelection) {
-  ASSERT_EQ(setenv("ABCLSIM_QUEUE", "heap", 1), 0);
+TEST(EnvKnobs, FlushSelection) {
   ASSERT_EQ(setenv("ABCLSIM_FLUSH", "sort", 1), 0);
   WorldConfig cfg = WorldConfig::from_env();
-  EXPECT_EQ(cfg.queue, util::QueueKind::kHeap);
   EXPECT_EQ(cfg.flush, net::FlushKind::kSort);
   {
     core::Program prog;
@@ -466,13 +454,10 @@ TEST(EnvKnobs, QueueAndFlushSelection) {
     prog.finalize();
     cfg.with_nodes(2);
     World world(prog, cfg);
-    EXPECT_EQ(world.network().queue_kind(), util::QueueKind::kHeap);
     EXPECT_EQ(world.network().flush_kind(), net::FlushKind::kSort);
   }
-  ASSERT_EQ(unsetenv("ABCLSIM_QUEUE"), 0);
   ASSERT_EQ(unsetenv("ABCLSIM_FLUSH"), 0);
   cfg = WorldConfig::from_env();
-  EXPECT_EQ(cfg.queue, util::QueueKind::kBucket);
   EXPECT_EQ(cfg.flush, net::FlushKind::kMerge);
 }
 

@@ -1,5 +1,5 @@
 // Unit tests for the utility substrate: arena, slab allocator, intrusive
-// FIFO, RNG, statistics, table printer.
+// FIFO, time-queue heap, RNG, statistics, table printer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,8 +10,8 @@
 #include <vector>
 
 #include "util/arena.hpp"
-#include "util/bucket_queue.hpp"
 #include "util/intrusive_list.hpp"
+#include "util/min_heap.hpp"
 #include "util/rng.hpp"
 #include "util/slab.hpp"
 #include "util/spec_parser.hpp"
@@ -547,74 +547,70 @@ TEST(Table, NumGroupsThousands) {
   EXPECT_EQ(Table::num(2.345, 2), "2.35");
 }
 
-// --------------------------------------------------------- BucketQueue ----
+// ------------------------------------------------------------- MinHeap ----
 
 constexpr std::uint64_t kInf = ~std::uint64_t{0};
 
-struct BqEntry {
+struct HeapEntry {
   std::uint64_t key;
   std::int32_t id;
-  bool operator==(const BqEntry&) const = default;
+  bool operator==(const HeapEntry&) const = default;
 };
-struct BqKey {
-  std::uint64_t operator()(const BqEntry& e) const { return e.key; }
-};
-struct BqLess {
-  bool operator()(const BqEntry& a, const BqEntry& b) const {
+struct HeapLess {
+  bool operator()(const HeapEntry& a, const HeapEntry& b) const {
     return a.key != b.key ? a.key < b.key : a.id < b.id;
   }
 };
-using Bq = BucketQueue<BqEntry, BqKey, BqLess>;
+using Heap = MinHeap<HeapEntry, HeapLess>;
 
 // Reference min-queue: std::priority_queue pops the max, so invert.
-struct BqGreater {
-  bool operator()(const BqEntry& a, const BqEntry& b) const {
-    return BqLess{}(b, a);
+struct HeapGreater {
+  bool operator()(const HeapEntry& a, const HeapEntry& b) const {
+    return HeapLess{}(b, a);
   }
 };
 using RefQueue =
-    std::priority_queue<BqEntry, std::vector<BqEntry>, BqGreater>;
+    std::priority_queue<HeapEntry, std::vector<HeapEntry>, HeapGreater>;
 
-TEST(BucketQueue, PopsInKeyThenIdOrder) {
-  for (QueueKind mode : {QueueKind::kBucket, QueueKind::kHeap}) {
-    Bq q(mode);
-    q.push({30, 1});
-    q.push({10, 2});
-    q.push({20, 3});
-    q.push({10, 1});
-    ASSERT_EQ(q.size(), 4u);
-    EXPECT_EQ(q.top(), (BqEntry{10, 1}));
-    q.pop();
-    EXPECT_EQ(q.top(), (BqEntry{10, 2}));
-    q.pop();
-    EXPECT_EQ(q.top(), (BqEntry{20, 3}));
-    q.pop();
-    EXPECT_EQ(q.top(), (BqEntry{30, 1}));
-    q.pop();
-    EXPECT_TRUE(q.empty());
-  }
+TEST(MinHeap, PopsInKeyThenIdOrder) {
+  Heap q;
+  q.push({30, 1});
+  q.push({10, 2});
+  q.push({20, 3});
+  q.push({10, 1});
+  ASSERT_EQ(q.size(), 4u);
+  EXPECT_EQ(q.top(), (HeapEntry{10, 1}));
+  q.pop();
+  EXPECT_EQ(q.top(), (HeapEntry{10, 2}));
+  q.pop();
+  EXPECT_EQ(q.top(), (HeapEntry{20, 3}));
+  q.pop();
+  EXPECT_EQ(q.top(), (HeapEntry{30, 1}));
+  q.pop();
+  EXPECT_TRUE(q.empty());
 }
 
-TEST(BucketQueue, TieBreakIsDeterministicAcrossInsertionOrders) {
-  // All-equal keys must drain in id order regardless of push order or mode.
+TEST(MinHeap, TieBreakIsDeterministicAcrossInsertionOrders) {
+  // All-equal keys must drain in id order regardless of push order.
   std::vector<std::int32_t> order = {7, 2, 9, 0, 5, 3, 8, 1, 6, 4};
-  for (QueueKind mode : {QueueKind::kBucket, QueueKind::kHeap}) {
-    Bq q(mode);
+  for (int rotation = 0; rotation < 10; ++rotation) {
+    std::rotate(order.begin(), order.begin() + 1, order.end());
+    Heap q;
     for (std::int32_t id : order) q.push({42, id});
     for (std::int32_t want = 0; want < 10; ++want) {
-      EXPECT_EQ(q.top(), (BqEntry{42, want}));
+      EXPECT_EQ(q.top(), (HeapEntry{42, want}));
       q.pop();
     }
   }
 }
 
 // Interleaved random pushes/pops against std::priority_queue, across a key
-// distribution that exercises monotone drift, far-future jumps (overflow
-// tier + rebase) and late pushes below the active bucket.
-TEST(BucketQueue, RandomizedEquivalenceVsPriorityQueue) {
+// distribution with monotone drift, far-future jumps and late pushes below
+// the drifting front — the shapes the drivers and the network produce.
+TEST(MinHeap, RandomizedEquivalenceVsPriorityQueue) {
   for (std::uint64_t seed : {1u, 2u, 3u, 4u}) {
     Xoshiro256 rng(seed);
-    Bq q(QueueKind::kBucket);
+    Heap q;
     RefQueue ref;
     std::uint64_t front = 0;  // drifting time front
     std::int32_t next_id = 0;
@@ -627,7 +623,7 @@ TEST(BucketQueue, RandomizedEquivalenceVsPriorityQueue) {
           case 1: k = front - std::min(front, rng.below(16)); break;  // late
           default: k = front + rng.below(64); break;  // monotone-ish
         }
-        BqEntry e{k, next_id++};
+        HeapEntry e{k, next_id++};
         q.push(e);
         ref.push(e);
       } else {
@@ -647,96 +643,38 @@ TEST(BucketQueue, RandomizedEquivalenceVsPriorityQueue) {
   }
 }
 
-TEST(BucketQueue, BucketAndHeapModesPopIdentically) {
-  Xoshiro256 rng(99);
-  Bq a(QueueKind::kBucket);
-  Bq b(QueueKind::kHeap);
-  std::uint64_t t = 0;
-  for (int i = 0; i < 5000; ++i) {
-    t += rng.below(32);
-    BqEntry e{rng.below(50) == 0 ? t + (1u << 24) : t,
-              static_cast<std::int32_t>(i)};
-    a.push(e);
-    b.push(e);
-    if (rng.below(3) == 0) {
-      ASSERT_EQ(a.top(), b.top()) << "i=" << i;
-      a.pop();
-      b.pop();
-    }
-  }
-  while (!a.empty()) {
-    ASSERT_EQ(a.top(), b.top());
-    a.pop();
-    b.pop();
-  }
-  EXPECT_TRUE(b.empty());
-}
-
-TEST(BucketQueue, LatePushBelowActiveBucketStaysExact) {
-  Bq q(QueueKind::kBucket);
-  for (std::uint64_t k = 100; k < 150; ++k) q.push({k, 0});
-  // Drain partway so the active bucket has a consumed prefix.
-  for (int i = 0; i < 20; ++i) q.pop();
-  EXPECT_EQ(q.top().key, 120u);
-  // A key below everything already popped must still surface first, and
-  // must not resurrect consumed entries.
-  q.push({5, 0});
-  EXPECT_EQ(q.top().key, 5u);
+TEST(MinHeap, InfinityKeys) {
+  // kInstrInf-magnitude keys next to key 0 order like any other key.
+  Heap q;
+  q.push({kInf, 1});
+  q.push({0, 2});
+  q.push({kInf - 1, 3});
+  q.push({kInf, 0});
+  q.push({1u << 31, 4});
+  EXPECT_EQ(q.top(), (HeapEntry{0, 2}));
   q.pop();
-  std::uint64_t prev = 0;
-  while (!q.empty()) {
-    EXPECT_GT(q.top().key, prev);
-    prev = q.top().key;
-    q.pop();
-  }
-  EXPECT_EQ(prev, 149u);
+  EXPECT_EQ(q.top(), (HeapEntry{std::uint64_t{1} << 31, 4}));
+  q.pop();
+  EXPECT_EQ(q.top(), (HeapEntry{kInf - 1, 3}));
+  q.pop();
+  EXPECT_EQ(q.top(), (HeapEntry{kInf, 0}));
+  q.pop();
+  EXPECT_EQ(q.top(), (HeapEntry{kInf, 1}));
+  q.pop();
+  EXPECT_TRUE(q.empty());
 }
 
-TEST(BucketQueue, InfinityKeysAndFullSpanRebase) {
-  // kInstrInf-magnitude keys plus key 0 force the widest possible rebase
-  // (span ~2^64); all arithmetic must stay overflow-safe.
-  for (QueueKind mode : {QueueKind::kBucket, QueueKind::kHeap}) {
-    Bq q(mode);
-    q.push({kInf, 1});
-    q.push({0, 2});
-    q.push({kInf - 1, 3});
-    q.push({kInf, 0});
-    q.push({1u << 31, 4});
-    EXPECT_EQ(q.top(), (BqEntry{0, 2}));
-    q.pop();
-    EXPECT_EQ(q.top(), (BqEntry{std::uint64_t{1} << 31, 4}));
-    q.pop();
-    EXPECT_EQ(q.top(), (BqEntry{kInf - 1, 3}));
-    q.pop();
-    EXPECT_EQ(q.top(), (BqEntry{kInf, 0}));
-    q.pop();
-    EXPECT_EQ(q.top(), (BqEntry{kInf, 1}));
-    q.pop();
-    EXPECT_TRUE(q.empty());
-  }
-}
-
-TEST(BucketQueue, ClearAndReuse) {
-  Bq q(QueueKind::kBucket);
+TEST(MinHeap, ClearAndReuse) {
+  Heap q;
   for (std::uint64_t k = 0; k < 100; ++k) q.push({k * 1000, 0});
   q.pop();
   q.clear();
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.size(), 0u);
   q.push({7, 1});
-  EXPECT_EQ(q.top(), (BqEntry{7, 1}));
+  EXPECT_EQ(q.top(), (HeapEntry{7, 1}));
   q.pop();
   EXPECT_TRUE(q.empty());
-}
-
-TEST(BucketQueue, SetModeRequiresEmpty) {
-  Bq q(QueueKind::kBucket);
-  q.set_mode(QueueKind::kHeap);  // empty: allowed
-  q.push({1, 0});
-  EXPECT_EQ(q.mode(), QueueKind::kHeap);
-  q.pop();
-  q.set_mode(QueueKind::kBucket);
-  EXPECT_EQ(q.mode(), QueueKind::kBucket);
 }
 
 
@@ -826,9 +764,9 @@ TEST(SpecParser, SpecOffAndDiagnosticShapes) {
   EXPECT_NE(e.find("bad value"), std::string::npos);
   EXPECT_NE(e.find("expected X"), std::string::npos);
 
-  const std::string c = util::choice_error("ABCLSIM_QUEUE", "stack",
-                                           "bucket or heap", "bucket");
-  EXPECT_NE(c.find("ABCLSIM_QUEUE"), std::string::npos);
+  const std::string c = util::choice_error("ABCLSIM_FLUSH", "stack",
+                                           "merge or sort", "merge");
+  EXPECT_NE(c.find("ABCLSIM_FLUSH"), std::string::npos);
   EXPECT_NE(c.find("stack"), std::string::npos);
 }
 
