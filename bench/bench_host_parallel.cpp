@@ -31,18 +31,12 @@
 // gate) and are spliced into the metrics snapshot as "migration_hotspot"
 // for the regression baseline.
 //
-// Driver-policy ablations (new with the topology-aware windows):
-//  - Window policy: every parallel N-queens config also runs under
-//    ABCLSIM_HORIZON=distance semantics (cfg.with_horizon). The table gains
-//    a windows-per-run column; distance must cut windows_run by >= 25% at
-//    every P (always gated — windows_run is a simulated quantity), produce
-//    identical solutions/sim_time/quanta, and at P=64 a byte-identical
-//    metrics snapshot.
-//  - Shard policy: a clustered workload pins heavy actors on nodes 0 mod 8
-//    of a 64-node world, which the static node-id-mod-T assignment piles
-//    onto worker 0 at 8 threads. It runs static vs balanced at 8 threads;
-//    all simulated counters must match, and under ABCLSIM_SCALING_GATE=1 on
-//    multi-core hosts the balanced wall clock must beat static by >= 1.3x.
+// Shard-policy ablation: a clustered workload pins heavy actors on nodes
+// 0 mod 8 of a 64-node world, which the static node-id-mod-T assignment
+// piles onto worker 0 at 8 threads. It runs static vs balanced at 8
+// threads; all simulated counters must match, and under
+// ABCLSIM_SCALING_GATE=1 on multi-core hosts the balanced wall clock must
+// beat static by >= 1.3x.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -56,7 +50,6 @@
 #include "core/object.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "net/topology.hpp"
 #include "remote/migration.hpp"
 #include "sim/parallel_machine.hpp"
 
@@ -72,21 +65,19 @@ struct Sample {
   sim::Instr sim_time = 0;
   std::uint64_t quanta = 0;
   // Parallel-driver window count (0 under the serial Machine). A function
-  // of simulated state + the horizon policy only — identical at any thread
-  // count, so the committed baseline pins it.
+  // of simulated state only — identical at any thread count, so the
+  // committed baseline pins it.
   std::uint64_t windows = 0;
 };
 
 Sample run_once(int nodes, int host_threads, const apps::NQueensParams& p,
-                std::string* metrics_out = nullptr,
-                sim::HorizonKind horizon = sim::HorizonKind::kGlobal) {
+                std::string* metrics_out = nullptr) {
   core::Program prog;
   auto np = apps::register_nqueens(prog);
   prog.finalize();
   WorldConfig cfg;
   cfg.with_nodes(nodes);
   cfg.with_host_threads(host_threads == 0 ? -1 : host_threads);
-  cfg.with_horizon(horizon);
   World world(prog, cfg);
 
   auto t0 = std::chrono::steady_clock::now();
@@ -306,86 +297,6 @@ ClusterSample run_clustered(sim::ShardKind shard) {
   return s;
 }
 
-// ------------------------------------------ torus-locality window bench -----
-
-// The workload distance horizons exist for: every node of the 16x16 torus
-// churns a node-local chain, phase-shifted by 2 * hops(0, i) instructions -
-// dense in *time*, with the in-time neighbors far apart in *space*. Under
-// the flat policy a 20-instr window only reaches phases < 20, so each
-// 200-instr generation costs two barriers. The distance policy prices the
-// hops between a node and the frontier into its horizon -- H_i >= K_min +
-// 20 + hops(0,i) > K_min + 2*hops(0,i) -- so every node runs its quantum in
-// the first window and each generation costs one barrier: an asymptotic 50%
-// window reduction, all simulated and thread-count-independent, which the
-// >= 25% acceptance gate pins. (The N-queens runs above are saturated --
-// queues deep everywhere, every window full under either policy -- so their
-// reduction is structurally small; they are reported but not gated.)
-struct LocalityResult {
-  std::uint64_t windows = 0;
-  std::uint64_t occupancy = 0;
-  sim::Instr sim_time = 0;
-  std::uint64_t quanta = 0;
-  std::string driver_json;  // obs::driver_metrics_json snapshot
-};
-
-constexpr int kLocNodes = 256;  // 16x16 torus
-constexpr Word kLocFuel = 200;
-
-LocalityResult run_locality(sim::HorizonKind horizon) {
-  core::Program prog;
-  PatternId kick = prog.patterns().intern("loc.kick", 2);  // fuel, phase
-  ClassDef<ClusterState> def(prog, "Loc");
-  struct KickFrame : Frame {
-    Word fuel = 0;
-    Word phase = 0;
-    PatternId pat = 0;
-    static void init(KickFrame& f, const Msg& m) {
-      f.fuel = m.at(0);
-      f.phase = m.at(1);
-      f.pat = m.pattern;
-    }
-    static Status run(Ctx& ctx, ClusterState& self, KickFrame& f) {
-      ABCL_BEGIN(f);
-      self.steps += 1;
-      ctx.charge(200 + f.phase);  // phase is only nonzero on the first step
-      if (f.fuel > 0) {
-        Word args[2] = {f.fuel - 1, 0};
-        ctx.send_past(ctx.self_addr(), f.pat, args, 2);
-      }
-      ABCL_END();
-    }
-  };
-  def.method<KickFrame>(kick);
-  prog.finalize();
-
-  WorldConfig cfg;
-  cfg.with_nodes(kLocNodes);
-  cfg.with_host_threads(2);
-  cfg.with_horizon(horizon);
-  World world(prog, cfg);
-
-  const net::Topology topo(net::TopologyKind::kTorus2D, kLocNodes);
-  for (int node = 0; node < kLocNodes; ++node) {
-    world.boot(node, [&](Ctx& ctx) {
-      MailAddr a = ctx.create_local(def.info(), {});
-      ctx.send_past(a, kick,
-                    {kLocFuel, static_cast<Word>(2 * topo.hops(0, node))});
-    });
-  }
-  RunReport rep = world.run();
-
-  LocalityResult r;
-  r.sim_time = rep.sim_time;
-  r.quanta = rep.quanta;
-  if (auto* pm = dynamic_cast<sim::ParallelMachine*>(&world.machine())) {
-    r.windows = pm->windows_run();
-    r.occupancy = pm->occupancy_sum();
-    r.driver_json = obs::driver_metrics_json(*pm);
-  }
-  return r;
-}
-
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -404,22 +315,14 @@ int main(int argc, char** argv) {
   std::printf("N = %d, host cores = %u%s\n", n, cores,
               meaningful ? "" : " (single-core: speedups not meaningful)");
   std::vector<Sample> samples;
-  struct WindowAblation {
-    int nodes = 0;
-    std::uint64_t global_windows = 0;
-    std::uint64_t distance_windows = 0;
-  };
-  std::vector<WindowAblation> ablations;
   bool identical = true;
   bool scaling_ok = true;
-  bool windows_ok = true;
-  std::string metrics_serial, metrics_par8, metrics_dist;
+  std::string metrics_serial, metrics_par8;
   for (int nodes : {64, 256, 512}) {
     util::Table t({"P", "Driver", "Wall (ms)", "Speedup vs serial",
                    "Solutions", "Sim time (instr)", "Windows"});
     double serial_ms = 0.0;
     Sample serial{};
-    Sample global8{};
     for (int ht : thread_counts) {
       // Snapshot the canonical P=64 config from both drivers: the serial
       // snapshot is the published artifact, the 8-thread one only exists to
@@ -437,7 +340,6 @@ int main(int argc, char** argv) {
         identical = false;
         std::printf("DIVERGENCE at P=%d threads=%d!\n", nodes, ht);
       }
-      if (ht == 8) global8 = s;
       if (scaling_gate && ht == 2 && s.wall_ms > 1.5 * serial_ms) {
         scaling_ok = false;
         std::printf("SCALING GATE at P=%d: 2-thread wall %.1f ms > 1.5x "
@@ -452,47 +354,12 @@ int main(int argc, char** argv) {
                  util::Table::num(static_cast<std::uint64_t>(s.sim_time)),
                  ht == 0 ? "-" : util::Table::num(s.windows)});
     }
-    // Window-policy ablation: the same config under distance horizons. The
-    // saturated N-queens world keeps every torus neighborhood busy, so the
-    // reduction here is structurally modest (the gated >= 25% contrast is
-    // the locality workload below); it must still be a reduction and must
-    // not change any simulated result.
-    {
-      std::string* mout = nodes == 64 ? &metrics_dist : nullptr;
-      Sample d = run_once(nodes, 8, p, mout, sim::HorizonKind::kDistance);
-      samples.push_back(d);
-      if (d.solutions != serial.solutions || d.sim_time != serial.sim_time ||
-          d.quanta != serial.quanta) {
-        identical = false;
-        std::printf("DIVERGENCE at P=%d horizon=distance!\n", nodes);
-      }
-      ablations.push_back({nodes, global8.windows, d.windows});
-      if (d.windows > global8.windows) {
-        windows_ok = false;
-        std::printf("WINDOW GATE at P=%d: distance ran %llu windows, global "
-                    "only %llu — distance horizons must never add windows\n",
-                    nodes, static_cast<unsigned long long>(d.windows),
-                    static_cast<unsigned long long>(global8.windows));
-      }
-      t.add_row({std::to_string(nodes), "8 thr, distance",
-                 util::Table::num(d.wall_ms, 1),
-                 util::Table::num(serial_ms / d.wall_ms, 2),
-                 util::Table::num(static_cast<std::uint64_t>(d.solutions)),
-                 util::Table::num(static_cast<std::uint64_t>(d.sim_time)),
-                 util::Table::num(d.windows)});
-    }
     t.print();
   }
 
   if (metrics_serial != metrics_par8) {
     identical = false;
     std::printf("METRICS DIVERGENCE: serial and 8-thread snapshots differ!\n");
-  }
-  if (metrics_serial != metrics_dist) {
-    identical = false;
-    std::printf(
-        "METRICS DIVERGENCE: distance-horizon snapshot differs from "
-        "serial!\n");
   }
 
   // Hot-spot migration workload: serial vs 8 threads with the shedding
@@ -564,38 +431,6 @@ int main(int argc, char** argv) {
         ms.hot_node_objects, ms.nodes_with_objects);
     const std::size_t brace = metrics_serial.rfind('}');
     if (brace != std::string::npos) metrics_serial.insert(brace, hot);
-  }
-
-  // Torus-locality window ablation — the gated >= 25% reduction.
-  LocalityResult loc_global = run_locality(sim::HorizonKind::kGlobal);
-  LocalityResult loc_dist = run_locality(sim::HorizonKind::kDistance);
-  {
-    util::Table t({"Horizon", "Windows", "Mean occupancy", "Sim time (instr)",
-                   "Quanta"});
-    for (const LocalityResult* r : {&loc_global, &loc_dist}) {
-      t.add_row({r == &loc_global ? "global" : "distance",
-                 util::Table::num(r->windows),
-                 util::Table::num(
-                     static_cast<double>(r->occupancy) /
-                         static_cast<double>(r->windows ? r->windows : 1),
-                     2),
-                 util::Table::num(static_cast<std::uint64_t>(r->sim_time)),
-                 util::Table::num(r->quanta)});
-    }
-    t.print();
-    if (loc_global.sim_time != loc_dist.sim_time ||
-        loc_global.quanta != loc_dist.quanta) {
-      identical = false;
-      std::printf("DIVERGENCE: locality workload's simulated results differ "
-                  "between horizon policies!\n");
-    }
-    if (loc_dist.windows * 4 > loc_global.windows * 3) {
-      windows_ok = false;
-      std::printf("WINDOW GATE: locality workload — distance ran %llu "
-                  "windows, global %llu — less than a 25%% reduction\n",
-                  static_cast<unsigned long long>(loc_dist.windows),
-                  static_cast<unsigned long long>(loc_global.windows));
-    }
   }
 
   // Clustered shard-policy workload: static piles every hot node onto
@@ -682,37 +517,6 @@ int main(int argc, char** argv) {
                    i + 1 < samples.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n");
-    // Window-policy ablation: window counts are simulated quantities, so
-    // the committed baseline pins both and with them the >= 25% reduction.
-    std::fprintf(f, "  \"window_policy\": [\n");
-    for (std::size_t i = 0; i < ablations.size(); ++i) {
-      const WindowAblation& a = ablations[i];
-      std::fprintf(f,
-                   "    {\"nodes\": %d, \"global_windows\": %llu, "
-                   "\"distance_windows\": %llu}%s\n",
-                   a.nodes, static_cast<unsigned long long>(a.global_windows),
-                   static_cast<unsigned long long>(a.distance_windows),
-                   i + 1 < ablations.size() ? "," : "");
-    }
-    std::fprintf(f, "  ],\n");
-    // Gated torus-locality ablation (all simulated, hence pinnable).
-    std::fprintf(f,
-                 "  \"window_locality\": {\"nodes\": %d, "
-                 "\"global_windows\": %llu, \"distance_windows\": %llu, "
-                 "\"global_occupancy\": %llu, \"distance_occupancy\": %llu, "
-                 "\"quanta\": %llu, \"sim_time\": %llu},\n",
-                 kLocNodes,
-                 static_cast<unsigned long long>(loc_global.windows),
-                 static_cast<unsigned long long>(loc_dist.windows),
-                 static_cast<unsigned long long>(loc_global.occupancy),
-                 static_cast<unsigned long long>(loc_dist.occupancy),
-                 static_cast<unsigned long long>(loc_global.quanta),
-                 static_cast<unsigned long long>(loc_global.sim_time));
-    // Full driver-counter snapshots (obs::driver_metrics_json) per policy —
-    // deterministic at the pinned 2-thread width, so pinned in baselines.
-    std::fprintf(f, "  \"window_locality_driver\": {\"global\": %s, "
-                 "\"distance\": %s},\n",
-                 loc_global.driver_json.c_str(), loc_dist.driver_json.c_str());
     // Shard-policy workload. Counts are deterministic at the pinned 8-thread
     // width; "speedup" is wall-clock-derived and on the shared ignore list.
     std::fprintf(
@@ -721,7 +525,7 @@ int main(int argc, char** argv) {
         "\"fuel\": %llu, \"quanta\": %llu, \"sim_time\": %llu, "
         "\"windows\": %llu, \"rebalances\": %llu, \"shard_moves\": %llu, "
         "\"static\": {\"wall_ms\": %.3f}, \"balanced\": {\"wall_ms\": %.3f}, "
-        "\"speedup\": %.3f},\n",
+        "\"speedup\": %.3f}\n",
         kClNodes, kClNodes / 8 * kClActorsPerHot,
         static_cast<unsigned long long>(kClFuel),
         static_cast<unsigned long long>(cl_static.quanta),
@@ -730,13 +534,11 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(cl_bal.rebalances),
         static_cast<unsigned long long>(cl_bal.shard_moves), cl_static.wall_ms,
         cl_bal.wall_ms, cl_static.wall_ms / cl_bal.wall_ms);
-    std::fprintf(f, "  \"windows_gate_ok\": %s\n",
-                 windows_ok ? "true" : "false");
     std::fprintf(f, "}\n");
     std::fclose(f);
     std::printf("\nwrote %s\n", path);
   } else {
     std::printf("\ncould not open %s for writing\n", path);
   }
-  return (identical && scaling_ok && windows_ok) ? 0 : 1;
+  return (identical && scaling_ok) ? 0 : 1;
 }

@@ -7,7 +7,6 @@
 #include "apps/counters.hpp"
 #include "net/network.hpp"
 #include "net/topology.hpp"
-#include "sim/lookahead.hpp"
 #include "sim/machine.hpp"
 #include "sim/shard_balance.hpp"
 #include "util/arena.hpp"
@@ -125,20 +124,16 @@ BENCHMARK(BM_NetworkSendPollDeep)->Arg(1)->Arg(0);
 
 // ---- barrier flush ----------------------------------------------------------
 
-// flush_outboxes ablation: the coordinator-side cost of committing a window's
-// sends from 8 worker outboxes. state.range(0) = packets per box;
-// state.range(1): 1 = k-way merge over pre-sorted runs (the pre-sort itself
-// is excluded, as in production it runs inside the parallel region), 0 = the
-// historical global stable_sort. Fill and drain run under PauseTiming.
+// The coordinator-side cost of flush_outboxes committing a window's sends
+// from 8 worker outboxes: a k-way merge over pre-sorted runs (the pre-sort
+// itself is excluded, as in production it runs inside the parallel region).
+// state.range(0) = packets per box. Fill and drain run under PauseTiming.
 void BM_FlushOutboxesMerge(benchmark::State& state) {
   const auto per_box = static_cast<int>(state.range(0));
-  const bool merge = state.range(1) != 0;
   constexpr int kBoxes = 8;
   constexpr std::int32_t kNodes = 64;
   sim::CostModel cm = sim::CostModel::ap1000();
-  net::Network net(net::Topology(net::TopologyKind::kTorus2D, kNodes), &cm, {},
-                   true,
-                   merge ? net::FlushKind::kMerge : net::FlushKind::kSort);
+  net::Network net(net::Topology(net::TopologyKind::kTorus2D, kNodes), &cm);
   net::Network::Outbox boxes[kBoxes];
   net::Network::Outbox* ptrs[kBoxes];
   for (int b = 0; b < kBoxes; ++b) ptrs[b] = &boxes[b];
@@ -164,9 +159,7 @@ void BM_FlushOutboxesMerge(benchmark::State& state) {
         net.send(std::move(p), net::AmCategory::kObjectMessage);
       }
     }
-    if (merge) {
-      for (auto& b : boxes) b.sort_canonical();
-    }
+    for (auto& b : boxes) b.sort_canonical();
     state.ResumeTiming();
     net.flush_outboxes(ptrs, kBoxes);
     state.PauseTiming();
@@ -180,13 +173,7 @@ void BM_FlushOutboxesMerge(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * per_box * kBoxes);
 }
-BENCHMARK(BM_FlushOutboxesMerge)
-    ->Args({16, 1})
-    ->Args({16, 0})
-    ->Args({256, 1})
-    ->Args({256, 0})
-    ->Args({4096, 1})
-    ->Args({4096, 0});
+BENCHMARK(BM_FlushOutboxesMerge)->Arg(16)->Arg(256)->Arg(4096);
 
 // ---- end-to-end dispatch ------------------------------------------------------
 
@@ -267,33 +254,6 @@ void BM_MachineQuantumOverhead(benchmark::State& state) {
 BENCHMARK(BM_MachineQuantumOverhead)->Unit(benchmark::kMicrosecond);
 
 // ---- parallel-driver window machinery ---------------------------------------
-
-// Per-window cost of the distance-horizon relaxation: one O(N) min-plus
-// pass over the torus for state.range(0) nodes. Keys cycle through a mix of
-// finite and infinite (idle) entries so the sweep sees realistic data.
-void BM_HorizonRelaxation(benchmark::State& state) {
-  const auto n = static_cast<std::int32_t>(state.range(0));
-  net::Topology topo(net::TopologyKind::kTorus2D, n);
-  sim::HorizonMap hmap(&topo, /*per_hop=*/1);
-  std::vector<sim::Instr> keys(static_cast<std::size_t>(n));
-  std::vector<sim::Instr> out(static_cast<std::size_t>(n));
-  std::uint64_t x = 0x2545f4914f6cdd1dull;
-  for (auto& k : keys) {
-    x ^= x >> 12;
-    x ^= x << 25;
-    x ^= x >> 27;
-    k = (x & 7) != 0 ? (x % 100000) : sim::kInstrInf;
-  }
-  for (auto _ : state) {
-    hmap.relax(keys, &out);
-    benchmark::DoNotOptimize(out.data());
-    // Drift the keys so successive windows differ, as in a real run.
-    keys[static_cast<std::size_t>(state.iterations()) %
-         keys.size()] += 64;
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_HorizonRelaxation)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
 
 // Per-barrier cost of the deterministic shard rebalance: EWMA fold plus the
 // LPT repack over state.range(0) nodes onto 8 workers.

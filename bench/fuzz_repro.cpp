@@ -18,11 +18,10 @@
 // way; "--migration off" strips it. The two overlays compose, so
 // `--sweep N --faults ... --migration ...` is the migration×faults regime.
 //
-// --horizon global|distance and --shard static|balanced select the parallel
-// driver's window and shard policies for every oracle run (grammar of
-// ABCLSIM_HORIZON / ABCLSIM_SHARD); results must be byte-identical to the
-// serial baseline regardless, so the flags sweep the corpus under a policy
-// combination without regenerating anything.
+// --shard static|balanced selects the parallel driver's shard policy for
+// every oracle run (grammar of ABCLSIM_SHARD); results must be
+// byte-identical to the serial baseline regardless, so the flag sweeps the
+// corpus under a policy without regenerating anything.
 //
 // --ckpt switches every mode from the differential oracle (check_spec) to
 // the snapshot-equivalence oracle (check_spec_checkpoint): each spec is run
@@ -58,8 +57,7 @@ int usage() {
                "       fuzz_repro --shrink FILE --out FILE\n"
                "       fuzz_repro --sweep N [--artifact-dir D]\n"
                "       (any mode) --faults SPEC --migration SPEC --ckpt\n"
-               "                  --horizon global|distance"
-               " --shard static|balanced\n");
+               "                  --shard static|balanced\n");
   return 2;
 }
 
@@ -96,19 +94,16 @@ void overlay(fuzz::Spec& s) {
 // differential one.
 bool g_ckpt = false;
 
-// Set by --horizon / --shard; applied to every oracle run.
-sim::HorizonKind g_horizon = sim::HorizonKind::kGlobal;
+// Set by --shard; applied to every oracle run.
 sim::ShardKind g_shard = sim::ShardKind::kStatic;
 
 fuzz::OracleResult run_oracle(const fuzz::Spec& s) {
   if (g_ckpt) {
     fuzz::CheckpointOracleOptions opts;
-    opts.horizon = g_horizon;
     opts.shard = g_shard;
     return fuzz::check_spec_checkpoint(s, opts);
   }
   fuzz::OracleOptions opts;
-  opts.horizon = g_horizon;
   opts.shard = g_shard;
   return fuzz::check_spec(s, opts);
 }
@@ -188,18 +183,6 @@ int main(int argc, char** argv) {
       }
     } else if (a == "--ckpt") {
       g_ckpt = true;
-    } else if (a == "--horizon") {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      if (std::strcmp(v, "global") == 0) {
-        g_horizon = sim::HorizonKind::kGlobal;
-      } else if (std::strcmp(v, "distance") == 0) {
-        g_horizon = sim::HorizonKind::kDistance;
-      } else {
-        std::fprintf(stderr, "--horizon: expected global|distance, got %s\n",
-                     v);
-        return 2;
-      }
     } else if (a == "--shard") {
       const char* v = next();
       if (v == nullptr) return usage();

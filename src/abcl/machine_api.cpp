@@ -37,28 +37,6 @@ bool parse_pooling_env(const char* text) {
   return *i < 3;
 }
 
-net::FlushKind parse_flush_env(const char* text) {
-  if (text == nullptr || *text == '\0') return net::FlushKind::kMerge;
-  std::optional<std::size_t> i = util::parse_choice(text, {"merge", "sort"});
-  ABCL_CHECK_MSG(i.has_value(),
-                 util::choice_error("ABCLSIM_FLUSH", text, "merge or sort",
-                                    "the k-way merge commit path")
-                     .c_str());
-  return *i == 0 ? net::FlushKind::kMerge : net::FlushKind::kSort;
-}
-
-sim::HorizonKind parse_horizon_env(const char* text) {
-  if (text == nullptr || *text == '\0') return sim::HorizonKind::kGlobal;
-  std::optional<std::size_t> i =
-      util::parse_choice(text, {"global", "distance"});
-  ABCL_CHECK_MSG(i.has_value(),
-                 util::choice_error("ABCLSIM_HORIZON", text,
-                                    "global or distance",
-                                    "the flat global window")
-                     .c_str());
-  return *i == 0 ? sim::HorizonKind::kGlobal : sim::HorizonKind::kDistance;
-}
-
 sim::ShardKind parse_shard_env(const char* text) {
   if (text == nullptr || *text == '\0') return sim::ShardKind::kStatic;
   std::optional<std::size_t> i =
@@ -83,8 +61,6 @@ WorldConfig WorldConfig::from_env() {
   // from this config later never re-reads the environment.
   cfg.host_threads = *threads == 0 ? -1 : *threads;
   cfg.pooling = parse_pooling_env(std::getenv("ABCLSIM_POOLING"));
-  cfg.flush = parse_flush_env(std::getenv("ABCLSIM_FLUSH"));
-  cfg.horizon = parse_horizon_env(std::getenv("ABCLSIM_HORIZON"));
   cfg.shard = parse_shard_env(std::getenv("ABCLSIM_SHARD"));
   err.clear();
   std::optional<net::FaultConfig> faults =
@@ -147,8 +123,7 @@ World::World(core::Program& prog, WorldConfig cfg) : cfg_(cfg), prog_(&prog) {
 
   net_ = std::make_unique<net::Network>(
       net::Topology(cfg_.topology, cfg_.nodes), &cfg_.cost,
-      std::function<void(core::NodeId)>{}, cfg_.pooling, cfg_.flush,
-      cfg_.faults);
+      std::function<void(core::NodeId)>{}, cfg_.pooling, cfg_.faults);
 
   {
     std::string merr;
@@ -192,7 +167,6 @@ void World::build_machine() {
   int threads = resolve_host_threads(cfg_.host_threads);
   if (threads >= 1) {
     sim::ParallelMachine::Options opts;
-    opts.horizon = cfg_.horizon;
     opts.shard = cfg_.shard;
     opts.seed = cfg_.seed;
     machine_ = std::make_unique<sim::ParallelMachine>(

@@ -15,7 +15,6 @@
 #include "ckpt/snapshot.hpp"
 #include "core/node_runtime.hpp"
 #include "net/network.hpp"
-#include "sim/lookahead.hpp"
 #include "sim/machine.hpp"
 #include "sim/shard_balance.hpp"
 #include "sim/trace.hpp"
@@ -53,16 +52,11 @@ struct WorldConfig {
   // No-op, kept so older callers compile: every time queue is now one
   // binary heap (util/min_heap.hpp), and nothing reads this field.
   util::QueueKind queue = util::QueueKind::kBucket;
-  // Barrier commit strategy for the host-parallel driver: N-way merge over
-  // worker-pre-sorted outbox runs (default) vs the old coordinator-side
-  // global sort ablation (ABCLSIM_FLUSH=sort). Commit order is identical —
-  // results never change.
+  // No-op, kept so older callers compile: the host-parallel driver always
+  // merges the workers' pre-sorted outboxes, and nothing reads this field.
   net::FlushKind flush = net::FlushKind::kMerge;
-  // Window policy of the host-parallel driver: flat global lookahead
-  // (default) vs per-node distance-aware horizons (ABCLSIM_HORIZON=
-  // distance; see sim/lookahead.hpp). Fewer barriers on torus workloads —
-  // results never change. Ignored by the serial driver; falls back to
-  // global when fault injection is enabled.
+  // No-op, kept so older callers compile: the host-parallel driver always
+  // runs the flat global window, and nothing reads this field.
   sim::HorizonKind horizon = sim::HorizonKind::kGlobal;
   // Shard policy of the host-parallel driver: static round-robin (default)
   // vs deterministic barrier-time EWMA rebalancing (ABCLSIM_SHARD=
@@ -97,14 +91,15 @@ struct WorldConfig {
   // once, strictly: ABCLSIM_HOST_THREADS (see parse_host_threads; unset ->
   // serial, recorded as host_threads = -1 so the result never re-consults
   // the environment), ABCLSIM_POOLING (unset/1/true/on -> pooled,
-  // 0/false/off -> ablation baseline), ABCLSIM_FLUSH (unset/merge or
-  // sort), ABCLSIM_HORIZON (unset/global or distance), ABCLSIM_SHARD
-  // (unset/static or balanced) and ABCLSIM_FAULTS (unset or "off" -> no
-  // faults; otherwise a strict net::parse_fault_spec string like
-  // "drop=0.05,dup=0.01,seed=7") and ABCLSIM_MIGRATION (unset or "off"
-  // -> no migration; otherwise a strict remote::parse_migration_spec string
-  // like "interval=32,hysteresis=2,seed=7"); anything else aborts.
-  // New environment knobs must be absorbed here, not scattered.
+  // 0/false/off -> ablation baseline), ABCLSIM_SHARD (unset/static or
+  // balanced), ABCLSIM_FAULTS (unset or "off" -> no faults; otherwise a
+  // strict net::parse_fault_spec string like "drop=0.05,dup=0.01,seed=7"),
+  // ABCLSIM_MIGRATION (unset or "off" -> no migration; otherwise a strict
+  // remote::parse_migration_spec string like
+  // "interval=32,hysteresis=2,seed=7") and ABCLSIM_CHECKPOINT (unset or
+  // "off" -> no checkpoint; otherwise a ckpt::parse_checkpoint_spec string
+  // like "at=1000,path=snap.bin"); anything else aborts. New environment
+  // knobs must be absorbed here, not scattered.
   static WorldConfig from_env();
 
   // Fluent setters, chainable from from_env() or a default-constructed
@@ -123,7 +118,7 @@ struct WorldConfig {
   WorldConfig& with_seed(std::uint64_t s) { seed = s; return *this; }
   WorldConfig& with_host_threads(int t) { host_threads = t; return *this; }
   WorldConfig& with_pooling(bool on) { pooling = on; return *this; }
-  // No-op shim: see `queue`.
+  // No-op shims: see `queue`, `flush` and `horizon`.
   WorldConfig& with_queue(util::QueueKind q) { queue = q; return *this; }
   WorldConfig& with_flush(net::FlushKind f) { flush = f; return *this; }
   WorldConfig& with_horizon(sim::HorizonKind h) { horizon = h; return *this; }

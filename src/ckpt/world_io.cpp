@@ -78,18 +78,16 @@ struct WorldIo {
     w.u64(cfg.seed);
     w.i64(cfg.host_threads);
     w.b(cfg.pooling);
-    w.u32(static_cast<std::uint32_t>(cfg.flush));
     w.raw(cfg.faults);
     w.raw(cfg.migration);
     w.b(cfg.ckpt.enabled);
     w.u64(cfg.ckpt.at);
     w.str(cfg.ckpt.path);
-    // Driver policy knobs: purely host-side (results never depend on them),
-    // but carried so a restored world keeps the run's configured policy when
-    // the restoring caller doesn't override it. The parallel driver rebuilds
-    // every derived structure (horizon map, balancer state) from scratch on
-    // construction, so nothing else needs saving.
-    w.u32(static_cast<std::uint32_t>(cfg.horizon));
+    // Shard policy: purely host-side (results never depend on it), but
+    // carried so a restored world keeps the run's configured policy when the
+    // restoring caller doesn't override it. The parallel driver rebuilds its
+    // balancer state from scratch on construction, so nothing else needs
+    // saving.
     w.u32(static_cast<std::uint32_t>(cfg.shard));
     w.u64(world.quanta_total_);
 
@@ -102,21 +100,20 @@ struct WorldIo {
     cfg.nodes = static_cast<std::int32_t>(r.u32());
     ABCL_CHECK_MSG(cfg.nodes >= 1,
                    "checkpoint restore: snapshot carries no nodes");
-    cfg.topology = static_cast<net::TopologyKind>(r.u32());
+    cfg.topology = enum_word(r, net::TopologyKind::kHypercube, "topology");
     r.raw_into(cfg.cost);
     r.raw_into(cfg.node);
-    cfg.placement = static_cast<remote::PlacementKind>(r.u32());
+    cfg.placement =
+        enum_word(r, remote::PlacementKind::kLeastLoaded, "placement");
     cfg.seed = r.u64();
     cfg.host_threads = static_cast<int>(r.i64());
     cfg.pooling = r.b();
-    cfg.flush = static_cast<net::FlushKind>(r.u32());
     r.raw_into(cfg.faults);
     r.raw_into(cfg.migration);
     cfg.ckpt.enabled = r.b();
     cfg.ckpt.at = r.u64();
     cfg.ckpt.path = r.str();
-    cfg.horizon = static_cast<sim::HorizonKind>(r.u32());
-    cfg.shard = static_cast<sim::ShardKind>(r.u32());
+    cfg.shard = enum_word(r, sim::ShardKind::kBalanced, "shard");
     if (host_threads_override != 0) cfg.host_threads = host_threads_override;
     world.quanta_total_ = r.u64();
     world.resumed_quanta_ = world.quanta_total_;
@@ -127,8 +124,7 @@ struct WorldIo {
 
     world.net_ = std::make_unique<net::Network>(
         net::Topology(cfg.topology, cfg.nodes), &cfg.cost,
-        std::function<void(core::NodeId)>{}, cfg.pooling, cfg.flush,
-        cfg.faults);
+          std::function<void(core::NodeId)>{}, cfg.pooling, cfg.faults);
     load_network(r, *world.net_, world.prog_->am().size());
 
     world.nodes_.reserve(static_cast<std::size_t>(cfg.nodes));
@@ -151,17 +147,29 @@ struct WorldIo {
     world.build_machine();
   }
 
+  // A config enum word, checked against the enum's last enumerator: the
+  // checksum proves integrity, not authorship, and an out-of-range word
+  // names no enumerator for the code that later switches on it.
+  template <class E>
+  static E enum_word(Reader& r, E last, const char* what) {
+    const std::uint32_t v = r.u32();
+    ABCL_CHECK_MSG(v <= static_cast<std::uint32_t>(last),
+                   ("checkpoint restore: " + std::string(what) + " word " +
+                    std::to_string(v) + " is out of range (max " +
+                    std::to_string(static_cast<std::uint32_t>(last)) + ")")
+                       .c_str());
+    return static_cast<E>(v);
+  }
+
   // ----- network -----------------------------------------------------------
 
   static void save_network(Writer& w, const net::Network& n) {
     // Boundary invariants: no worker redirects installed, no flush running.
     ABCL_CHECK_MSG(!n.flush_active_,
                    "checkpoint: capture attempted mid-flush");
-    for (const net::Network::Outbox* ob : n.outboxes_) {
-      ABCL_CHECK_MSG(ob == nullptr,
-                     "checkpoint: capture attempted with worker outboxes "
-                     "installed (mid-run)");
-    }
+    ABCL_CHECK_MSG(n.outboxes_installed_ == 0,
+                   "checkpoint: capture attempted with worker outboxes "
+                   "installed (mid-run)");
 
     w.raw(n.stats_);
     for (std::uint64_t s : n.src_seq_) w.u64(s);

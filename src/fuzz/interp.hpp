@@ -81,16 +81,13 @@ InterpPatterns register_interp(core::Program& prog);
 class FuzzWorld {
  public:
   // `spec` must validate; aborts otherwise. `tracer` (optional) is attached
-  // before boot so boot-time cascades are fingerprinted too. `flush`
-  // selects the flush-path ablation (see WorldConfig); `horizon` and
-  // `shard` the parallel driver's window and shard policies. Every
-  // combination must produce byte-identical results.
+  // before boot so boot-time cascades are fingerprinted too. `shard`
+  // selects the parallel driver's shard policy; either must produce
+  // byte-identical results.
   // `ck` (optional) enables deterministic checkpoint capture at a
   // simulated-time boundary (see ckpt/snapshot.hpp and checkpoint_to below).
   FuzzWorld(const Spec& spec, int host_threads, sim::Tracer* tracer = nullptr,
             const sim::CostModel& cost = sim::CostModel::ap1000(),
-            net::FlushKind flush = net::FlushKind::kMerge,
-            sim::HorizonKind horizon = sim::HorizonKind::kGlobal,
             sim::ShardKind shard = sim::ShardKind::kStatic,
             const ckpt::CheckpointConfig& ck = {});
 

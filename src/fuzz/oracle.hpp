@@ -123,14 +123,11 @@ struct RunResult {
   std::uint64_t migration_holds = 0;
 };
 
-// `flush` selects the commit-path ablation; `horizon`/`shard` the parallel
-// driver's window and shard policies. Every combination must yield a
-// byte-identical RunResult (checked by tests/test_host_parallel.cpp and
-// tests/test_fuzz.cpp over the fuzz corpus).
+// `shard` selects the parallel driver's shard policy. Either must yield a
+// byte-identical RunResult (checked by tests/test_fuzz.cpp over the fuzz
+// corpus).
 RunResult run_spec(const Spec& spec, int host_threads,
                    const sim::CostModel& cost = sim::CostModel::ap1000(),
-                   net::FlushKind flush = net::FlushKind::kMerge,
-                   sim::HorizonKind horizon = sim::HorizonKind::kGlobal,
                    sim::ShardKind shard = sim::ShardKind::kStatic);
 
 // Snapshot-equivalence drill: run `spec` to the quantum boundary at `at`,
@@ -143,8 +140,6 @@ RunResult run_spec_with_checkpoint(
     const Spec& spec, int host_threads, std::uint64_t at,
     int restore_host_threads = 0,
     const sim::CostModel& cost = sim::CostModel::ap1000(),
-    net::FlushKind flush = net::FlushKind::kMerge,
-    sim::HorizonKind horizon = sim::HorizonKind::kGlobal,
     sim::ShardKind shard = sim::ShardKind::kStatic);
 
 // Crash-recovery drill: checkpoint at `at`, keep running toward the later
@@ -157,16 +152,13 @@ RunResult run_spec_with_crash(
     const Spec& spec, int host_threads, std::uint64_t at,
     std::uint64_t crash_at,
     const sim::CostModel& cost = sim::CostModel::ap1000(),
-    net::FlushKind flush = net::FlushKind::kMerge,
-    sim::HorizonKind horizon = sim::HorizonKind::kGlobal,
     sim::ShardKind shard = sim::ShardKind::kStatic);
 
 struct OracleOptions {
   std::vector<int> thread_counts = {1, 2, 8};
   bool metamorphic = true;
-  // Parallel-driver policies for the differential runs. The serial baseline
-  // has no window or shard, so any combination must still match it exactly.
-  sim::HorizonKind horizon = sim::HorizonKind::kGlobal;
+  // Parallel-driver shard policy for the differential runs. The serial
+  // baseline has no shard, so either policy must still match it exactly.
   sim::ShardKind shard = sim::ShardKind::kStatic;
 };
 
@@ -188,10 +180,9 @@ struct CheckpointOracleOptions {
   // Simulated instant of the simulated crash; 0 = halfway between the
   // checkpoint and the baseline's quiescence.
   std::uint64_t crash_at = 0;
-  // Parallel-driver policies, applied to every checkpointing/restored run
-  // (the snapshot carries them, so a restore keeps the policy unless its
-  // caller overrides the thread count — never the policy).
-  sim::HorizonKind horizon = sim::HorizonKind::kGlobal;
+  // Parallel-driver shard policy, applied to every checkpointing/restored
+  // run (the snapshot carries it, so a restore keeps the policy even when
+  // its caller overrides the thread count).
   sim::ShardKind shard = sim::ShardKind::kStatic;
 };
 

@@ -33,7 +33,7 @@ void Network::Stats::merge(const Stats& o) {
 
 Network::Network(Topology topology, const sim::CostModel* cm,
                  std::function<void(NodeId)> on_deliverable, bool pooling,
-                 FlushKind flush, FaultConfig faults)
+                 FaultConfig faults)
     : topology_(topology),
       cm_(cm),
       on_deliverable_(std::move(on_deliverable)),
@@ -41,16 +41,15 @@ Network::Network(Topology topology, const sim::CostModel* cm,
       use_matrix_(topology_.num_nodes() <= kMatrixNodeLimit),
       src_seq_(static_cast<std::size_t>(topology_.num_nodes()), 0),
       outboxes_(static_cast<std::size_t>(topology_.num_nodes()), nullptr),
-      flush_(flush),
       flush_touched_mark_(static_cast<std::size_t>(topology_.num_nodes()), 0),
       pool_(pooling),
       poll_mags_(static_cast<std::size_t>(topology_.num_nodes()), nullptr) {
   ABCL_CHECK(cm_ != nullptr);
   ABCL_CHECK_MSG(cm_->wire_latency + cm_->per_hop > 0,
                  "network lookahead must be positive for the PDES driver");
-  min_latency_raw_ = cm_->wire_latency +
-                     static_cast<sim::Instr>(kMinWireWords) * cm_->per_word;
-  min_latency_ = min_latency_raw_ == 0 ? 1 : min_latency_raw_;
+  min_latency_ = cm_->wire_latency +
+                 static_cast<sim::Instr>(kMinWireWords) * cm_->per_word;
+  if (min_latency_ == 0) min_latency_ = 1;
   if (use_matrix_) {
     channel_matrix_.assign(
         static_cast<std::size_t>(topology_.num_nodes()) *
@@ -110,10 +109,12 @@ void Network::send(Packet&& p, AmCategory category) {
     ob->sorted_ = false;
     return;
   }
-  // A direct commit inside a windowed run would bypass the reorder buffer's
-  // key stamping; the parallel driver installs an outbox for every source
-  // before enabling the mode.
-  ABCL_CHECK(!windowed_stats_);
+  // A direct commit inside a parallel run would land ahead of the window's
+  // buffered sends and break the canonical commit order; the parallel
+  // driver installs an outbox for every source.
+  ABCL_CHECK_MSG(outboxes_installed_ == 0,
+                 "direct send from a source without an outbox while a "
+                 "parallel run has outboxes installed");
   commit(std::move(p), category);
 }
 
@@ -141,15 +142,7 @@ void Network::commit(Packet&& p, AmCategory category) {
   stats_.payload_words += p.nwords;
   stats_.wire_words += static_cast<std::uint64_t>(p.wire_words());
   stats_.per_category[static_cast<int>(category)] += 1;
-  if (windowed_stats_) {
-    // Park the order-sensitive Welford sample until the global key frontier
-    // passes commit_key_ (see set_windowed_stats); the sums above are
-    // order-free and stay immediate.
-    deferred_lat_.push_back(
-        {commit_key_, p.src, static_cast<double>(arrive - p.send_time)});
-  } else {
-    stats_.wire_latency_instr.add(static_cast<double>(arrive - p.send_time));
-  }
+  stats_.wire_latency_instr.add(static_cast<double>(arrive - p.send_time));
 
   if (fault_plan_ != nullptr) {
     commit_faulty(p);
@@ -267,16 +260,15 @@ void Network::set_poll_magazine(NodeId dst, PacketPool::Magazine* m) {
 
 void Network::set_outbox(NodeId src, Outbox* ob) {
   ABCL_CHECK(src >= 0 && src < topology_.num_nodes());
-  outboxes_[static_cast<std::size_t>(src)] = ob;
+  Outbox*& slot = outboxes_[static_cast<std::size_t>(src)];
+  if (slot == nullptr && ob != nullptr) ++outboxes_installed_;
+  if (slot != nullptr && ob == nullptr) --outboxes_installed_;
+  slot = ob;
 }
 
 void Network::flush_outboxes(Outbox* const* boxes, std::size_t nboxes) {
   flush_active_ = true;
-  if (flush_ == FlushKind::kMerge) {
-    flush_merge(boxes, nboxes);
-  } else {
-    flush_sort(boxes, nboxes);
-  }
+  flush_merge(boxes, nboxes);
   for (std::size_t i = 0; i < nboxes; ++i) {
     boxes[i]->items_.clear();
     boxes[i]->sorted_ = true;
@@ -289,57 +281,6 @@ void Network::flush_outboxes(Outbox* const* boxes, std::size_t nboxes) {
     if (on_deliverable_) on_deliverable_(dst);
   }
   flush_touched_.clear();
-}
-
-// The historical commit path: gather everything, one global stable sort.
-void Network::flush_sort(Outbox* const* boxes, std::size_t nboxes) {
-  merge_.clear();
-  for (std::size_t i = 0; i < nboxes; ++i) {
-    for (Outbox::Item& it : boxes[i]->items_) merge_.push_back(std::move(it));
-  }
-  // Canonical order: (quantum key, src) ascending; a stable sort keeps each
-  // source's program order, since one source lives in exactly one outbox.
-  std::stable_sort(merge_.begin(), merge_.end(),
-                   [](const Outbox::Item& a, const Outbox::Item& b) {
-                     if (a.key != b.key) return a.key < b.key;
-                     return a.pkt.src < b.pkt.src;
-                   });
-  for (Outbox::Item& it : merge_) {
-    commit_key_ = it.key;
-    commit(std::move(it.pkt), it.cat);
-  }
-  merge_.clear();
-}
-
-void Network::set_windowed_stats(bool on) {
-  // Mode flips only happen with the buffer drained (run entry/exit).
-  ABCL_CHECK(deferred_lat_.empty());
-  windowed_stats_ = on;
-  deferred_mid_ = 0;
-}
-
-void Network::drain_deferred_wire_stats(sim::Instr frontier) {
-  auto cmp = [](const DeferredWireSample& a, const DeferredWireSample& b) {
-    if (a.key != b.key) return a.key < b.key;
-    return a.src < b.src;
-  };
-  if (deferred_mid_ > 0 && deferred_mid_ < deferred_lat_.size()) {
-    // Carry (sorted) + this flush's batch (committed in canonical order, so
-    // already sorted). inplace_merge keeps the carry first on equal (key,
-    // src) — the carry is the earlier program order.
-    std::inplace_merge(deferred_lat_.begin(),
-                       deferred_lat_.begin() +
-                           static_cast<std::ptrdiff_t>(deferred_mid_),
-                       deferred_lat_.end(), cmp);
-  }
-  std::size_t n = 0;
-  while (n < deferred_lat_.size() && deferred_lat_[n].key < frontier) {
-    stats_.wire_latency_instr.add(deferred_lat_[n].v);
-    ++n;
-  }
-  deferred_lat_.erase(deferred_lat_.begin(),
-                      deferred_lat_.begin() + static_cast<std::ptrdiff_t>(n));
-  deferred_mid_ = deferred_lat_.size();
 }
 
 // N-way loser-tree merge over pre-sorted per-worker runs: O(M log N)
@@ -366,10 +307,7 @@ void Network::flush_merge(Outbox* const* boxes, std::size_t nboxes) {
   }
   if (k == 0) return;
   if (k == 1) {
-    for (Outbox::Item& it : *runs[0].items) {
-      commit_key_ = it.key;
-      commit(std::move(it.pkt), it.cat);
-    }
+    for (Outbox::Item& it : *runs[0].items) commit(std::move(it.pkt), it.cat);
     return;
   }
 
@@ -410,7 +348,6 @@ void Network::flush_merge(Outbox* const* boxes, std::size_t nboxes) {
     Cursor& c = runs[winner];
     if (c.pos == c.items->size()) break;  // winner exhausted => all are
     Outbox::Item& it = (*c.items)[c.pos++];
-    commit_key_ = it.key;
     commit(std::move(it.pkt), it.cat);
     winner = replay(winner);
   }

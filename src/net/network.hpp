@@ -28,13 +28,13 @@
 // (quantum key, src) order in parallel before the barrier
 // (Outbox::sort_canonical), so the coordinator-side flush only runs an
 // N-way loser-tree merge over pre-sorted runs — O(M log N) with N = worker
-// count instead of the former O(M log M) global stable_sort
-// (FlushKind::kSort, kept as a byte-compared ablation). Deliverability
-// wakeups are batched: instead of one on_deliverable(dst) per committed
-// packet, flush_outboxes runs a single deduplicated rekey pass per
-// destination after all commits — equivalent, because a destination's
-// effective key only falls as packets accumulate, so the post-flush key
-// equals the min over per-packet observations.
+// count instead of the former O(M log M) global stable_sort (retired; its
+// numbers are in EXPERIMENTS.md). Deliverability wakeups are batched:
+// instead of one on_deliverable(dst) per committed packet, flush_outboxes
+// runs a single deduplicated rekey pass per destination after all commits
+// — equivalent, because a destination's effective key only falls as
+// packets accumulate, so the post-flush key equals the min over per-packet
+// observations.
 //
 // Buffer management: in-flight packets live in PacketPool slots; the
 // destination heaps order 24-byte references by (arrive_time, src, seq),
@@ -67,11 +67,9 @@ struct WorldIo;
 
 namespace abcl::net {
 
-// How flush_outboxes reconstructs canonical commit order: kMerge (default)
-// loser-tree-merges the workers' pre-sorted runs; kSort is the historical
-// coordinator-side global stable_sort, kept as an ablation baseline
-// (ABCLSIM_FLUSH=sort). Results are byte-identical either way.
-enum class FlushKind { kMerge, kSort };
+// No-op, kept so older callers compile: flush_outboxes always merges the
+// workers' pre-sorted runs, and nothing reads a FlushKind.
+enum class FlushKind { kMerge };
 
 class Network {
  public:
@@ -124,10 +122,8 @@ class Network {
   // a fault-free network.
   Network(Topology topology, const sim::CostModel* cm,
           std::function<void(NodeId)> on_deliverable = {}, bool pooling = true,
-          FlushKind flush = FlushKind::kMerge, FaultConfig faults = {});
+          FaultConfig faults = {});
   ~Network();
-
-  FlushKind flush_kind() const { return flush_; }
 
   void set_on_deliverable(std::function<void(NodeId)> fn) {
     on_deliverable_ = std::move(fn);
@@ -138,6 +134,8 @@ class Network {
   // Sends `p` (src/dst/handler/payload/send_time filled by the caller,
   // category recorded for stats). Computes arrive_time and seq — or, when an
   // outbox is installed for p.src, buffers the packet for flush_outboxes.
+  // While any outbox is installed (a parallel run), every source must have
+  // one: a direct commit would jump the canonical order, so it aborts.
   void send(Packet&& p, AmCategory category);
 
   // Redirects sends with src == `src` into `ob` (nullptr restores the
@@ -146,28 +144,11 @@ class Network {
 
   // Commits every buffered send in canonical order — ascending (quantum
   // key, src), preserving each source's program order — which is exactly
-  // the order the serial driver would have issued them. Under kMerge,
-  // boxes already in canonical order (sort_canonical) are k-way merged;
-  // unsorted boxes are sorted here first. Fires on_deliverable at most
-  // once per destination, after all commits.
+  // the order the serial driver would have issued them. Boxes already in
+  // canonical order (sort_canonical) are k-way merged; unsorted boxes are
+  // sorted here first. Fires on_deliverable at most once per destination,
+  // after all commits.
   void flush_outboxes(Outbox* const* boxes, std::size_t nboxes);
-
-  // Windowed-commit mode for per-node-horizon windows. Under distance-aware
-  // horizons, consecutive flushes are no longer globally ordered by quantum
-  // key — node A's window may commit sends at keys far beyond the keys node
-  // B commits at the *next* barrier — but the wire-latency Welford stat is
-  // order-sensitive in floating point and must observe samples in the
-  // serial driver's global (key, src, program) order to stay byte-identical.
-  // With this mode on, commit() parks each sample in a reorder buffer
-  // instead of adding it; drain_deferred_wire_stats(frontier) then adds, in
-  // canonical order, every sample with key < frontier. The parallel driver
-  // calls it each barrier with the next window's floor key: no later window
-  // can produce a sample below that, so the drained prefix is complete and
-  // the add order equals the serial order. Every other Stats field is an
-  // order-free sum and stays on the immediate path.
-  void set_windowed_stats(bool on);
-  void drain_deferred_wire_stats(sim::Instr frontier);
-  std::size_t deferred_wire_samples() const { return deferred_lat_.size(); }
 
   // Pops the next packet for `dst` with arrive_time <= now, or nullptr-like
   // false if none. Out-of-order across channels never happens because the
@@ -194,16 +175,6 @@ class Network {
   // the network's lifetime (nothing exposes a mutation path; a changed
   // model requires a new Network).
   sim::Instr min_packet_latency() const { return min_latency_; }
-
-  // The same floor *without* the clamp-to-1: the distance-aware horizon
-  // adds hops * per_hop on top and must not double-count the clamp the
-  // commit path applies to the whole priced latency. May be 0; the
-  // construction invariant wire_latency + per_hop > 0 keeps the per-pair
-  // bound positive for any src != dst.
-  sim::Instr min_packet_latency_raw() const { return min_latency_raw_; }
-
-  // The pricing model (per_hop feeds the distance-aware lookahead).
-  const sim::CostModel& cost_model() const { return *cm_; }
 
   // Packets queued toward any destination: the sum of pending(). O(nodes);
   // read only between runs (World::work_remaining, metrics snapshots).
@@ -263,7 +234,6 @@ class Network {
   // record/fire the deliverability wakeup.
   void enqueue_copy(const Packet& p, sim::Instr arrive);
   void flush_merge(Outbox* const* boxes, std::size_t nboxes);
-  void flush_sort(Outbox* const* boxes, std::size_t nboxes);
 
   Topology topology_;
   const sim::CostModel* cm_;
@@ -276,28 +246,13 @@ class Network {
   bool use_matrix_;
   std::vector<std::uint64_t> src_seq_;
   std::vector<Outbox*> outboxes_;     // per-src redirect; nullptr = direct
-  FlushKind flush_;
-  std::vector<Outbox::Item> merge_;   // kSort flush scratch (reused)
+  std::int32_t outboxes_installed_ = 0;  // non-null entries of outboxes_
   // Batched-wakeup scratch: destinations touched by the current flush, in
   // first-commit (canonical) order, deduplicated via the mark vector.
   bool flush_active_ = false;
   std::vector<NodeId> flush_touched_;
   std::vector<std::uint8_t> flush_touched_mark_;
-  sim::Instr min_latency_;      // cached min_packet_latency (immutable model)
-  sim::Instr min_latency_raw_;  // same, without the clamp-to-1
-  // Windowed-stats reorder buffer (see set_windowed_stats): wire-latency
-  // samples parked until the global key frontier passes them. [0,
-  // deferred_mid_) is the (key, src)-sorted carry from earlier flushes;
-  // each flush appends one already-canonical batch behind it.
-  struct DeferredWireSample {
-    sim::Instr key;
-    std::int32_t src;
-    double v;
-  };
-  bool windowed_stats_ = false;
-  sim::Instr commit_key_ = 0;  // quantum key of the send being committed
-  std::vector<DeferredWireSample> deferred_lat_;
-  std::size_t deferred_mid_ = 0;
+  sim::Instr min_latency_;  // cached min_packet_latency (immutable model)
   Stats stats_;
   PacketPool pool_;
   PacketPool::Magazine home_mag_;

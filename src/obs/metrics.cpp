@@ -243,7 +243,6 @@ std::string metrics_json(const World& world, const RunReport* rep) {
 std::string driver_metrics_json(const sim::ParallelMachine& pm) {
   JsonWriter w(/*indent=*/0);
   w.begin_object();
-  w.field("horizon", sim::to_string(pm.horizon_kind()));
   w.field("shard", sim::to_string(pm.shard_kind()));
   w.field("windows_run", pm.windows_run());
   w.field("occupancy_sum", pm.occupancy_sum());

@@ -42,7 +42,7 @@ std::string metrics_json(const World& world, const RunReport* rep = nullptr);
 void histogram_json(class JsonWriter& w, const util::Log2Histogram& h);
 
 // Parallel-driver execution counters: window/occupancy/rebalance totals
-// plus the effective horizon/shard policies. Kept OUT of metrics_json on
+// plus the effective shard policy. Kept OUT of metrics_json on
 // purpose — windows_run depends on the driver (a serial Machine has no
 // windows at all), so embedding it there would break the serial/parallel
 // byte-identity contract above. Everything emitted is still deterministic

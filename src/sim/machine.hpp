@@ -25,6 +25,11 @@ namespace abcl::sim {
 
 using NodeId = std::int32_t;
 
+// No-op, kept so older callers compile: ParallelMachine has one window
+// policy, the flat global window (parallel_machine.hpp), and nothing reads
+// a HorizonKind.
+enum class HorizonKind : std::uint8_t { kGlobal };
+
 class Tracer;
 
 // Implemented by core::NodeRuntime. One step() executes one scheduling
@@ -101,8 +106,8 @@ class Driver {
 // already popped) or whose node has moved to another shard. Between a
 // node's own steps its key can only fall — an arrival only lowers
 // next_wake, and every arrival reaches the driver through
-// Driver::notify_work — so keys() holds each node's exact key whenever the
-// node is not popped; the distance-horizon driver relaxes over it directly.
+// Driver::notify_work — so a node's key slot holds its exact key whenever
+// the node is not popped.
 //
 // Threading: a shard's queue and the key slots of the nodes it owns belong
 // to whoever drives that shard; owners change only through set_owner(),
@@ -119,7 +124,6 @@ class ReadySet {
   ReadySet(std::size_t nodes, std::size_t shards);
 
   std::size_t owner(NodeId id) const { return owner_[index(id)]; }
-  const std::vector<Instr>& keys() const { return key_; }
 
   // Hands `id` to `shard`, re-entering its present key there.
   void set_owner(NodeId id, std::size_t shard);

@@ -20,8 +20,6 @@ ParallelMachine::ParallelMachine(std::vector<NodeExec*> nodes,
       net_(net),
       lookahead_(net != nullptr ? net->min_packet_latency() : 1),
       workers_(static_cast<std::size_t>(num_threads < 1 ? 1 : num_threads)),
-      distance_(opts.horizon == HorizonKind::kDistance && net != nullptr &&
-                !net->faults_enabled()),
       ready_(nodes_.size(), workers_.size()),
       // On a single hardware thread, every spin cycle is stolen from the
       // thread being waited on — park immediately instead.
@@ -32,18 +30,6 @@ ParallelMachine::ParallelMachine(std::vector<NodeExec*> nodes,
   // where load correlates with id ranges.
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     ready_.set_owner(static_cast<NodeId>(i), i % workers_.size());
-  }
-  if (distance_) {
-    hmap_ = std::make_unique<HorizonMap>(&net_->topology(),
-                                         net_->cost_model().per_hop);
-    // Per-pair price floor is raw_wire + hops * per_hop. The *unclamped*
-    // raw wire floor must be used here: with a zero-cost wire the commit
-    // path clamps the whole priced latency (hops included) up to 1, so
-    // adding the clamped lookahead on top of the hop term would overshoot
-    // the real price. Positivity for j != i follows from the network's
-    // ctor invariant wire_latency + per_hop > 0 and hops >= 1.
-    dist_base_ = net_->min_packet_latency_raw();
-    horizons_.assign(nodes_.size(), 0);
   }
   if (opts.shard == ShardKind::kBalanced && workers_.size() > 1) {
     balancer_ = std::make_unique<ShardBalancer>(
@@ -59,25 +45,19 @@ ParallelMachine::~ParallelMachine() {
 
 void ParallelMachine::run_shard(std::size_t me) {
   Worker& w = workers_[me];
-  const Instr global_horizon = window_horizon_;
+  const Instr horizon = window_horizon_;
   const Instr max_time = window_max_time_;
-  const bool distance = distance_;
   const bool balanced = balancer_ != nullptr;
-  // Only nodes keyed below the shard's widest horizon can run; each popped
-  // node then runs to its own horizon.
-  Instr limit = distance ? w.max_horizon : global_horizon;
-  if (max_time < limit) limit = max_time + 1;
+  // A quantum runs iff key < horizon and key <= max_time.
+  const Instr limit = max_time < horizon ? max_time + 1 : horizon;
   std::uint64_t active = 0;
   ReadySet::Entry e{};
   while (ready_.pop_below(me, limit, &e)) {
     const auto idx = static_cast<std::size_t>(e.node);
     NodeExec& n = *nodes_[idx];
-    const Instr horizon = distance ? horizons_[idx] : global_horizon;
     const std::uint64_t before = w.quanta;
     Instr key;
-    while (true) {
-      key = effective_key(n);
-      if (key >= horizon || key > max_time) break;
+    while ((key = effective_key(n)) < limit) {
       if (n.clock() < key) n.advance_clock(key);
       w.outbox.set_current_key(key);
       w.traces.set_current_key(key);
@@ -86,21 +66,16 @@ void ParallelMachine::run_shard(std::size_t me) {
     }
     if (w.quanta != before) ++active;
     if (balanced) window_quanta_[idx] += w.quanta - before;
-    w.popped.push_back(ReadySet::Entry{key, e.node});
+    // The break-time key is the node's final key for this window: nothing
+    // else touches the node until the flush, whose deliveries arrive
+    // through notify_work. It is >= limit, so the loop never pops the node
+    // again.
+    ready_.push(e.node, key);
   }
-  // The break-time key is the node's final key for this window: nothing
-  // else touches the node until the flush, whose deliveries arrive through
-  // notify_work. Re-entering popped nodes only now keeps a node that stopped
-  // at its own (distance) horizon from being popped again this window.
-  for (const ReadySet::Entry& p : w.popped) ready_.push(p.node, p.key);
-  w.popped.clear();
   w.active = active;
   // Pre-sort this worker's run inside the parallel region so the barrier
-  // flush only has to merge. Skipped under the kSort ablation, which
-  // measures the old coordinator-side global sort.
-  if (net_ != nullptr && net_->flush_kind() == net::FlushKind::kMerge) {
-    w.outbox.sort_canonical();
-  }
+  // flush only has to merge.
+  w.outbox.sort_canonical();
 }
 
 void ParallelMachine::worker_main(std::size_t me) {
@@ -130,26 +105,6 @@ void ParallelMachine::worker_main(std::size_t me) {
   }
 }
 
-void ParallelMachine::compute_horizons() {
-  const std::vector<Instr>& keys = ready_.keys();
-  hmap_->relax(keys, &node_bound_);
-  horizons_.resize(node_bound_.size());
-  for (auto& w : workers_) w.max_horizon = 0;
-  for (std::size_t i = 0; i < node_bound_.size(); ++i) {
-    // Fold the node's own key back in with hops = 0: the runtime does emit
-    // genuine self-packets (e.g. a remote-create whose placement picks the
-    // caller's node), and those travel through Network::send with the same
-    // wire floor as any other packet. Excluding the self term would let a
-    // node run past the arrival of a packet it has not sent yet.
-    horizons_[i] = sat_add(std::min(node_bound_[i], keys[i]), dist_base_);
-    // Absent nodes are never popped, so only present ones widen the
-    // shard's pop limit.
-    if (keys[i] == kInstrInf) continue;
-    Instr& widest = workers_[ready_.owner(static_cast<NodeId>(i))].max_horizon;
-    if (horizons_[i] > widest) widest = horizons_[i];
-  }
-}
-
 void ParallelMachine::flush_commits() {
   if (net_ == nullptr) return;
   // Commit every buffered send in canonical (quantum key, src) order —
@@ -160,8 +115,7 @@ void ParallelMachine::flush_commits() {
   net_->flush_outboxes(outbox_ptrs_.data(), outbox_ptrs_.size());
 }
 
-void ParallelMachine::replay_traces(Instr frontier) {
-  const std::size_t carry = trace_merge_.size();
+void ParallelMachine::replay_traces() {
   for (auto& w : workers_) {
     trace_merge_.insert(trace_merge_.end(), w.traces.items_.begin(),
                         w.traces.items_.end());
@@ -170,37 +124,20 @@ void ParallelMachine::replay_traces(Instr frontier) {
   if (trace_merge_.empty()) return;
   // Serial execution order is ascending (quantum key, node); each node's
   // events live in one worker's buffer in program order, which the stable
-  // sort preserves. The carried suffix from earlier windows is already
-  // sorted and precedes this window's events of any equal (key, node) in
-  // program order, so the merge keeps it first.
-  auto cmp = [](const WindowTraceBuffer::Tagged& a,
-                const WindowTraceBuffer::Tagged& b) {
-    if (a.key != b.key) return a.key < b.key;
-    return a.ev.node < b.ev.node;
-  };
-  if (trace_merge_.size() > carry) {
-    std::stable_sort(
-        trace_merge_.begin() + static_cast<std::ptrdiff_t>(carry),
-        trace_merge_.end(), cmp);
-    if (carry > 0) {
-      std::inplace_merge(trace_merge_.begin(),
-                         trace_merge_.begin() +
-                             static_cast<std::ptrdiff_t>(carry),
-                         trace_merge_.end(), cmp);
-    }
-  }
-  // Replay everything strictly below the next window's floor key: no later
-  // window can produce an event below it. Under the flat horizon that is
-  // always the whole buffer; under distance horizons the remainder carries.
-  std::size_t n = 0;
-  while (n < trace_merge_.size() && trace_merge_[n].key < frontier) {
-    const auto& t = trace_merge_[n];
+  // sort preserves. Every key of this window is below every key of the
+  // next (see file header), so the sorted window is the serial stream's
+  // next segment.
+  std::stable_sort(trace_merge_.begin(), trace_merge_.end(),
+                   [](const WindowTraceBuffer::Tagged& a,
+                      const WindowTraceBuffer::Tagged& b) {
+                     if (a.key != b.key) return a.key < b.key;
+                     return a.ev.node < b.ev.node;
+                   });
+  for (const auto& t : trace_merge_) {
     Tracer* dst = saved_tracers_[static_cast<std::size_t>(t.ev.node)];
     if (dst != nullptr) dst->record(t.ev.t, t.ev.node, t.ev.kind, t.ev.payload);
-    ++n;
   }
-  trace_merge_.erase(trace_merge_.begin(),
-                     trace_merge_.begin() + static_cast<std::ptrdiff_t>(n));
+  trace_merge_.clear();
 }
 
 void ParallelMachine::install_node(NodeId id) {
@@ -247,7 +184,6 @@ Driver::RunReport ParallelMachine::run(Instr max_time) {
     saved_tracers_[i] = nodes_[i]->swap_tracer(nullptr);
     install_node(static_cast<NodeId>(i));
   }
-  if (net_ != nullptr) net_->set_windowed_stats(true);
 
   const bool threaded = workers_.size() > 1;
   if (threaded) {
@@ -276,7 +212,6 @@ Driver::RunReport ParallelMachine::run(Instr max_time) {
   while (min_key != kInstrInf && min_key <= max_time) {
     window_horizon_ = sat_add(min_key, lookahead_);
     window_max_time_ = max_time;
-    if (distance_) compute_horizons();
 
     if (threaded) {
       std::uint64_t e = epoch_.fetch_add(1, std::memory_order_release) + 1;
@@ -307,11 +242,7 @@ Driver::RunReport ParallelMachine::run(Instr max_time) {
       min_key = std::min(min_key, ready_.top(me));
       occupancy_sum_ += workers_[me].active;
     }
-    // min_key is the next window's floor: every later quantum (and so every
-    // later send or trace event) carries a key >= it. Release the deferred
-    // order-sensitive observables up to that frontier.
-    if (net_ != nullptr) net_->drain_deferred_wire_stats(min_key);
-    replay_traces(min_key);
+    replay_traces();
     ++windows_;
     if (balancer_ != nullptr) apply_rebalance();
   }
@@ -324,15 +255,6 @@ Driver::RunReport ParallelMachine::run(Instr max_time) {
     for (auto& t : threads_) t.join();
     threads_.clear();
   }
-
-  // Exiting the loop means min_key exceeded max_time (or went infinite);
-  // every executed quantum had key <= max_time < that final frontier, so
-  // both reorder buffers drained completely.
-  if (net_ != nullptr) {
-    ABCL_CHECK(net_->deferred_wire_samples() == 0);
-    net_->set_windowed_stats(false);
-  }
-  ABCL_CHECK(trace_merge_.empty());
 
   // Restore tracers and the direct send/release paths. Worker threads are
   // joined (or never existed), so draining their magazines back to the

@@ -1,7 +1,6 @@
 // Host-parallel conservative PDES driver.
 //
-// Bounded-window synchronization. Under the default flat policy each round
-// computes
+// Bounded-window synchronization. Each round computes
 //   horizon = min(effective key over all nodes) + lookahead
 // where lookahead is the minimum positive latency any packet can have
 // (net::Network::min_packet_latency). Every quantum with key < horizon is
@@ -9,35 +8,18 @@
 // at >= min_key + lookahead = horizon — so a fixed pool of worker threads
 // executes all of them concurrently.
 //
-// Distance-aware horizons (HorizonKind::kDistance): the flat bound ignores
-// that a packet from j to i is priced at >= raw_wire + per_hop * hops(j, i),
-// so node i may instead run to the per-node horizon
-//   H_i = raw_wire + min_j (key_j + per_hop * hops(j, i))
-// where j ranges over all nodes, i itself included at hops = 0: the runtime
-// does send packets to its own node. sim::HorizonMap computes the
-// exclude-self hop term in O(N) per window (see lookahead.hpp) and
-// compute_horizons folds key_i back in. Windows get wider the farther a
-// node sits from the busy ones, which only changes *when* barriers happen,
-// never what executes: any conservative window executes the same quanta
-// with the same inputs as the serial driver.
-//
 // Determinism: workers never touch the shared network state. Sends are
 // buffered into per-worker outboxes, stamped with the issuing quantum's
 // key, and committed at the window barrier in canonical order — ascending
-// (quantum key, src), preserving per-node program order. Seq numbers and
-// channel floors are per-src/per-channel, so they only need each source's
-// program order, which any window shape preserves. The two *globally*
-// order-sensitive observables — the network's Welford wire-latency stat and
-// trace replay — are reordered behind the global key frontier: each barrier
-// computes the next window's floor key F (no later quantum, hence no later
-// send or trace event, can carry a key < F), drains the network's deferred
-// stat samples below F (Network::drain_deferred_wire_stats) and replays
-// buffered trace events below F sorted by (key, node), carrying the rest.
-// Under the flat policy every window drains completely (all keys < horizon
-// <= F) and the behavior is exactly the historical one; under distance
-// horizons the carry reconstructs the serial global order across windows.
-// Either way the results are bit-identical to a serial run at any thread
-// count.
+// (quantum key, src), preserving per-node program order. Every key the next
+// window runs is >= this window's horizon: a node that ran stopped at a key
+// >= horizon, one that did not was already there, and a flushed arrival
+// lands at >= its sender's key + lookahead >= horizon. So consecutive
+// flushes commit in the serial driver's global order, and the two globally
+// order-sensitive observables need no reordering across windows: the
+// network's Welford wire-latency stat is updated at commit, and each
+// barrier replays the window's buffered trace events sorted by (key, node).
+// The results are bit-identical to a serial run at any thread count.
 //
 // Shard policy: nodes map statically to workers (node id mod thread count)
 // or, under ShardKind::kBalanced, are reassigned at window barriers by
@@ -51,31 +33,29 @@
 //
 // Active sets: each worker drives one shard of a sim::ReadySet
 // (machine.hpp), the key-ordered set of its nodes that have work. A window
-// pops only the nodes keyed below the horizon — under distance horizons,
-// below the shard's widest per-node horizon, each popped node then running
-// to its own — so it costs O(nodes that run), not O(shard size). Popped
-// nodes re-enter at their break-time keys after the pop loop, and
-// flush-time deliveries enter through notify_work. The next window's floor
-// is the min of the shard tops after the flush — exactly the min over all
-// nodes' keys, so the window sequence is the one a full rescan would give.
-// run() re-seeds every shard from one full scan at entry, so no driver
-// state outlives a run() and snapshots carry none.
+// pops only the nodes keyed below the horizon, so it costs O(nodes that
+// run), not O(shard size). A popped node runs to the horizon and re-enters
+// at its break-time key, which is at or above the pop limit, so no window
+// pops a node twice; flush-time deliveries enter through notify_work. The
+// next window's floor is the min of the shard tops after the flush —
+// exactly the min over all nodes' keys, so the window sequence is the one a
+// full rescan would give. run() re-seeds every shard from one full scan at
+// entry, so no driver state outlives a run() and snapshots carry none.
 //
 // Thread-safety partition during a window: a worker touches only its own
 // nodes' state, those nodes' destination queues (poll side), its own outbox,
 // trace buffer, packet-pool magazine and ready-set shard, plus its nodes'
 // slots in the per-node key/quanta arrays (disjoint indices). It also reads
 // the ready set's node -> worker owner map, to drop entries of nodes moved
-// away; only the coordinator writes that map (apply_rebalance). The shared
-// mutable state is the network's in-flight counter (atomic) and the packet
-// pool's depot, which a worker only reaches through its magazine's overflow
-// path (mutex-guarded, amortized one trip per kMagazineCap frees). Between
-// windows the coordinator alone runs the flush, and its notify_work calls
-// push woken nodes into their owners' shards. Window parameters — horizon,
-// per-node horizons and the shards' pop limits, the owner map — are written
-// by the coordinator between windows and published by the release/acquire
-// pair on epoch_; each worker's shard writes reach the coordinator through
-// the release-store on its `done`.
+// away; only the coordinator writes that map (apply_rebalance). The one
+// shared mutable structure is the packet pool's depot, which a worker only
+// reaches through its magazine's overflow path (mutex-guarded, amortized
+// one trip per kMagazineCap frees). Between windows the coordinator alone
+// runs the flush, and its notify_work calls push woken nodes into their
+// owners' shards. Window parameters — the horizon, max_time and the owner
+// map — are written by the coordinator between windows and published by the
+// release/acquire pair on epoch_; each worker's shard writes reach the
+// coordinator through the release-store on its `done`.
 //
 // Epoch waits are spin-then-park: a bounded busy-wait burst (skipped
 // entirely on single-core hosts, where spinning only steals cycles from
@@ -93,7 +73,6 @@
 #include <vector>
 
 #include "net/network.hpp"
-#include "sim/lookahead.hpp"
 #include "sim/machine.hpp"
 #include "sim/shard_balance.hpp"
 #include "sim/trace.hpp"
@@ -103,7 +82,7 @@ namespace abcl::sim {
 // Policy knobs of the parallel driver (namespace-scope so the in-class
 // default argument below can use the member initializers).
 struct ParallelOptions {
-  HorizonKind horizon = HorizonKind::kGlobal;
+  HorizonKind horizon = HorizonKind::kGlobal;  // no-op (see HorizonKind)
   ShardKind shard = ShardKind::kStatic;
   std::uint64_t seed = 1;  // balancer tie-break stream (the world seed)
 };
@@ -113,12 +92,7 @@ class ParallelMachine : public Driver {
   using Options = ParallelOptions;
 
   // `net` may be nullptr for driver-only unit tests (lookahead falls back
-  // to 1, sends are not redirected, and the horizon policy falls back to
-  // kGlobal — distance bounds need the network's topology and cost model).
-  // `num_threads` is clamped to >= 1. Distance horizons also fall back to
-  // the flat bound when fault injection is enabled: the issue's contract is
-  // the analytic per-pair pricing, and the retry protocol's effective wire
-  // times are easiest to bound globally.
+  // to 1 and sends are not redirected). `num_threads` is clamped to >= 1.
   ParallelMachine(std::vector<NodeExec*> nodes, net::Network* net,
                   int num_threads, Options opts = Options());
   ~ParallelMachine() override;
@@ -134,17 +108,14 @@ class ParallelMachine : public Driver {
   std::uint64_t windows_run() const { return windows_; }
   // Sum over windows of nodes that executed >= 1 quantum: occupancy_sum /
   // windows_run is the mean window occupancy. A function of simulated state
-  // only — identical at any thread count for a given horizon policy.
+  // only — identical at any thread count.
   std::uint64_t occupancy_sum() const { return occupancy_sum_; }
   // Barrier-time reassignments applied / individual node moves. Zero under
   // kStatic and on single-worker runs; depends on the worker count (but
   // never on anything simulated-observable).
   std::uint64_t rebalances() const { return rebalances_; }
   std::uint64_t shard_moves() const { return shard_moves_; }
-  // Effective policies after the nullptr-net / fault-injection fallbacks.
-  HorizonKind horizon_kind() const {
-    return distance_ ? HorizonKind::kDistance : HorizonKind::kGlobal;
-  }
+  // Effective shard policy (a single worker has nothing to balance).
   ShardKind shard_kind() const {
     return balancer_ != nullptr ? ShardKind::kBalanced : ShardKind::kStatic;
   }
@@ -177,34 +148,26 @@ class ParallelMachine : public Driver {
     // into it, touching the shared depot only on overflow.
     net::PacketPool::Magazine magazine;
     WindowTraceBuffer traces;
-    // Nodes popped in the current window with their break-time keys,
-    // re-entered into the shard's set after its pop loop.
-    std::vector<ReadySet::Entry> popped;
     std::uint64_t quanta = 0;
     // Nodes of this shard that executed >= 1 quantum in the last window.
     std::uint64_t active = 0;
-    // Widest per-node horizon among the shard's present nodes: the pop
-    // limit under distance horizons (written by the coordinator).
-    Instr max_horizon = 0;
     std::atomic<std::uint64_t> done{0};
   };
 
   void run_shard(std::size_t me);
   void worker_main(std::size_t me);
-  void compute_horizons();
   void flush_commits();
-  void replay_traces(Instr frontier);
+  void replay_traces();
   void install_node(NodeId id);
   void apply_rebalance();
 
   net::Network* net_;
   Instr lookahead_;
   std::vector<Worker> workers_;
-  bool distance_;  // effective horizon policy (see ctor fallbacks)
 
   // Window parameters, written by the coordinator before it releases an
   // epoch; the release/acquire pair on epoch_ publishes them (along with
-  // horizons_, the workers' max_horizon and any shard reassignment).
+  // any shard reassignment).
   Instr window_horizon_ = 0;
   Instr window_max_time_ = kInstrInf;
 
@@ -223,15 +186,6 @@ class ParallelMachine : public Driver {
   std::condition_variable epoch_cv_;  // workers park here between windows
   std::condition_variable done_cv_;   // coordinator parks here at barriers
 
-  // Distance-horizon state: the per-node horizons relaxed from the ready
-  // set's keys at each barrier.
-  std::unique_ptr<HorizonMap> hmap_;
-  // Unclamped wire floor for the per-pair bound (see ctor); the clamped
-  // lookahead_ stays the flat policy's window width.
-  Instr dist_base_ = 1;
-  std::vector<Instr> node_bound_;  // relax() scratch
-  std::vector<Instr> horizons_;
-
   // Balanced-shard state: per-node quanta of the current window (worker-
   // written, disjoint slots) feeding the balancer's EWMAs at each barrier.
   std::unique_ptr<ShardBalancer> balancer_;
@@ -239,9 +193,6 @@ class ParallelMachine : public Driver {
 
   // Replay scratch + original tracers saved across a run() while buffers
   // are interposed (index = node id; nullptr = node had no tracer).
-  // trace_merge_ persists across windows under distance horizons: the
-  // (key, node)-sorted suffix at or beyond the key frontier carries over
-  // until the frontier passes it.
   std::vector<net::Network::Outbox*> outbox_ptrs_;
   std::vector<WindowTraceBuffer::Tagged> trace_merge_;
   std::vector<Tracer*> saved_tracers_;

@@ -13,6 +13,11 @@ using Instr = std::uint64_t;  // instruction count on the modeled CPU
 
 inline constexpr Instr kInstrInf = ~Instr{0};
 
+// a + b clamped to kInstrInf; treats kInstrInf as absorbing.
+inline Instr sat_add(Instr a, Instr b) {
+  return a >= kInstrInf - b ? kInstrInf : a + b;
+}
+
 // Converts modeled instructions to microseconds at `mhz` (instructions are
 // assumed to retire one per cycle, as the paper's cycle counts do).
 inline double instr_to_us(Instr n, double mhz) {

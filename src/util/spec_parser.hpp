@@ -1,7 +1,7 @@
 // One strict key=value spec grammar for every tuning knob.
 //
 // Several parsers grew independently — ABCLSIM_FAULTS, ABCLSIM_MIGRATION
-// and the single-word knobs such as ABCLSIM_FLUSH — each re-implementing
+// and the single-word knobs such as ABCLSIM_SHARD — each re-implementing
 // the same trim / split / duplicate-key / overflow-checked-number machinery
 // with slightly different bugs waiting to diverge. SpecParser is the shared
 // core: a comma-separated key=value list with typed fields, where *any*
@@ -68,7 +68,7 @@ bool spec_off(const char* text);
 std::string spec_error(const std::string& context, const std::string& raw,
                        const std::string& why, const std::string& hint);
 
-// Single-word choice knobs (ABCLSIM_FLUSH=merge|sort, ...): index of the
+// Single-word choice knobs (ABCLSIM_SHARD=static|balanced, ...): index of the
 // matching word, or nullopt. The caller handles unset before calling.
 std::optional<std::size_t> parse_choice(
     const char* text, std::initializer_list<const char*> words);

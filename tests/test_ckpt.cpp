@@ -150,7 +150,7 @@ TEST(CkptEnvDeath, GarbageAbortsWithDiagnostic) {
 TEST(ConfigPrecedence, EnvThenBuilderOverrideForEveryKnob) {
   ScopedEnv e1("ABCLSIM_HOST_THREADS", "3");
   ScopedEnv e2("ABCLSIM_POOLING", "0");
-  ScopedEnv e3("ABCLSIM_FLUSH", "sort");
+  ScopedEnv e3("ABCLSIM_SHARD", "balanced");
   ScopedEnv e4("ABCLSIM_FAULTS", "drop=0.05,seed=9");
   ScopedEnv e5("ABCLSIM_MIGRATION", "interval=16,seed=3");
   ScopedEnv e6("ABCLSIM_CHECKPOINT", "at=123,path=env.ck");
@@ -159,7 +159,7 @@ TEST(ConfigPrecedence, EnvThenBuilderOverrideForEveryKnob) {
   // from_env() picked up every variable.
   EXPECT_EQ(cfg.host_threads, 3);
   EXPECT_FALSE(cfg.pooling);
-  EXPECT_EQ(cfg.flush, net::FlushKind::kSort);
+  EXPECT_EQ(cfg.shard, sim::ShardKind::kBalanced);
   EXPECT_TRUE(cfg.faults.enabled);
   EXPECT_EQ(cfg.faults.drop_ppm, 50'000u);
   EXPECT_TRUE(cfg.migration.enabled);
@@ -176,13 +176,13 @@ TEST(ConfigPrecedence, EnvThenBuilderOverrideForEveryKnob) {
   mc.interval = 64;
   cfg.with_host_threads(7)
       .with_pooling(true)
-      .with_flush(net::FlushKind::kMerge)
+      .with_shard(sim::ShardKind::kStatic)
       .with_faults(fc)
       .with_migration(mc)
       .with_ckpt(at_config(456));
   EXPECT_EQ(cfg.host_threads, 7);
   EXPECT_TRUE(cfg.pooling);
-  EXPECT_EQ(cfg.flush, net::FlushKind::kMerge);
+  EXPECT_EQ(cfg.shard, sim::ShardKind::kStatic);
   EXPECT_EQ(cfg.faults.dup_ppm, 10'000u);
   EXPECT_EQ(cfg.faults.drop_ppm, 0u);
   EXPECT_EQ(cfg.migration.interval, 64u);
@@ -192,10 +192,10 @@ TEST(ConfigPrecedence, EnvThenBuilderOverrideForEveryKnob) {
 
 TEST(ConfigPrecedence, OverridingOneKnobLeavesTheOthersAlone) {
   ScopedEnv e1("ABCLSIM_HOST_THREADS", "3");
-  ScopedEnv e2("ABCLSIM_POOLING", nullptr);
-  ScopedEnv e3("ABCLSIM_FLUSH", "sort");
+  ScopedEnv e2("ABCLSIM_POOLING", "off");
+  ScopedEnv e3("ABCLSIM_SHARD", "balanced");
   ScopedEnv e4("ABCLSIM_FAULTS", "drop=0.05,seed=9");
-  ScopedEnv e5("ABCLSIM_MIGRATION", nullptr);
+  ScopedEnv e5("ABCLSIM_MIGRATION", "interval=16,seed=3");
   ScopedEnv e6("ABCLSIM_CHECKPOINT", "at=123");
 
   WorldConfig cfg = WorldConfig::from_env().with_nodes(64).with_seed(5);
@@ -203,8 +203,10 @@ TEST(ConfigPrecedence, OverridingOneKnobLeavesTheOthersAlone) {
   EXPECT_EQ(cfg.seed, 5u);
   // Env-derived knobs survive unrelated with_* calls.
   EXPECT_EQ(cfg.host_threads, 3);
-  EXPECT_EQ(cfg.flush, net::FlushKind::kSort);
+  EXPECT_FALSE(cfg.pooling);
+  EXPECT_EQ(cfg.shard, sim::ShardKind::kBalanced);
   EXPECT_TRUE(cfg.faults.enabled);
+  EXPECT_EQ(cfg.migration.interval, 16u);
   EXPECT_TRUE(cfg.ckpt.enabled);
   EXPECT_EQ(cfg.ckpt.at, 123u);
 
@@ -262,7 +264,6 @@ TEST(CkptWorld, ResumedQuantaAccountingAcrossRestore) {
   const std::uint64_t at = base.sim_time / 2 + 1;
 
   fuzz::FuzzWorld fw(spec, kSerial, nullptr, sim::CostModel::ap1000(),
-                     net::FlushKind::kMerge, sim::HorizonKind::kGlobal,
                      sim::ShardKind::kStatic, at_config(at));
   RunReport r1 = fw.world().run();
   EXPECT_EQ(r1.stop_reason, StopReason::kCheckpointRequested);
@@ -295,7 +296,6 @@ TEST(CkptWorld, FileCheckpointIsTransparentAndRecaptureRoundTrips) {
   // boundary and resumes inside the same run() call, so a
   // checkpoint-unaware caller sees the uninterrupted run's results.
   fuzz::FuzzWorld fw(spec, kSerial, nullptr, sim::CostModel::ap1000(),
-                     net::FlushKind::kMerge, sim::HorizonKind::kGlobal,
                      sim::ShardKind::kStatic, ck);
   RunReport r1 = fw.world().run();
   EXPECT_EQ(r1.stop_reason, StopReason::kQuiesced);
@@ -325,18 +325,16 @@ TEST(CkptWorld, FileCheckpointIsTransparentAndRecaptureRoundTrips) {
   std::remove(ck.path.c_str());
 }
 
-TEST(CkptWorld, SnapshotCarriesWindowAndShardPolicies) {
-  // Snapshots (since v2) record the horizon/shard knobs: a world
-  // checkpointed under (distance, balanced) restores under (distance,
-  // balanced) even when the restore overrides the thread count — the
-  // override swaps the driver width, never the policy.
+TEST(CkptWorld, SnapshotCarriesShardPolicy) {
+  // Snapshots record the shard knob: a world checkpointed under the
+  // balanced shard restores under it even when the restore overrides the
+  // thread count — the override swaps the driver width, never the policy.
   const fuzz::Spec spec = fuzz::generate(2);
   const fuzz::RunResult base = fuzz::run_spec(spec, kSerial);
   const std::uint64_t at = base.sim_time / 2 + 1;
 
   fuzz::FuzzWorld fw(spec, /*host_threads=*/8, nullptr,
-                     sim::CostModel::ap1000(), net::FlushKind::kMerge,
-                     sim::HorizonKind::kDistance, sim::ShardKind::kBalanced,
+                     sim::CostModel::ap1000(), sim::ShardKind::kBalanced,
                      at_config(at));
   RunReport r1 = fw.world().run();
   EXPECT_EQ(r1.stop_reason, StopReason::kCheckpointRequested);
@@ -346,11 +344,9 @@ TEST(CkptWorld, SnapshotCarriesWindowAndShardPolicies) {
   for (int restore_threads : {0, 2}) {
     ckpt::MemSource src(sink.bytes());
     fw.restore_world(src, nullptr, restore_threads);
-    EXPECT_EQ(fw.world().config().horizon, sim::HorizonKind::kDistance);
     EXPECT_EQ(fw.world().config().shard, sim::ShardKind::kBalanced);
     auto* pm = dynamic_cast<sim::ParallelMachine*>(&fw.world().machine());
     ASSERT_NE(pm, nullptr);
-    EXPECT_EQ(pm->horizon_kind(), sim::HorizonKind::kDistance);
     EXPECT_EQ(pm->shard_kind(), sim::ShardKind::kBalanced);
     RunReport r2 = fw.world().run();
     EXPECT_EQ(r2.stop_reason, StopReason::kQuiesced);
@@ -365,7 +361,6 @@ std::string snapshot_bytes(std::uint64_t seed) {
   const fuzz::Spec spec = fuzz::generate(seed);
   const fuzz::RunResult base = fuzz::run_spec(spec, kSerial);
   fuzz::FuzzWorld fw(spec, kSerial, nullptr, sim::CostModel::ap1000(),
-                     net::FlushKind::kMerge, sim::HorizonKind::kGlobal,
                      sim::ShardKind::kStatic,
                      at_config(base.sim_time / 2 + 1));
   fw.world().run();
@@ -489,6 +484,59 @@ TEST(CkptIntegrityDeath, ForgedQueuedPacketIsRejectedAtRestore) {
   expect_restore_death(
       forge(offsetof(net::Packet, dst), static_cast<std::int32_t>(0)),
       "is addressed to node 0");
+}
+
+// The same re-sealed forgery against the config words the restore turns
+// back into enums. The seed and the checkpoint boundary are unique marker
+// words; placement is the u32 written just before the seed, and the shard
+// word follows the boundary and the (empty) path's u64 length. Topology
+// is the second u32 of the payload.
+TEST(CkptIntegrityDeath, ForgedConfigEnumIsRejectedAtRestore) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  constexpr std::uint64_t kSeed = 0x5eedbeefc0de4321ull;
+  constexpr std::uint64_t kAt = 0x00a7c0ffee123457ull;
+  std::string bytes;
+  {
+    core::Program prog;
+    fuzz::register_interp(prog);
+    register_completion_latch(prog);
+    prog.finalize();
+    World w(prog, WorldConfig{}.with_nodes(2).with_seed(kSeed).with_ckpt(
+                      at_config(kAt)));
+    ckpt::MemSink sink;
+    w.checkpoint(sink);
+    bytes = sink.take();
+  }
+  auto unique_at = [&bytes](std::uint64_t word) {
+    const std::string m(reinterpret_cast<const char*>(&word), sizeof word);
+    const std::size_t at = bytes.find(m);
+    EXPECT_NE(at, std::string::npos);
+    EXPECT_EQ(bytes.find(m, at + 1), std::string::npos);
+    return at;
+  };
+  const std::size_t seed_at = unique_at(kSeed);
+  const std::size_t at_at = unique_at(kAt);
+  ASSERT_FALSE(HasFailure());
+  const std::size_t topology_at = 40 + sizeof(std::uint32_t);
+  const std::size_t placement_at = seed_at - sizeof(std::uint32_t);
+  const std::size_t shard_at = at_at + 2 * sizeof(std::uint64_t);
+
+  // Overwrites one u32 word, then re-seals the header's FNV-1a checksum
+  // (header bytes 32..39) over the payload (bytes 40..).
+  auto forge = [&](std::size_t pos, std::uint32_t value) {
+    std::string s = bytes;
+    std::memcpy(&s[pos], &value, sizeof value);
+    const std::uint64_t sum = ckpt::fnv1a(s.data() + 40, s.size() - 40);
+    std::memcpy(&s[32], &sum, sizeof sum);
+    return s;
+  };
+  expect_restore_death(forge(topology_at, 5),
+                       "checkpoint restore: topology word 5 is out of range");
+  expect_restore_death(forge(placement_at, 0xFF),
+                       "checkpoint restore: placement word 255 is out of "
+                       "range");
+  expect_restore_death(forge(shard_at, 2),
+                       "checkpoint restore: shard word 2 is out of range");
 }
 
 // --------------------------------------- snapshot-equivalence oracle -------

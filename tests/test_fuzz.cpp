@@ -281,36 +281,31 @@ remote::MigrationConfig corpus_migration(std::uint64_t seed) {
   return mc;
 }
 
-// The {horizon} x {shard} policy-matrix gate: every corpus seed runs under
-// one of the four combinations (seed % 4) composed with one of
-// {plain, faults, migration, checkpoint} ((seed / 4) % 4) — four seeds per
-// cell, so all 16 cells gate every PR. The serial baseline has no window or
-// shard, so byte-identity across serial and 1/2/8 workers must hold for
-// every combination; the checkpoint arm exercises snapshot save/restore
-// under the balanced shard, including check_spec_checkpoint's restore at a
-// different thread count (cross-driver restore).
+// The shard policy-matrix gate: every corpus seed runs under one of
+// {static, balanced} (seed % 2) composed with one of {plain, faults,
+// migration, checkpoint} ((seed / 2) % 4) — eight seeds per cell, so all 8
+// cells gate every PR. The serial baseline has no shard, so byte-identity
+// across serial and 1/2/8 workers must hold in every cell; the checkpoint
+// arm exercises snapshot save/restore under both shards, including
+// check_spec_checkpoint's restore at a different thread count (cross-driver
+// restore).
 TEST(PolicyMatrixCorpus, OracleHoldsForEveryCombo) {
   for (std::uint64_t seed : kCorpus) {
-    const sim::HorizonKind h = (seed % 2) != 0 ? sim::HorizonKind::kDistance
-                                               : sim::HorizonKind::kGlobal;
-    const sim::ShardKind s = ((seed / 2) % 2) != 0 ? sim::ShardKind::kBalanced
-                                                   : sim::ShardKind::kStatic;
-    const int feature = static_cast<int>((seed / 4) % 4);
-    SCOPED_TRACE("seed=" + std::to_string(seed) + " horizon=" +
-                 sim::to_string(h) + " shard=" + sim::to_string(s) +
-                 " feature=" + std::to_string(feature));
+    const sim::ShardKind s = (seed % 2) != 0 ? sim::ShardKind::kBalanced
+                                             : sim::ShardKind::kStatic;
+    const int feature = static_cast<int>((seed / 2) % 4);
+    SCOPED_TRACE("seed=" + std::to_string(seed) + " shard=" +
+                 sim::to_string(s) + " feature=" + std::to_string(feature));
     fuzz::Spec spec = fuzz::generate(seed);
     fuzz::OracleResult r;
     if (feature == 3) {
       fuzz::CheckpointOracleOptions opts;
-      opts.horizon = h;
-      opts.shard = sim::ShardKind::kBalanced;  // snapshot the active balancer
+      opts.shard = s;
       r = fuzz::check_spec_checkpoint(spec, opts);
     } else {
       if (feature == 1) spec.faults = corpus_faults(seed);
       if (feature == 2) spec.migration = corpus_migration(seed);
       fuzz::OracleOptions opts;
-      opts.horizon = h;
       opts.shard = s;
       r = fuzz::check_spec(spec, opts);
     }

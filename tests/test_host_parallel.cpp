@@ -312,10 +312,8 @@ TEST(PingPongCrossDriver, BitIdenticalAtEveryThreadCount) {
   }
 }
 
-// The commit-path ablation (merge vs sort) must be a pure host-side
-// strategy: every observable — metrics_json byte-for-byte, the
-// order-sensitive trace fingerprint, counters — must match the default
-// configuration on the whole committed fuzz corpus.
+// Every observable of a fuzz run — metrics_json byte-for-byte, the
+// order-sensitive trace fingerprint, counters — must match the baseline.
 void expect_run_identical(const fuzz::RunResult& base,
                           const fuzz::RunResult& alt, const char* what) {
   SCOPED_TRACE(what);
@@ -328,19 +326,6 @@ void expect_run_identical(const fuzz::RunResult& base,
   EXPECT_EQ(alt.created, base.created);
   EXPECT_TRUE(alt.per_node == base.per_node);
   ASSERT_EQ(alt.metrics_json, base.metrics_json);
-}
-
-TEST(FlushAblation, ByteIdenticalOnFuzzCorpus) {
-  const sim::CostModel cost = sim::CostModel::ap1000();
-  for (std::uint64_t seed = 1; seed <= 64; ++seed) {
-    SCOPED_TRACE("seed=" + std::to_string(seed));
-    fuzz::Spec spec = fuzz::generate(seed);
-    // Baseline: serial driver, default merge flush.
-    fuzz::RunResult base = fuzz::run_spec(spec, kSerial, cost);
-    expect_run_identical(
-        base, fuzz::run_spec(spec, 8, cost, net::FlushKind::kSort),
-        "8 threads, global-sort flush ablation");
-  }
 }
 
 // Tentpole acceptance: a seeded shedding policy must be bit-identical
@@ -442,23 +427,6 @@ TEST(HostThreads, ParserRejectsGarbageZeroAndNegative) {
   reject("1025", "implausibly large");
   reject("99999999999999999999", "implausibly large");  // no overflow UB
   reject(" ", "blank");
-}
-
-TEST(EnvKnobs, FlushSelection) {
-  ASSERT_EQ(setenv("ABCLSIM_FLUSH", "sort", 1), 0);
-  WorldConfig cfg = WorldConfig::from_env();
-  EXPECT_EQ(cfg.flush, net::FlushKind::kSort);
-  {
-    core::Program prog;
-    apps::register_pingpong(prog);
-    prog.finalize();
-    cfg.with_nodes(2);
-    World world(prog, cfg);
-    EXPECT_EQ(world.network().flush_kind(), net::FlushKind::kSort);
-  }
-  ASSERT_EQ(unsetenv("ABCLSIM_FLUSH"), 0);
-  cfg = WorldConfig::from_env();
-  EXPECT_EQ(cfg.flush, net::FlushKind::kMerge);
 }
 
 }  // namespace

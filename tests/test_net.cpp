@@ -197,24 +197,19 @@ TEST(Network, ChannelFifoEvenWithReorderedSendTimes) {
 }
 
 TEST(Network, MinPacketLatencyCachedAndClampedToOne) {
-  // ap1000: the floor is wire_latency plus the 4 mandatory header words;
-  // nonzero, so clamped and raw agree.
+  // ap1000: the floor is wire_latency plus the 4 mandatory header words.
   sim::CostModel cm = sim::CostModel::ap1000();
   auto net = make_net(16, &cm);
-  EXPECT_EQ(net.min_packet_latency_raw(), cm.wire_latency + 4 * cm.per_word);
-  EXPECT_EQ(net.min_packet_latency(), net.min_packet_latency_raw());
+  EXPECT_EQ(net.min_packet_latency(), cm.wire_latency + 4 * cm.per_word);
 
   // Free wire + free words (per-hop-only pricing, which still satisfies the
-  // wire_latency + per_hop > 0 invariant): the effective lookahead clamps up
-  // to 1 — a zero-width window could never advance — while the raw floor
-  // stays 0, because the distance horizon adds hops * per_hop on top and
-  // must not double-count the clamp the commit path applies.
+  // wire_latency + per_hop > 0 invariant): the lookahead clamps up to 1 —
+  // a zero-width window could never advance.
   sim::CostModel free_wire = sim::CostModel::zero();
   free_wire.wire_latency = 0;
   free_wire.per_word = 0;
   free_wire.per_hop = 1;
   auto net0 = make_net(16, &free_wire);
-  EXPECT_EQ(net0.min_packet_latency_raw(), 0);
   EXPECT_EQ(net0.min_packet_latency(), 1);
 }
 
@@ -366,6 +361,24 @@ TEST(Network, OutboxBuffersUntilFlush) {
   Packet out;
   ASSERT_TRUE(net.poll(1, sim::kInstrInf, out));
   net.set_outbox(0, nullptr);
+}
+
+// While a parallel run has outboxes installed, a source without one must
+// not commit directly: its packet would land ahead of the window's buffered
+// sends. Uninstalling every outbox restores the direct path.
+TEST(NetworkDeath, DirectSendWhileOutboxesInstalledAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  sim::CostModel cm = sim::CostModel::ap1000();
+  auto net = make_net(4, &cm);
+  net::Network::Outbox ob;
+  net.set_outbox(0, &ob);
+  net.set_outbox(0, &ob);  // re-installing the same box counts once
+  EXPECT_DEATH(
+      net.send(make_pkt(1, 2, 0), net::AmCategory::kObjectMessage),
+      "without an outbox while a parallel run");
+  net.set_outbox(0, nullptr);
+  net.send(make_pkt(1, 2, 0), net::AmCategory::kObjectMessage);
+  EXPECT_EQ(net.in_flight(), 1u);
 }
 
 TEST(Network, FlushCommitsInCanonicalKeySrcOrderAcrossOutboxes) {

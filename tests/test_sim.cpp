@@ -1,6 +1,6 @@
-// Tests for the simulation core: cost model arithmetic (Table 2) and the
-// conservative min-clock machine driver — serial and host-parallel — using
-// mock nodes.
+// Tests for the simulation core: saturating time arithmetic, cost model
+// arithmetic (Table 2) and the conservative min-clock machine driver —
+// serial and host-parallel — using mock nodes.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -13,6 +13,18 @@ namespace {
 
 using namespace abcl;
 using sim::Instr;
+
+// ---------------------------------------------------------------- time -----
+
+TEST(Time, SatAddSaturatesAtInf) {
+  using sim::kInstrInf;
+  using sim::sat_add;
+  EXPECT_EQ(sat_add(5, 7), 12u);
+  EXPECT_EQ(sat_add(kInstrInf, 0), kInstrInf);
+  EXPECT_EQ(sat_add(kInstrInf, 5), kInstrInf);
+  EXPECT_EQ(sat_add(kInstrInf - 3, 5), kInstrInf);
+  EXPECT_EQ(sat_add(0, kInstrInf), kInstrInf);
+}
 
 // ----------------------------------------------------------- CostModel -----
 

@@ -764,9 +764,9 @@ TEST(SpecParser, SpecOffAndDiagnosticShapes) {
   EXPECT_NE(e.find("bad value"), std::string::npos);
   EXPECT_NE(e.find("expected X"), std::string::npos);
 
-  const std::string c = util::choice_error("ABCLSIM_FLUSH", "stack",
-                                           "merge or sort", "merge");
-  EXPECT_NE(c.find("ABCLSIM_FLUSH"), std::string::npos);
+  const std::string c = util::choice_error("ABCLSIM_SHARD", "stack",
+                                           "static or balanced", "static");
+  EXPECT_NE(c.find("ABCLSIM_SHARD"), std::string::npos);
   EXPECT_NE(c.find("stack"), std::string::npos);
 }
 
