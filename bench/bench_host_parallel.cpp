@@ -25,18 +25,10 @@
 //
 // A second workload — a hot-spot world where every migratable actor is born
 // on node 0 and the work-shedding balancer must spread them — runs serial
-// and at 8 threads with migration enabled (under both shard policies). Its
-// six migration counters and final object placement are pure simulated
+// and at 8 threads with migration enabled. Its six migration counters and final object placement are pure simulated
 // quantities, so they must match across drivers (folded into the same exit
 // gate) and are spliced into the metrics snapshot as "migration_hotspot"
 // for the regression baseline.
-//
-// Shard-policy ablation: a clustered workload pins heavy actors on nodes
-// 0 mod 8 of a 64-node world, which the static node-id-mod-T assignment
-// piles onto worker 0 at 8 threads. It runs static vs balanced at 8
-// threads; all simulated counters must match, and under
-// ABCLSIM_SCALING_GATE=1 on multi-core hosts the balanced wall clock must
-// beat static by >= 1.3x.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -120,8 +112,7 @@ constexpr int kMigNodes = 8;
 constexpr int kMigActors = 96;
 constexpr Word kMigFuel = 120;
 
-MigSample run_hotspot(int host_threads,
-                      sim::ShardKind shard = sim::ShardKind::kStatic) {
+MigSample run_hotspot(int host_threads) {
   core::Program prog;
   PatternId kick = prog.patterns().intern("churn.kick", 1);
   ClassDef<ChurnState> def(prog, "Churn");
@@ -150,7 +141,6 @@ MigSample run_hotspot(int host_threads,
   WorldConfig cfg;
   cfg.with_nodes(kMigNodes);
   cfg.with_host_threads(host_threads);
-  cfg.with_shard(shard);
   remote::MigrationConfig mc;
   mc.enabled = true;
   mc.interval = 8;
@@ -191,109 +181,6 @@ MigSample run_hotspot(int host_threads,
   s.hot_node_objects = per_node[0];
   for (int n : per_node) s.nodes_with_objects += n > 0;
   s.totals = world.total_stats();
-  return s;
-}
-
-// --------------------------------------- clustered shard-policy workload ----
-
-// 64 nodes, heavy self-chaining actors only on nodes 0 mod 8. The static
-// node-id-mod-T shard assignment maps every one of those nodes to worker 0
-// at 8 host threads — the worst case the balanced policy exists for. Each
-// quantum also burns real host CPU (kSpinIters mixing rounds) so the
-// wall-clock contrast measures execution spread, not barrier overhead.
-struct ClusterState {
-  std::uint64_t steps = 0;
-  std::uint64_t acc = 0;
-};
-
-struct ClusterSample {
-  double wall_ms = 0.0;
-  std::uint64_t total_steps = 0;
-  sim::Instr sim_time = 0;
-  std::uint64_t quanta = 0;
-  std::uint64_t windows = 0;
-  std::uint64_t rebalances = 0;
-  std::uint64_t shard_moves = 0;
-};
-
-constexpr int kClNodes = 64;
-constexpr int kClActorsPerHot = 12;  // 8 hot nodes -> 96 actors
-constexpr Word kClFuel = 120;
-constexpr int kClSpinIters = 24000;
-
-ClusterSample run_clustered(sim::ShardKind shard) {
-  core::Program prog;
-  PatternId kick = prog.patterns().intern("cluster.kick", 1);
-  ClassDef<ClusterState> def(prog, "Cluster");
-  struct KickFrame : Frame {
-    Word fuel = 0;
-    PatternId pat = 0;
-    static void init(KickFrame& f, const Msg& m) {
-      f.fuel = m.at(0);
-      f.pat = m.pattern;
-    }
-    static Status run(Ctx& ctx, ClusterState& self, KickFrame& f) {
-      ABCL_BEGIN(f);
-      self.steps += 1;
-      {
-        // Deterministic host-side work: the result feeds actor state, so
-        // the simulated outcome pins it and the optimizer cannot drop it.
-        std::uint64_t x = self.acc + f.fuel + 0x9e3779b97f4a7c15ull;
-        for (int i = 0; i < kClSpinIters; ++i) {
-          x ^= x >> 30;
-          x *= 0xbf58476d1ce4e5b9ull;
-          x ^= x >> 27;
-        }
-        self.acc += x;
-      }
-      ctx.charge(200);
-      if (f.fuel > 0) {
-        Word arg = f.fuel - 1;
-        ctx.send_past(ctx.self_addr(), f.pat, &arg, 1);
-      }
-      ABCL_END();
-    }
-  };
-  def.method<KickFrame>(kick);
-  prog.finalize();
-
-  WorldConfig cfg;
-  cfg.with_nodes(kClNodes);
-  cfg.with_host_threads(8);
-  cfg.with_shard(shard);
-  World world(prog, cfg);
-
-  // Create AND kick locally on each hot node: every chain starts at the
-  // same simulated instant and advances by the same charge, so all actors
-  // stay in lockstep and every window executes every actor — the contrast
-  // between the policies is then purely where those quanta execute.
-  std::vector<MailAddr> actors;
-  for (int node = 0; node < kClNodes; node += 8) {
-    world.boot(node, [&](Ctx& ctx) {
-      for (int i = 0; i < kClActorsPerHot; ++i) {
-        MailAddr a = ctx.create_local(def.info(), {});
-        actors.push_back(a);
-        ctx.send_past(a, kick, {kClFuel});
-      }
-    });
-  }
-
-  auto t0 = std::chrono::steady_clock::now();
-  RunReport rep = world.run();
-  auto t1 = std::chrono::steady_clock::now();
-
-  ClusterSample s;
-  s.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-  s.sim_time = rep.sim_time;
-  s.quanta = rep.quanta;
-  for (const MailAddr& a : actors) {
-    s.total_steps += a.ptr->state_as<const ClusterState>()->steps;
-  }
-  if (auto* pm = dynamic_cast<sim::ParallelMachine*>(&world.machine())) {
-    s.windows = pm->windows_run();
-    s.rebalances = pm->rebalances();
-    s.shard_moves = pm->shard_moves();
-  }
   return s;
 }
 
@@ -373,11 +260,8 @@ int main(int argc, char** argv) {
                    "Node-0 objects", "Nodes w/ objects"});
     MigSample ms = run_hotspot(-1);
     MigSample mp = run_hotspot(8);
-    MigSample mb = run_hotspot(8, sim::ShardKind::kBalanced);
-    for (const MigSample* s : {&ms, &mp, &mb}) {
-      t.add_row({s == &ms   ? "serial"
-                 : s == &mp ? "8 threads"
-                            : "8 thr, balanced",
+    for (const MigSample* s : {&ms, &mp}) {
+      t.add_row({s == &ms ? "serial" : "8 threads",
                  util::Table::num(s->wall_ms, 1),
                  util::Table::num(s->totals.migrations_out),
                  util::Table::num(s->totals.migrations_in),
@@ -400,11 +284,10 @@ int main(int argc, char** argv) {
              x.totals.migration_updates == ms.totals.migration_updates &&
              x.totals.migration_holds == ms.totals.migration_holds;
     };
-    if (ms.total_steps != expected_steps || !mig_matches(mp) ||
-        !mig_matches(mb)) {
+    if (ms.total_steps != expected_steps || !mig_matches(mp)) {
       identical = false;
       std::printf("MIGRATION DIVERGENCE: hot-spot runs differ across "
-                  "drivers/shard policies (or lost steps)!\n");
+                  "drivers (or lost steps)!\n");
     }
     if (ms.totals.migrations_out == 0 || ms.nodes_with_objects < 2) {
       identical = false;
@@ -431,57 +314,6 @@ int main(int argc, char** argv) {
         ms.hot_node_objects, ms.nodes_with_objects);
     const std::size_t brace = metrics_serial.rfind('}');
     if (brace != std::string::npos) metrics_serial.insert(brace, hot);
-  }
-
-  // Clustered shard-policy workload: static piles every hot node onto
-  // worker 0; balanced spreads them. All simulated quantities must match;
-  // the wall-clock win is gated only under ABCLSIM_SCALING_GATE on
-  // multi-core hosts (it needs real parallel execution to exist).
-  ClusterSample cl_static{};
-  ClusterSample cl_bal{};
-  {
-    // Best-of-3 per policy: wall clock on shared runners is noisy and the
-    // minimum is the least contaminated observation of each policy's cost.
-    for (int rep = 0; rep < 3; ++rep) {
-      ClusterSample s = run_clustered(sim::ShardKind::kStatic);
-      ClusterSample b = run_clustered(sim::ShardKind::kBalanced);
-      if (rep == 0 || s.wall_ms < cl_static.wall_ms) cl_static = s;
-      if (rep == 0 || b.wall_ms < cl_bal.wall_ms) cl_bal = b;
-    }
-    util::Table t({"Shard", "Wall (ms)", "Speedup", "Sim time (instr)",
-                   "Windows", "Rebalances", "Moves"});
-    for (const ClusterSample* s : {&cl_static, &cl_bal}) {
-      t.add_row({s == &cl_static ? "static" : "balanced",
-                 util::Table::num(s->wall_ms, 1),
-                 s == &cl_static
-                     ? "1.00"
-                     : util::Table::num(cl_static.wall_ms / s->wall_ms, 2),
-                 util::Table::num(static_cast<std::uint64_t>(s->sim_time)),
-                 util::Table::num(s->windows), util::Table::num(s->rebalances),
-                 util::Table::num(s->shard_moves)});
-    }
-    t.print();
-    const std::uint64_t expected =
-        static_cast<std::uint64_t>(kClNodes / 8 * kClActorsPerHot) *
-        (kClFuel + 1);
-    if (cl_static.total_steps != expected || cl_bal.total_steps != expected ||
-        cl_static.sim_time != cl_bal.sim_time ||
-        cl_static.quanta != cl_bal.quanta ||
-        cl_static.windows != cl_bal.windows) {
-      identical = false;
-      std::printf("SHARD DIVERGENCE: clustered workload's simulated results "
-                  "differ between shard policies!\n");
-    }
-    if (cl_bal.shard_moves == 0) {
-      identical = false;
-      std::printf("SHARD GATE: balanced policy never moved a node!\n");
-    }
-    if (scaling_gate && cl_bal.wall_ms * 1.3 > cl_static.wall_ms) {
-      scaling_ok = false;
-      std::printf("SHARD SCALING GATE: balanced wall %.1f ms not >= 1.3x "
-                  "faster than static %.1f ms\n",
-                  cl_bal.wall_ms, cl_static.wall_ms);
-    }
   }
 
   const char* mpath = std::getenv("ABCLSIM_METRICS_JSON");
@@ -516,24 +348,7 @@ int main(int argc, char** argv) {
                    static_cast<unsigned long long>(s.windows),
                    i + 1 < samples.size() ? "," : "");
     }
-    std::fprintf(f, "  ],\n");
-    // Shard-policy workload. Counts are deterministic at the pinned 8-thread
-    // width; "speedup" is wall-clock-derived and on the shared ignore list.
-    std::fprintf(
-        f,
-        "  \"shard_hotspot\": {\"nodes\": %d, \"actors\": %d, "
-        "\"fuel\": %llu, \"quanta\": %llu, \"sim_time\": %llu, "
-        "\"windows\": %llu, \"rebalances\": %llu, \"shard_moves\": %llu, "
-        "\"static\": {\"wall_ms\": %.3f}, \"balanced\": {\"wall_ms\": %.3f}, "
-        "\"speedup\": %.3f}\n",
-        kClNodes, kClNodes / 8 * kClActorsPerHot,
-        static_cast<unsigned long long>(kClFuel),
-        static_cast<unsigned long long>(cl_static.quanta),
-        static_cast<unsigned long long>(cl_static.sim_time),
-        static_cast<unsigned long long>(cl_static.windows),
-        static_cast<unsigned long long>(cl_bal.rebalances),
-        static_cast<unsigned long long>(cl_bal.shard_moves), cl_static.wall_ms,
-        cl_bal.wall_ms, cl_static.wall_ms / cl_bal.wall_ms);
+    std::fprintf(f, "  ]\n");
     std::fprintf(f, "}\n");
     std::fclose(f);
     std::printf("\nwrote %s\n", path);

@@ -8,7 +8,6 @@
 #include "net/network.hpp"
 #include "net/topology.hpp"
 #include "sim/machine.hpp"
-#include "sim/shard_balance.hpp"
 #include "util/arena.hpp"
 #include "util/intrusive_list.hpp"
 #include "util/slab.hpp"
@@ -19,24 +18,23 @@ using namespace abcl;
 
 // ---- allocators -------------------------------------------------------------
 
-// state.range(0): 1 = slab-pooled, 0 = the general-purpose ablation mode.
 void BM_SlabAllocFree(benchmark::State& state) {
   util::Arena arena;
-  util::SlabAllocator pool(arena, state.range(0) != 0);
+  util::SlabAllocator pool(arena);
   for (auto _ : state) {
     void* p = pool.allocate(128);
     benchmark::DoNotOptimize(p);
     pool.deallocate(p, 128);
   }
 }
-BENCHMARK(BM_SlabAllocFree)->Arg(1)->Arg(0);
+BENCHMARK(BM_SlabAllocFree);
 
 // Frame-churn shape: a burst of live frames across classes, then release —
 // the pattern a dispatch cascade produces (the single-slot ping-pong above
 // flatters any allocator).
 void BM_SlabChurn(benchmark::State& state) {
   util::Arena arena;
-  util::SlabAllocator pool(arena, state.range(0) != 0);
+  util::SlabAllocator pool(arena);
   void* live[64];
   const std::size_t sizes[4] = {48, 96, 160, 320};
   for (auto _ : state) {
@@ -45,7 +43,7 @@ void BM_SlabChurn(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 64);
 }
-BENCHMARK(BM_SlabChurn)->Arg(1)->Arg(0);
+BENCHMARK(BM_SlabChurn);
 
 void BM_ArenaBump(benchmark::State& state) {
   util::Arena arena;
@@ -70,11 +68,9 @@ BENCHMARK(BM_MsgQueuePushPop);
 
 // ---- network ----------------------------------------------------------------
 
-// state.range(0): 1 = recycled packet slots, 0 = per-send heap allocation.
 void BM_NetworkSendPoll(benchmark::State& state) {
   sim::CostModel cm = sim::CostModel::ap1000();
-  net::Network net(net::Topology(net::TopologyKind::kTorus2D, 64), &cm, {},
-                   state.range(0) != 0);
+  net::Network net(net::Topology(net::TopologyKind::kTorus2D, 64), &cm);
   sim::Instr t = 0;
   for (auto _ : state) {
     net::Packet p;
@@ -89,15 +85,13 @@ void BM_NetworkSendPoll(benchmark::State& state) {
     benchmark::DoNotOptimize(got);
   }
 }
-BENCHMARK(BM_NetworkSendPoll)->Arg(1)->Arg(0);
+BENCHMARK(BM_NetworkSendPoll);
 
 // Same, but against a standing queue of 256 in-flight packets: heap sifts
-// now move 24-byte slot refs instead of whole Packets, which is where the
-// pooled queue wins.
+// move 24-byte slot refs instead of whole Packets.
 void BM_NetworkSendPollDeep(benchmark::State& state) {
   sim::CostModel cm = sim::CostModel::ap1000();
-  net::Network net(net::Topology(net::TopologyKind::kTorus2D, 64), &cm, {},
-                   state.range(0) != 0);
+  net::Network net(net::Topology(net::TopologyKind::kTorus2D, 64), &cm);
   sim::Instr t = 0;
   auto send_one = [&](std::int32_t src) {
     net::Packet p;
@@ -120,7 +114,7 @@ void BM_NetworkSendPollDeep(benchmark::State& state) {
     benchmark::DoNotOptimize(got);
   }
 }
-BENCHMARK(BM_NetworkSendPollDeep)->Arg(1)->Arg(0);
+BENCHMARK(BM_NetworkSendPollDeep);
 
 // ---- barrier flush ----------------------------------------------------------
 
@@ -252,28 +246,6 @@ void BM_MachineQuantumOverhead(benchmark::State& state) {
   state.SetItemsProcessed(quanta);
 }
 BENCHMARK(BM_MachineQuantumOverhead)->Unit(benchmark::kMicrosecond);
-
-// ---- parallel-driver window machinery ---------------------------------------
-
-// Per-barrier cost of the deterministic shard rebalance: EWMA fold plus the
-// LPT repack over state.range(0) nodes onto 8 workers.
-void BM_ShardRebalance(benchmark::State& state) {
-  const auto n = static_cast<std::int32_t>(state.range(0));
-  sim::ShardBalancer bal(n, /*workers=*/8, /*seed=*/1);
-  std::vector<std::uint64_t> quanta(static_cast<std::size_t>(n));
-  std::uint64_t x = 0x9e3779b97f4a7c15ull;
-  for (auto _ : state) {
-    for (auto& q : quanta) {
-      x ^= x >> 12;
-      x ^= x << 25;
-      x ^= x >> 27;
-      q = x & 31;  // skewed small loads, some zero
-    }
-    benchmark::DoNotOptimize(bal.rebalance(quanta.data()));
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_ShardRebalance)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
 
 }  // namespace
 

@@ -18,11 +18,6 @@
 // way; "--migration off" strips it. The two overlays compose, so
 // `--sweep N --faults ... --migration ...` is the migration×faults regime.
 //
-// --shard static|balanced selects the parallel driver's shard policy for
-// every oracle run (grammar of ABCLSIM_SHARD); results must be
-// byte-identical to the serial baseline regardless, so the flag sweeps the
-// corpus under a policy without regenerating anything.
-//
 // --ckpt switches every mode from the differential oracle (check_spec) to
 // the snapshot-equivalence oracle (check_spec_checkpoint): each spec is run
 // uninterrupted, then checkpointed mid-run, destroyed, restored (including
@@ -35,7 +30,6 @@
 // artifacts with `--spec`.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "fuzz/oracle.hpp"
@@ -56,8 +50,7 @@ int usage() {
                "       fuzz_repro --spec FILE\n"
                "       fuzz_repro --shrink FILE --out FILE\n"
                "       fuzz_repro --sweep N [--artifact-dir D]\n"
-               "       (any mode) --faults SPEC --migration SPEC --ckpt\n"
-               "                  --shard static|balanced\n");
+               "       (any mode) --faults SPEC --migration SPEC --ckpt\n");
   return 2;
 }
 
@@ -94,18 +87,8 @@ void overlay(fuzz::Spec& s) {
 // differential one.
 bool g_ckpt = false;
 
-// Set by --shard; applied to every oracle run.
-sim::ShardKind g_shard = sim::ShardKind::kStatic;
-
 fuzz::OracleResult run_oracle(const fuzz::Spec& s) {
-  if (g_ckpt) {
-    fuzz::CheckpointOracleOptions opts;
-    opts.shard = g_shard;
-    return fuzz::check_spec_checkpoint(s, opts);
-  }
-  fuzz::OracleOptions opts;
-  opts.shard = g_shard;
-  return fuzz::check_spec(s, opts);
+  return g_ckpt ? fuzz::check_spec_checkpoint(s) : fuzz::check_spec(s);
 }
 
 bool oracle_fails(const fuzz::Spec& s) { return !run_oracle(s).ok; }
@@ -183,17 +166,6 @@ int main(int argc, char** argv) {
       }
     } else if (a == "--ckpt") {
       g_ckpt = true;
-    } else if (a == "--shard") {
-      const char* v = next();
-      if (v == nullptr) return usage();
-      if (std::strcmp(v, "static") == 0) {
-        g_shard = sim::ShardKind::kStatic;
-      } else if (std::strcmp(v, "balanced") == 0) {
-        g_shard = sim::ShardKind::kBalanced;
-      } else {
-        std::fprintf(stderr, "--shard: expected static|balanced, got %s\n", v);
-        return 2;
-      }
     } else {
       return usage();
     }

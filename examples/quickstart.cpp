@@ -22,8 +22,9 @@ int main() {
   prog.finalize();
 
   // 2. A 4-node torus, paper-calibrated cost model (25 MHz SPARC nodes).
-  // from_env() resolves ABCLSIM_HOST_THREADS / ABCLSIM_POOLING, so the
-  // same binary runs serial or host-parallel, pooled or not, via env.
+  // from_env() resolves ABCLSIM_HOST_THREADS (and the fault, migration
+  // and checkpoint knobs), so the same binary runs serial or host-parallel
+  // via env.
   World world(prog, WorldConfig::from_env().with_nodes(4));
 
   // 3. Create one counter per node and send messages around.

@@ -5,7 +5,6 @@
 
 #include "sim/parallel_machine.hpp"
 #include "util/assert.hpp"
-#include "util/spec_parser.hpp"
 
 namespace abcl {
 
@@ -22,33 +21,6 @@ int resolve_host_threads(int configured) {
   return *v;
 }
 
-// The single-word env knobs all route through util::parse_choice /
-// util::choice_error, following the same strictness discipline as
-// ABCLSIM_HOST_THREADS: a typo aborts instead of silently picking a mode.
-bool parse_pooling_env(const char* text) {
-  if (text == nullptr || *text == '\0') return true;  // unset: pooled
-  std::optional<std::size_t> i =
-      util::parse_choice(text, {"1", "true", "on", "0", "false", "off"});
-  ABCL_CHECK_MSG(i.has_value(),
-                 util::choice_error("ABCLSIM_POOLING", text,
-                                    "1/true/on or 0/false/off",
-                                    "pooled allocation")
-                     .c_str());
-  return *i < 3;
-}
-
-sim::ShardKind parse_shard_env(const char* text) {
-  if (text == nullptr || *text == '\0') return sim::ShardKind::kStatic;
-  std::optional<std::size_t> i =
-      util::parse_choice(text, {"static", "balanced"});
-  ABCL_CHECK_MSG(i.has_value(),
-                 util::choice_error("ABCLSIM_SHARD", text,
-                                    "static or balanced",
-                                    "the static round-robin shard")
-                     .c_str());
-  return *i == 0 ? sim::ShardKind::kStatic : sim::ShardKind::kBalanced;
-}
-
 }  // namespace
 
 WorldConfig WorldConfig::from_env() {
@@ -60,8 +32,6 @@ WorldConfig WorldConfig::from_env() {
   // Record the resolved decision: -1 forces serial, so constructing a World
   // from this config later never re-reads the environment.
   cfg.host_threads = *threads == 0 ? -1 : *threads;
-  cfg.pooling = parse_pooling_env(std::getenv("ABCLSIM_POOLING"));
-  cfg.shard = parse_shard_env(std::getenv("ABCLSIM_SHARD"));
   err.clear();
   std::optional<net::FaultConfig> faults =
       net::parse_fault_spec(std::getenv("ABCLSIM_FAULTS"), &err);
@@ -78,6 +48,13 @@ WorldConfig WorldConfig::from_env() {
   ABCL_CHECK_MSG(ck.has_value(), ("ABCLSIM_CHECKPOINT " + err).c_str());
   cfg.ckpt = *ck;
   return cfg;
+}
+
+WorldConfig& WorldConfig::with_pooling(bool on) {
+  ABCL_CHECK_MSG(on,
+                 "with_pooling(false): the unpooled allocation mode was "
+                 "removed; every node heap and packet buffer is slab-pooled");
+  return *this;
 }
 
 const char* to_string(StopReason r) {
@@ -123,7 +100,7 @@ World::World(core::Program& prog, WorldConfig cfg) : cfg_(cfg), prog_(&prog) {
 
   net_ = std::make_unique<net::Network>(
       net::Topology(cfg_.topology, cfg_.nodes), &cfg_.cost,
-      std::function<void(core::NodeId)>{}, cfg_.pooling, cfg_.faults);
+      std::function<void(core::NodeId)>{}, cfg_.faults);
 
   {
     std::string merr;
@@ -132,16 +109,11 @@ World::World(core::Program& prog, WorldConfig cfg) : cfg_(cfg), prog_(&prog) {
     ABCL_CHECK_MSG(ckpt::validate_checkpoint_config(cfg_.ckpt, &merr),
                    merr.c_str());
   }
-  // Checkpointable heaps are reserved-arena slab heaps; the unpooled
-  // ablation allocates from the general heap, which cannot be imaged.
-  ABCL_CHECK_MSG(!cfg_.ckpt.enabled || cfg_.pooling,
-                 "checkpointing requires pooling (reserved node arenas)");
 
   nodes_.reserve(static_cast<std::size_t>(cfg_.nodes));
   for (std::int32_t i = 0; i < cfg_.nodes; ++i) {
     core::NodeRuntime::Config nc = cfg_.node;
     nc.seed = cfg_.seed;
-    nc.pooling = cfg_.pooling;
     nc.migration = cfg_.migration;
     // The shed policy is blind without load figures: when the app enabled
     // migration but left gossip off, gossip runs at the shed interval.
@@ -166,11 +138,8 @@ void World::build_machine() {
 
   int threads = resolve_host_threads(cfg_.host_threads);
   if (threads >= 1) {
-    sim::ParallelMachine::Options opts;
-    opts.shard = cfg_.shard;
-    opts.seed = cfg_.seed;
-    machine_ = std::make_unique<sim::ParallelMachine>(
-        std::move(execs), net_.get(), threads, opts);
+    machine_ = std::make_unique<sim::ParallelMachine>(std::move(execs),
+                                                      net_.get(), threads);
     host_threads_ = threads;
   } else {
     machine_ = std::make_unique<sim::Machine>(std::move(execs));

@@ -16,7 +16,6 @@
 #include "core/node_runtime.hpp"
 #include "net/network.hpp"
 #include "sim/machine.hpp"
-#include "sim/shard_balance.hpp"
 #include "sim/trace.hpp"
 #include "util/table.hpp"
 
@@ -45,10 +44,6 @@ struct WorldConfig {
   // < 0 = force the serial Machine regardless of the environment. Results
   // are bit-identical across all settings.
   int host_threads = 0;
-  // Hot-path memory pooling: slab-pooled node heaps + recycled packet
-  // buffers (default) vs general-purpose allocation everywhere (the
-  // bench_alloc ablation baseline). Never changes simulation results.
-  bool pooling = true;
   // No-op, kept so older callers compile: every time queue is now one
   // binary heap (util/min_heap.hpp), and nothing reads this field.
   util::QueueKind queue = util::QueueKind::kBucket;
@@ -58,10 +53,8 @@ struct WorldConfig {
   // No-op, kept so older callers compile: the host-parallel driver always
   // runs the flat global window, and nothing reads this field.
   sim::HorizonKind horizon = sim::HorizonKind::kGlobal;
-  // Shard policy of the host-parallel driver: static round-robin (default)
-  // vs deterministic barrier-time EWMA rebalancing (ABCLSIM_SHARD=
-  // balanced; see sim/shard_balance.hpp). Results never change; only which
-  // host thread runs which node does.
+  // No-op, kept so older callers compile: the host-parallel driver always
+  // assigns node i to worker i mod T, and nothing reads this field.
   sim::ShardKind shard = sim::ShardKind::kStatic;
   // Deterministic network fault injection (drop/dup/delay/blackout) plus
   // the delivery-hardening protocol; see net/fault.hpp. Disabled by default
@@ -82,20 +75,17 @@ struct WorldConfig {
   // run() hands control back at the boundary with
   // StopReason::kCheckpointRequested so the caller captures via
   // World::checkpoint. Either way node heaps are placed in fixed-base
-  // reserved arenas so a restored world is address-faithful. Requires
-  // pooling (the reserved-arena heap). Set via with_ckpt(), or
-  // ABCLSIM_CHECKPOINT through from_env().
+  // reserved arenas so a restored world is address-faithful. Set via
+  // with_ckpt(), or ABCLSIM_CHECKPOINT through from_env().
   ckpt::CheckpointConfig ckpt;
 
   // Builds a config with every environment-controlled knob resolved here,
   // once, strictly: ABCLSIM_HOST_THREADS (see parse_host_threads; unset ->
   // serial, recorded as host_threads = -1 so the result never re-consults
-  // the environment), ABCLSIM_POOLING (unset/1/true/on -> pooled,
-  // 0/false/off -> ablation baseline), ABCLSIM_SHARD (unset/static or
-  // balanced), ABCLSIM_FAULTS (unset or "off" -> no faults; otherwise a
-  // strict net::parse_fault_spec string like "drop=0.05,dup=0.01,seed=7"),
-  // ABCLSIM_MIGRATION (unset or "off" -> no migration; otherwise a strict
-  // remote::parse_migration_spec string like
+  // the environment), ABCLSIM_FAULTS (unset or "off" -> no faults;
+  // otherwise a strict net::parse_fault_spec string like
+  // "drop=0.05,dup=0.01,seed=7"), ABCLSIM_MIGRATION (unset or "off" -> no
+  // migration; otherwise a strict remote::parse_migration_spec string like
   // "interval=32,hysteresis=2,seed=7") and ABCLSIM_CHECKPOINT (unset or
   // "off" -> no checkpoint; otherwise a ckpt::parse_checkpoint_spec string
   // like "at=1000,path=snap.bin"); anything else aborts. New environment
@@ -117,8 +107,10 @@ struct WorldConfig {
   }
   WorldConfig& with_seed(std::uint64_t s) { seed = s; return *this; }
   WorldConfig& with_host_threads(int t) { host_threads = t; return *this; }
-  WorldConfig& with_pooling(bool on) { pooling = on; return *this; }
-  // No-op shims: see `queue`, `flush` and `horizon`.
+  // Kept so older callers compile: every node heap and packet buffer is
+  // slab-pooled, so `true` is a no-op and `false` aborts.
+  WorldConfig& with_pooling(bool on);
+  // No-op shims: see `queue`, `flush`, `horizon` and `shard`.
   WorldConfig& with_queue(util::QueueKind q) { queue = q; return *this; }
   WorldConfig& with_flush(net::FlushKind f) { flush = f; return *this; }
   WorldConfig& with_horizon(sim::HorizonKind h) { horizon = h; return *this; }

@@ -25,6 +25,7 @@
 // when it ships resume entries as raw words.
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -77,18 +78,11 @@ struct WorldIo {
     w.u32(static_cast<std::uint32_t>(cfg.placement));
     w.u64(cfg.seed);
     w.i64(cfg.host_threads);
-    w.b(cfg.pooling);
     w.raw(cfg.faults);
     w.raw(cfg.migration);
     w.b(cfg.ckpt.enabled);
     w.u64(cfg.ckpt.at);
     w.str(cfg.ckpt.path);
-    // Shard policy: purely host-side (results never depend on it), but
-    // carried so a restored world keeps the run's configured policy when the
-    // restoring caller doesn't override it. The parallel driver rebuilds its
-    // balancer state from scratch on construction, so nothing else needs
-    // saving.
-    w.u32(static_cast<std::uint32_t>(cfg.shard));
     w.u64(world.quanta_total_);
 
     save_network(w, *world.net_);
@@ -106,14 +100,12 @@ struct WorldIo {
     cfg.placement =
         enum_word(r, remote::PlacementKind::kLeastLoaded, "placement");
     cfg.seed = r.u64();
-    cfg.host_threads = static_cast<int>(r.i64());
-    cfg.pooling = r.b();
+    cfg.host_threads = host_threads_word(r);
     r.raw_into(cfg.faults);
     r.raw_into(cfg.migration);
     cfg.ckpt.enabled = r.b();
     cfg.ckpt.at = r.u64();
     cfg.ckpt.path = r.str();
-    cfg.shard = enum_word(r, sim::ShardKind::kBalanced, "shard");
     if (host_threads_override != 0) cfg.host_threads = host_threads_override;
     world.quanta_total_ = r.u64();
     world.resumed_quanta_ = world.quanta_total_;
@@ -124,7 +116,7 @@ struct WorldIo {
 
     world.net_ = std::make_unique<net::Network>(
         net::Topology(cfg.topology, cfg.nodes), &cfg.cost,
-          std::function<void(core::NodeId)>{}, cfg.pooling, cfg.faults);
+          std::function<void(core::NodeId)>{}, cfg.faults);
     load_network(r, *world.net_, world.prog_->am().size());
 
     world.nodes_.reserve(static_cast<std::size_t>(cfg.nodes));
@@ -133,7 +125,6 @@ struct WorldIo {
       // arena at the recorded base.
       core::NodeRuntime::Config nc = cfg.node;
       nc.seed = cfg.seed;
-      nc.pooling = cfg.pooling;
       nc.migration = cfg.migration;
       if (nc.migration.enabled && nc.gossip_interval == 0) {
         nc.gossip_interval = nc.migration.interval;
@@ -159,6 +150,19 @@ struct WorldIo {
                     std::to_string(static_cast<std::uint32_t>(last)) + ")")
                        .c_str());
     return static_cast<E>(v);
+  }
+
+  // The host_threads word, with WorldConfig::host_threads' meaning (< 0
+  // serial, 0 consult the environment, >= 1 workers) and the
+  // ABCLSIM_HOST_THREADS ceiling: a forged width must not spin up that many
+  // worker threads.
+  static int host_threads_word(Reader& r) {
+    const std::int64_t v = r.i64();
+    ABCL_CHECK_MSG(v >= std::numeric_limits<int>::min() && v <= 1024,
+                   ("checkpoint restore: host_threads word " +
+                    std::to_string(v) + " is out of range (max 1024)")
+                       .c_str());
+    return static_cast<int>(v);
   }
 
   // ----- network -----------------------------------------------------------
@@ -346,8 +350,6 @@ struct WorldIo {
 
     // Slab allocator: freelist chains live inside the arena image; only the
     // per-class heads and bump cursors live out here.
-    ABCL_CHECK_MSG(rt.pool_.heap_head_ == nullptr,
-                   "checkpoint: unpooled heap blocks present");
     for (std::size_t c = 0; c < util::SlabAllocator::kNumClasses; ++c) {
       w.u64(ptr_word(rt.pool_.free_[c]));
       w.u64(ptr_word(rt.pool_.fresh_[c]));

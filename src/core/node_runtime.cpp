@@ -22,7 +22,7 @@ NodeRuntime::NodeRuntime(NodeId id, Program& prog, net::Network& net,
       cm_(&cm),
       cfg_(cfg),
       arena_(64u << 10, cfg.reserved_arena ? cfg.arena_base : 0),
-      pool_(arena_, cfg.pooling),
+      pool_(arena_),
       rng_(cfg.seed * 0x9e3779b97f4a7c15ull + static_cast<std::uint64_t>(id) + 1) {
   ABCL_CHECK_MSG(prog.finalized(), "Program must be finalized before nodes start");
 }
@@ -33,8 +33,7 @@ NodeRuntime::~NodeRuntime() {
       o->cls->destruct(o->state());
     }
   }
-  // Pooled memory dies with the arena; the slab allocator frees any
-  // unpooled-mode blocks still outstanding.
+  // Slab memory dies with the arena.
 }
 
 // ----------------------------------------------------------------------------
@@ -548,10 +547,7 @@ ObjectHeader* NodeRuntime::alloc_object(const ClassInfo& cls) {
   o->needs_init = true;
   o->vftp = &cls.lazy_init;
   o->alloc_size_class = szcls;
-  o->live_next = live_head_;
-  o->live_pprev = &live_head_;
-  if (live_head_ != nullptr) live_head_->live_pprev = &o->live_next;
-  live_head_ = o;
+  link_live(o);
   ++live_objects_;
   ++total_created_;
   return o;
@@ -566,13 +562,20 @@ ObjectHeader* NodeRuntime::format_chunk(std::uint16_t size_class) {
   o->needs_init = true;
   o->vftp = &prog_->fault_vft();
   o->alloc_size_class = size_class;
-  o->live_next = live_head_;
-  o->live_pprev = &live_head_;
-  if (live_head_ != nullptr) live_head_->live_pprev = &o->live_next;
-  live_head_ = o;
+  link_live(o);
   ++live_objects_;
   ++total_created_;
   return o;
+}
+
+void NodeRuntime::link_live(ObjectHeader* o) {
+  // The head keeps a null live_pprev rather than &live_head_: snapshots image
+  // the arena verbatim, and no arena word may point into this runtime,
+  // which a restore rebuilds at another host address.
+  o->live_next = live_head_;
+  o->live_pprev = nullptr;
+  if (live_head_ != nullptr) live_head_->live_pprev = &o->live_next;
+  live_head_ = o;
 }
 
 void NodeRuntime::destroy_object(ObjectHeader* o) {
@@ -582,8 +585,8 @@ void NodeRuntime::destroy_object(ObjectHeader* o) {
   if (!migrated_meta_.empty()) migrated_meta_.erase(o);
   while (MsgFrame* f = o->mq.pop_front()) free_msg_frame(f);
   if (o->pending_init != nullptr) free_msg_frame(o->pending_init);
-  // Unlink from the live list.
-  *o->live_pprev = o->live_next;
+  // Unlink from the live list (a null live_pprev marks the head).
+  *(o->live_pprev != nullptr ? o->live_pprev : &live_head_) = o->live_next;
   if (o->live_next != nullptr) o->live_next->live_pprev = o->live_pprev;
   std::uint16_t szcls = o->alloc_size_class;
   o->~ObjectHeader();
@@ -1163,10 +1166,7 @@ void NodeRuntime::attach_migrated(Word old_ptr_word, InboundMigration& in) {
   o->cls = &cls;
   o->home = id_;
   o->alloc_size_class = szcls;
-  o->live_next = live_head_;
-  o->live_pprev = &live_head_;
-  if (live_head_ != nullptr) live_head_->live_pprev = &o->live_next;
-  live_head_ = o;
+  link_live(o);
   ++live_objects_;
 
   std::size_t pos = (cls.state_bytes + 7) / 8;

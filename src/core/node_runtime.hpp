@@ -66,11 +66,6 @@ class NodeRuntime final : public sim::NodeExec {
     bool disable_replenish = false;
     std::uint32_t gossip_interval = 0;  // quanta between load gossips; 0 = off
     std::uint64_t seed = 1;
-    // Slab-pool the node heap (frames, boxes, objects, chunks). false
-    // degrades every allocation to the general-purpose heap — the
-    // bench_alloc ablation baseline. Simulation results are identical
-    // either way; only host time and the alloc counters differ.
-    bool pooling = true;
     // Live migration (remote/migration.hpp). Disabled by default; the
     // shed policy additionally needs gossip (World auto-enables it at the
     // shed interval when the app left gossip off).
@@ -388,6 +383,7 @@ class NodeRuntime final : public sim::NodeExec {
   };
 
   ObjectHeader* alloc_object(const ClassInfo& cls);
+  void link_live(ObjectHeader* o);  // pushes `o` onto the live list
   void destroy_object(ObjectHeader* o);
   void maybe_retire(ObjectHeader* o);
   void run_sched_item(ObjectHeader* o);

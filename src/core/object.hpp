@@ -45,7 +45,8 @@ struct ObjectHeader {
   ObjectHeader* sched_next = nullptr;
   SchedState sched_state = SchedState::kNone;
 
-  // Node-local live-object list (O(1) unlink for retirement).
+  // Node-local live-object list (O(1) unlink for retirement); live_pprev
+  // is null at the head (NodeRuntime::link_live).
   ObjectHeader* live_next = nullptr;
   ObjectHeader** live_pprev = nullptr;
 

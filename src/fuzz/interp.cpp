@@ -287,7 +287,7 @@ InterpPatterns register_interp(core::Program& prog) {
 }
 
 FuzzWorld::FuzzWorld(const Spec& spec, int host_threads, sim::Tracer* tracer,
-                     const sim::CostModel& cost, sim::ShardKind shard,
+                     const sim::CostModel& cost,
                      const ckpt::CheckpointConfig& ck)
     : spec_(spec) {
   std::string verr;
@@ -302,7 +302,6 @@ FuzzWorld::FuzzWorld(const Spec& spec, int host_threads, sim::Tracer* tracer,
       .with_host_threads(host_threads)
       .with_cost(cost)
       .with_seed(spec_.seed | 1)
-      .with_shard(shard)
       .with_ckpt(ck);
   cfg.node.max_call_depth = spec_.max_call_depth;
   cfg.node.reduction_budget = spec_.reduction_budget;

@@ -81,14 +81,11 @@ InterpPatterns register_interp(core::Program& prog);
 class FuzzWorld {
  public:
   // `spec` must validate; aborts otherwise. `tracer` (optional) is attached
-  // before boot so boot-time cascades are fingerprinted too. `shard`
-  // selects the parallel driver's shard policy; either must produce
-  // byte-identical results.
+  // before boot so boot-time cascades are fingerprinted too.
   // `ck` (optional) enables deterministic checkpoint capture at a
   // simulated-time boundary (see ckpt/snapshot.hpp and checkpoint_to below).
   FuzzWorld(const Spec& spec, int host_threads, sim::Tracer* tracer = nullptr,
             const sim::CostModel& cost = sim::CostModel::ap1000(),
-            sim::ShardKind shard = sim::ShardKind::kStatic,
             const ckpt::CheckpointConfig& ck = {});
 
   FuzzWorld(const FuzzWorld&) = delete;

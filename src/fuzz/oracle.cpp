@@ -291,22 +291,21 @@ RunResult collect(FuzzWorld& fw, const HashTracer& tracer,
 }  // namespace
 
 RunResult run_spec(const Spec& spec, int host_threads,
-                   const sim::CostModel& cost, sim::ShardKind shard) {
+                   const sim::CostModel& cost) {
   HashTracer tracer;
-  FuzzWorld fw(spec, host_threads, &tracer, cost, shard);
+  FuzzWorld fw(spec, host_threads, &tracer, cost);
   RunReport rep = fw.world().run();
   return collect(fw, tracer, rep);
 }
 
 RunResult run_spec_with_checkpoint(const Spec& spec, int host_threads,
                                    std::uint64_t at, int restore_host_threads,
-                                   const sim::CostModel& cost,
-                                   sim::ShardKind shard) {
+                                   const sim::CostModel& cost) {
   HashTracer tracer;
   ckpt::CheckpointConfig ck;
   ck.enabled = true;
   ck.at = at;
-  FuzzWorld fw(spec, host_threads, &tracer, cost, shard, ck);
+  FuzzWorld fw(spec, host_threads, &tracer, cost, ck);
   fw.world().run();  // stops at the `at` boundary (or quiesces before it)
 
   ckpt::MemSink sink;
@@ -321,13 +320,12 @@ RunResult run_spec_with_checkpoint(const Spec& spec, int host_threads,
 
 RunResult run_spec_with_crash(const Spec& spec, int host_threads,
                               std::uint64_t at, std::uint64_t crash_at,
-                              const sim::CostModel& cost,
-                              sim::ShardKind shard) {
+                              const sim::CostModel& cost) {
   HashTracer tracer;
   ckpt::CheckpointConfig ck;
   ck.enabled = true;
   ck.at = at;
-  FuzzWorld fw(spec, host_threads, &tracer, cost, shard, ck);
+  FuzzWorld fw(spec, host_threads, &tracer, cost, ck);
   fw.world().run();  // to the checkpoint boundary
 
   ckpt::MemSink sink;
@@ -356,7 +354,7 @@ OracleResult check_spec(const Spec& spec, const OracleOptions& opts) {
   res.serial = run_spec(spec, kSerial);
   if (!check_invariants(spec, res.serial, res)) return res;
   for (int t : opts.thread_counts) {
-    RunResult rr = run_spec(spec, t, sim::CostModel::ap1000(), opts.shard);
+    RunResult rr = run_spec(spec, t);
     if (!check_identical(res.serial, rr, where(t), res)) return res;
   }
   if (opts.metamorphic) {
@@ -383,30 +381,27 @@ OracleResult check_spec_checkpoint(const Spec& spec,
                          : at + (res.serial.sim_time - at) / 2 + 1;
   const sim::CostModel cost = sim::CostModel::ap1000();
   {
-    RunResult rr =
-        run_spec_with_checkpoint(spec, kSerial, at, 0, cost, opts.shard);
+    RunResult rr = run_spec_with_checkpoint(spec, kSerial, at, 0, cost);
     if (!check_identical(res.serial, rr, "ckpt+restore serial", res)) {
       return res;
     }
   }
   for (int t : opts.thread_counts) {
-    RunResult rr = run_spec_with_checkpoint(spec, t, at, 0, cost, opts.shard);
+    RunResult rr = run_spec_with_checkpoint(spec, t, at, 0, cost);
     if (!check_identical(res.serial, rr, "ckpt+restore " + where(t), res)) {
       return res;
     }
   }
   {
     // Cross-driver: capture under the serial machine, resume host-parallel.
-    RunResult rr =
-        run_spec_with_checkpoint(spec, kSerial, at, 2, cost, opts.shard);
+    RunResult rr = run_spec_with_checkpoint(spec, kSerial, at, 2, cost);
     if (!check_identical(res.serial, rr,
                          "ckpt serial, restore threads=2", res)) {
       return res;
     }
   }
   {
-    RunResult rr =
-        run_spec_with_crash(spec, kSerial, at, crash_at, cost, opts.shard);
+    RunResult rr = run_spec_with_crash(spec, kSerial, at, crash_at, cost);
     if (!check_identical(res.serial, rr, "crash-recovery", res)) return res;
   }
   return res;

@@ -123,12 +123,8 @@ struct RunResult {
   std::uint64_t migration_holds = 0;
 };
 
-// `shard` selects the parallel driver's shard policy. Either must yield a
-// byte-identical RunResult (checked by tests/test_fuzz.cpp over the fuzz
-// corpus).
 RunResult run_spec(const Spec& spec, int host_threads,
-                   const sim::CostModel& cost = sim::CostModel::ap1000(),
-                   sim::ShardKind shard = sim::ShardKind::kStatic);
+                   const sim::CostModel& cost = sim::CostModel::ap1000());
 
 // Snapshot-equivalence drill: run `spec` to the quantum boundary at `at`,
 // serialize the whole world into memory, destroy it, restore it (under
@@ -139,8 +135,7 @@ RunResult run_spec(const Spec& spec, int host_threads,
 RunResult run_spec_with_checkpoint(
     const Spec& spec, int host_threads, std::uint64_t at,
     int restore_host_threads = 0,
-    const sim::CostModel& cost = sim::CostModel::ap1000(),
-    sim::ShardKind shard = sim::ShardKind::kStatic);
+    const sim::CostModel& cost = sim::CostModel::ap1000());
 
 // Crash-recovery drill: checkpoint at `at`, keep running toward the later
 // simulated instant `crash_at`, then "crash" — destroy the world, roll the
@@ -151,15 +146,11 @@ RunResult run_spec_with_checkpoint(
 RunResult run_spec_with_crash(
     const Spec& spec, int host_threads, std::uint64_t at,
     std::uint64_t crash_at,
-    const sim::CostModel& cost = sim::CostModel::ap1000(),
-    sim::ShardKind shard = sim::ShardKind::kStatic);
+    const sim::CostModel& cost = sim::CostModel::ap1000());
 
 struct OracleOptions {
   std::vector<int> thread_counts = {1, 2, 8};
   bool metamorphic = true;
-  // Parallel-driver shard policy for the differential runs. The serial
-  // baseline has no shard, so either policy must still match it exactly.
-  sim::ShardKind shard = sim::ShardKind::kStatic;
 };
 
 struct OracleResult {
@@ -180,10 +171,6 @@ struct CheckpointOracleOptions {
   // Simulated instant of the simulated crash; 0 = halfway between the
   // checkpoint and the baseline's quiescence.
   std::uint64_t crash_at = 0;
-  // Parallel-driver shard policy, applied to every checkpointing/restored
-  // run (the snapshot carries it, so a restore keeps the policy even when
-  // its caller overrides the thread count).
-  sim::ShardKind shard = sim::ShardKind::kStatic;
 };
 
 // Snapshot-equivalence oracle: the uninterrupted serial run is the

@@ -32,8 +32,7 @@ void Network::Stats::merge(const Stats& o) {
 }
 
 Network::Network(Topology topology, const sim::CostModel* cm,
-                 std::function<void(NodeId)> on_deliverable, bool pooling,
-                 FaultConfig faults)
+                 std::function<void(NodeId)> on_deliverable, FaultConfig faults)
     : topology_(topology),
       cm_(cm),
       on_deliverable_(std::move(on_deliverable)),
@@ -42,7 +41,6 @@ Network::Network(Topology topology, const sim::CostModel* cm,
       src_seq_(static_cast<std::size_t>(topology_.num_nodes()), 0),
       outboxes_(static_cast<std::size_t>(topology_.num_nodes()), nullptr),
       flush_touched_mark_(static_cast<std::size_t>(topology_.num_nodes()), 0),
-      pool_(pooling),
       poll_mags_(static_cast<std::size_t>(topology_.num_nodes()), nullptr) {
   ABCL_CHECK(cm_ != nullptr);
   ABCL_CHECK_MSG(cm_->wire_latency + cm_->per_hop > 0,
@@ -62,18 +60,6 @@ Network::Network(Topology topology, const sim::CostModel* cm,
       link_seq_matrix_.assign(channel_matrix_.size(), 0);
     }
     dst_fault_.resize(static_cast<std::size_t>(topology_.num_nodes()));
-  }
-}
-
-Network::~Network() {
-  // Packets still queued at teardown (worlds are routinely dropped before
-  // quiescence in tests) hold pool slots; hand them back so the unpooled
-  // mode stays leak-free under ASan.
-  for (auto& q : queues_) {
-    while (!q.empty()) {
-      pool_.release(home_mag_, q.top().slot);
-      q.pop();
-    }
   }
 }
 

@@ -114,16 +114,13 @@ class Network {
   };
 
   // on_deliverable(dst) fires whenever a packet is enqueued toward dst; the
-  // machine driver uses it to re-key the node in its ready heap. `pooling`
-  // selects recycled packet slots (default) vs per-send heap allocation
-  // (the bench_alloc ablation baseline); results are identical either way.
+  // machine driver uses it to re-key the node in its ready heap.
   // `faults` installs a deterministic FaultPlan (see net/fault.hpp); the
   // default disabled config leaves every commit/poll path byte-identical to
   // a fault-free network.
   Network(Topology topology, const sim::CostModel* cm,
-          std::function<void(NodeId)> on_deliverable = {}, bool pooling = true,
+          std::function<void(NodeId)> on_deliverable = {},
           FaultConfig faults = {});
-  ~Network();
 
   void set_on_deliverable(std::function<void(NodeId)> fn) {
     on_deliverable_ = std::move(fn);

@@ -2,12 +2,6 @@
 
 namespace abcl::net {
 
-PacketPool::~PacketPool() {
-  // Pooled slots live in slabs_, freed wholesale. Unpooled slots are
-  // heap-owned by whoever holds the pointer (Network's destructor drains
-  // its queues back through release()).
-}
-
 void PacketPool::depot_get(Magazine& m) {
   std::lock_guard<std::mutex> lock(mu_);
   const int want = kMagazineCap / 2;
@@ -33,7 +27,6 @@ void PacketPool::depot_put(Magazine& m, int keep) {
 }
 
 Packet* PacketPool::acquire(Magazine& m) {
-  if (!pooled_) return new Packet;
   if (m.n_ == 0) {
     ++m.depot_trips_;
     depot_get(m);
@@ -44,10 +37,6 @@ Packet* PacketPool::acquire(Magazine& m) {
 }
 
 void PacketPool::release(Magazine& m, Packet* p) {
-  if (!pooled_) {
-    delete p;
-    return;
-  }
   if (m.n_ == kMagazineCap) {
     ++m.depot_trips_;
     depot_put(m, kMagazineCap / 2);
@@ -58,7 +47,7 @@ void PacketPool::release(Magazine& m, Packet* p) {
 }
 
 void PacketPool::flush(Magazine& m) {
-  if (!pooled_ || m.n_ == 0) return;
+  if (m.n_ == 0) return;
   ++m.depot_trips_;
   depot_put(m, 0);
 }

@@ -22,10 +22,6 @@
 // Determinism: slot addresses depend on host interleaving, but nothing
 // observable does — queues order by simulated quantities only, and none of
 // the pool's occupancy figures are exported into the metrics snapshot.
-//
-// Ablation ("pooling off"): pooled=false makes acquire/release plain heap
-// new/delete — the per-send allocation baseline bench_alloc measures
-// against.
 #pragma once
 
 #include <cstdint>
@@ -60,13 +56,10 @@ class PacketPool {
     std::uint64_t depot_trips_ = 0; // locked refill/flush round trips
   };
 
-  explicit PacketPool(bool pooled = true) : pooled_(pooled) {}
-  ~PacketPool();
-
+  // Slots live in slabs_ and are freed wholesale with the pool.
+  PacketPool() = default;
   PacketPool(const PacketPool&) = delete;
   PacketPool& operator=(const PacketPool&) = delete;
-
-  bool pooled() const { return pooled_; }
 
   // Returns a slot whose payload the caller now owns. The slot's previous
   // contents are unspecified.
@@ -86,7 +79,6 @@ class PacketPool {
   void depot_get(Magazine& m);   // locked: refill up to half capacity
   void depot_put(Magazine& m, int keep);  // locked: spill down to `keep`
 
-  bool pooled_;
   mutable std::mutex mu_;
   std::vector<Packet*> depot_;                    // free slots (LIFO)
   std::vector<std::unique_ptr<Packet[]>> slabs_;  // slot storage

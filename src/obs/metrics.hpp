@@ -27,10 +27,11 @@ class ParallelMachine;
 namespace abcl::obs {
 
 // v2 adds the "pooling" flag plus per-node and total "alloc" blocks (slab
-// allocator counters — all simulated-deterministic). v1 documents remain
-// comparable as regression baselines: compare_json_files detects a
-// v1-baseline/v2-candidate pair and checks the shared counter prefix (see
-// obs/regression.hpp).
+// allocator counters — all simulated-deterministic). "pooling" is the
+// constant true: every heap is slab-pooled, and the field stays so v2
+// documents keep their bytes. v1 documents remain comparable as regression
+// baselines: compare_json_files detects a v1-baseline/v2-candidate pair and
+// checks the shared counter prefix (see obs/regression.hpp).
 inline constexpr const char* kMetricsSchema = "abclsim-metrics-v2";
 
 // Serializes `world` (and, if non-null, the report of its last run). Safe
@@ -41,13 +42,13 @@ std::string metrics_json(const World& world, const RunReport* rep = nullptr);
 // p50/p90/p99 approximations and the non-empty buckets as [index, count].
 void histogram_json(class JsonWriter& w, const util::Log2Histogram& h);
 
-// Parallel-driver execution counters: window/occupancy/rebalance totals
-// plus the effective shard policy. Kept OUT of metrics_json on
-// purpose — windows_run depends on the driver (a serial Machine has no
-// windows at all), so embedding it there would break the serial/parallel
-// byte-identity contract above. Everything emitted is still deterministic
-// for a fixed (program, policy, pinned thread count), so benches splice
-// this block into their own reports and pin it in baselines.
+// Parallel-driver execution counters: window and occupancy totals. Kept
+// OUT of metrics_json on purpose — windows_run depends on the driver (a
+// serial Machine has no windows at all), so embedding it there would break
+// the serial/parallel byte-identity contract above. Everything emitted is
+// still deterministic for a fixed (program, pinned thread count), so
+// benches splice this block into their own reports and pin it in
+// baselines.
 std::string driver_metrics_json(const sim::ParallelMachine& pm);
 
 }  // namespace abcl::obs

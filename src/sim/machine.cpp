@@ -14,15 +14,9 @@ Driver::Driver(std::vector<NodeExec*> nodes) : nodes_(std::move(nodes)) {
 }
 
 ReadySet::ReadySet(std::size_t nodes, std::size_t shards)
-    : key_(nodes, kInstrInf), owner_(nodes, 0), shards_(shards) {
+    : key_(nodes, kInstrInf), owner_(nodes), shards_(shards) {
   ABCL_CHECK(shards >= 1);
-}
-
-void ReadySet::set_owner(NodeId id, std::size_t shard) {
-  ABCL_CHECK(shard < shards_.size());
-  owner_[index(id)] = shard;
-  const Instr key = key_[index(id)];
-  if (key != kInstrInf) shards_[shard].queue.push(Entry{key, id});
+  for (std::size_t i = 0; i < nodes; ++i) owner_[i] = i % shards;
 }
 
 void ReadySet::clear() {

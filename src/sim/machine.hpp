@@ -30,6 +30,10 @@ using NodeId = std::int32_t;
 // a HorizonKind.
 enum class HorizonKind : std::uint8_t { kGlobal };
 
+// No-op, kept so older callers compile: ParallelMachine assigns node i to
+// worker i mod T for the whole run, and nothing reads a ShardKind.
+enum class ShardKind : std::uint8_t { kStatic };
+
 class Tracer;
 
 // Implemented by core::NodeRuntime. One step() executes one scheduling
@@ -98,21 +102,19 @@ class Driver {
 // Key-ordered set of the nodes that have work, shared by both drivers.
 //
 // A node's key is its Driver::effective_key; kInstrInf (idle, nothing in
-// flight) means absent. Nodes are partitioned into shards, each a
-// min-queue over (key, node) — the serial Machine uses one shard,
-// ParallelMachine one per worker. Entries are never erased: push() only
-// enters a key below the node's present one, and pop_below()/top() drop an
-// entry whose key is no longer its node's (superseded by a lower push, or
-// already popped) or whose node has moved to another shard. Between a
-// node's own steps its key can only fall — an arrival only lowers
-// next_wake, and every arrival reaches the driver through
-// Driver::notify_work — so a node's key slot holds its exact key whenever
-// the node is not popped.
+// flight) means absent. Nodes are partitioned into shards, node i into
+// shard i mod shards, each a min-queue over (key, node) — the serial
+// Machine uses one shard, ParallelMachine one per worker. Entries are never
+// erased: push() only enters a key below the node's present one, and
+// pop_below()/top() drop an entry whose key is no longer its node's
+// (superseded by a lower push, or already popped). Between a node's own
+// steps its key can only fall — an arrival only lowers next_wake, and every
+// arrival reaches the driver through Driver::notify_work — so a node's key
+// slot holds its exact key whenever the node is not popped.
 //
 // Threading: a shard's queue and the key slots of the nodes it owns belong
-// to whoever drives that shard; owners change only through set_owner(),
-// which callers run single-threaded. pop_below()/top() read a foreign
-// node's owner slot (never its key slot) to discard a moved node's entry.
+// to whoever drives that shard; the owner map is written once, by the
+// constructor.
 class ReadySet {
  public:
   struct Entry {
@@ -120,13 +122,10 @@ class ReadySet {
     NodeId node;
   };
 
-  // Every node starts absent and owned by shard 0. `shards` >= 1.
+  // Every node starts absent. `shards` >= 1.
   ReadySet(std::size_t nodes, std::size_t shards);
 
   std::size_t owner(NodeId id) const { return owner_[index(id)]; }
-
-  // Hands `id` to `shard`, re-entering its present key there.
-  void set_owner(NodeId id, std::size_t shard);
 
   // Enters `id` at `key` into its owner's shard unless it is already
   // present at or below `key` (so kInstrInf is a no-op).
@@ -146,7 +145,7 @@ class ReadySet {
       const Entry e = q.top();
       if (e.key >= limit) return false;
       q.pop();
-      if (!live(shard, e)) continue;
+      if (!live(e)) continue;
       key_[index(e.node)] = kInstrInf;
       *out = e;
       return true;
@@ -159,13 +158,13 @@ class ReadySet {
     Queue& q = shards_[shard].queue;
     while (!q.empty()) {
       const Entry& e = q.top();
-      if (live(shard, e)) return e.key;
+      if (live(e)) return e.key;
       q.pop();
     }
     return kInstrInf;
   }
 
-  // Makes every node absent; owners are kept.
+  // Makes every node absent.
   void clear();
 
  private:
@@ -182,11 +181,7 @@ class ReadySet {
   };
 
   static std::size_t index(NodeId id) { return static_cast<std::size_t>(id); }
-  // Owner first: a moved node's key slot belongs to another shard.
-  bool live(std::size_t shard, const Entry& e) const {
-    const std::size_t i = index(e.node);
-    return owner_[i] == shard && key_[i] == e.key;
-  }
+  bool live(const Entry& e) const { return key_[index(e.node)] == e.key; }
 
   std::vector<Instr> key_;  // per node; kInstrInf = absent
   std::vector<std::size_t> owner_;

@@ -15,7 +15,7 @@ constexpr int kSpinIters = 2048;
 
 ParallelMachine::ParallelMachine(std::vector<NodeExec*> nodes,
                                  net::Network* net, int num_threads,
-                                 Options opts)
+                                 Options)
     : Driver(std::move(nodes)),
       net_(net),
       lookahead_(net != nullptr ? net->min_packet_latency() : 1),
@@ -25,18 +25,6 @@ ParallelMachine::ParallelMachine(std::vector<NodeExec*> nodes,
       // thread being waited on — park immediately instead.
       spin_limit_(std::thread::hardware_concurrency() > 1 ? kSpinIters : 0) {
   ABCL_CHECK(lookahead_ > 0);
-  // Static round-robin shard: node i -> worker i mod T. Any fixed
-  // assignment preserves determinism; round-robin balances the common case
-  // where load correlates with id ranges.
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    ready_.set_owner(static_cast<NodeId>(i), i % workers_.size());
-  }
-  if (opts.shard == ShardKind::kBalanced && workers_.size() > 1) {
-    balancer_ = std::make_unique<ShardBalancer>(
-        static_cast<std::int32_t>(nodes_.size()),
-        static_cast<int>(workers_.size()), opts.seed);
-    window_quanta_.assign(nodes_.size(), 0);
-  }
 }
 
 ParallelMachine::~ParallelMachine() {
@@ -47,14 +35,12 @@ void ParallelMachine::run_shard(std::size_t me) {
   Worker& w = workers_[me];
   const Instr horizon = window_horizon_;
   const Instr max_time = window_max_time_;
-  const bool balanced = balancer_ != nullptr;
   // A quantum runs iff key < horizon and key <= max_time.
   const Instr limit = max_time < horizon ? max_time + 1 : horizon;
   std::uint64_t active = 0;
   ReadySet::Entry e{};
   while (ready_.pop_below(me, limit, &e)) {
-    const auto idx = static_cast<std::size_t>(e.node);
-    NodeExec& n = *nodes_[idx];
+    NodeExec& n = *nodes_[static_cast<std::size_t>(e.node)];
     const std::uint64_t before = w.quanta;
     Instr key;
     while ((key = effective_key(n)) < limit) {
@@ -65,7 +51,6 @@ void ParallelMachine::run_shard(std::size_t me) {
       ++w.quanta;
     }
     if (w.quanta != before) ++active;
-    if (balanced) window_quanta_[idx] += w.quanta - before;
     // The break-time key is the node's final key for this window: nothing
     // else touches the node until the flush, whose deliveries arrive
     // through notify_work. It is >= limit, so the loop never pops the node
@@ -151,26 +136,6 @@ void ParallelMachine::install_node(NodeId id) {
   }
 }
 
-void ParallelMachine::apply_rebalance() {
-  const int moved = balancer_->rebalance(window_quanta_.data());
-  if (moved == 0) return;
-  rebalances_ += 1;
-  shard_moves_ += static_cast<std::uint64_t>(moved);
-  // Hand each moved node to its new worker: its ready-set entry (the old
-  // shard's copy goes stale) and its outbox, poll magazine and trace buffer.
-  // Outboxes and trace buffers are drained at this point — the barrier's
-  // flush and replay just ran — so moving a node never splits its program
-  // order across two buffers within one window.
-  const auto& asg = balancer_->assignment();
-  for (std::size_t i = 0; i < asg.size(); ++i) {
-    const auto id = static_cast<NodeId>(i);
-    const auto to = static_cast<std::size_t>(asg[i]);
-    if (ready_.owner(id) == to) continue;
-    ready_.set_owner(id, to);
-    install_node(id);
-  }
-}
-
 void ParallelMachine::notify_work(NodeId dst) {
   ready_.push(dst, effective_key(*nodes_[static_cast<std::size_t>(dst)]));
 }
@@ -244,7 +209,6 @@ Driver::RunReport ParallelMachine::run(Instr max_time) {
     }
     replay_traces();
     ++windows_;
-    if (balancer_ != nullptr) apply_rebalance();
   }
 
   if (threaded) {

@@ -21,15 +21,10 @@
 // barrier replays the window's buffered trace events sorted by (key, node).
 // The results are bit-identical to a serial run at any thread count.
 //
-// Shard policy: nodes map statically to workers (node id mod thread count)
-// or, under ShardKind::kBalanced, are reassigned at window barriers by
-// sim::ShardBalancer from per-node committed-quantum EWMAs — a pure
-// function of simulated state, so the assignment history is itself
-// bit-identical at any thread count. Reassignment happens only between
-// windows, when outboxes and trace buffers are drained, so each source
-// still lives in exactly one outbox per window and the canonical commit
-// order (and with it every simulated result) is untouched. A moved node's
-// ready-set entry follows it into the new worker's shard.
+// Shard: node i belongs to worker i mod T for the whole run, so each source
+// lives in exactly one outbox and one trace buffer. Any fixed assignment
+// preserves determinism; round-robin balances the common case where load
+// correlates with id ranges.
 //
 // Active sets: each worker drives one shard of a sim::ReadySet
 // (machine.hpp), the key-ordered set of its nodes that have work. A window
@@ -45,15 +40,13 @@
 // Thread-safety partition during a window: a worker touches only its own
 // nodes' state, those nodes' destination queues (poll side), its own outbox,
 // trace buffer, packet-pool magazine and ready-set shard, plus its nodes'
-// slots in the per-node key/quanta arrays (disjoint indices). It also reads
-// the ready set's node -> worker owner map, to drop entries of nodes moved
-// away; only the coordinator writes that map (apply_rebalance). The one
-// shared mutable structure is the packet pool's depot, which a worker only
+// slots in the ready set's key array (disjoint indices). The one shared
+// mutable structure is the packet pool's depot, which a worker only
 // reaches through its magazine's overflow path (mutex-guarded, amortized
 // one trip per kMagazineCap frees). Between windows the coordinator alone
 // runs the flush, and its notify_work calls push woken nodes into their
-// owners' shards. Window parameters — the horizon, max_time and the owner
-// map — are written by the coordinator between windows and published by the
+// owners' shards. Window parameters — the horizon and max_time — are
+// written by the coordinator between windows and published by the
 // release/acquire pair on epoch_; each worker's shard writes reach the
 // coordinator through the release-store on its `done`.
 //
@@ -67,24 +60,24 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 #include "net/network.hpp"
 #include "sim/machine.hpp"
-#include "sim/shard_balance.hpp"
 #include "sim/trace.hpp"
 
 namespace abcl::sim {
 
-// Policy knobs of the parallel driver (namespace-scope so the in-class
-// default argument below can use the member initializers).
+// No-op, kept so older callers compile: the parallel driver has one window
+// policy and one shard assignment, and reads none of these fields
+// (namespace-scope so the in-class default argument below can use the
+// member initializers).
 struct ParallelOptions {
-  HorizonKind horizon = HorizonKind::kGlobal;  // no-op (see HorizonKind)
+  HorizonKind horizon = HorizonKind::kGlobal;
   ShardKind shard = ShardKind::kStatic;
-  std::uint64_t seed = 1;  // balancer tie-break stream (the world seed)
+  std::uint64_t seed = 1;
 };
 
 class ParallelMachine : public Driver {
@@ -110,15 +103,6 @@ class ParallelMachine : public Driver {
   // windows_run is the mean window occupancy. A function of simulated state
   // only — identical at any thread count.
   std::uint64_t occupancy_sum() const { return occupancy_sum_; }
-  // Barrier-time reassignments applied / individual node moves. Zero under
-  // kStatic and on single-worker runs; depends on the worker count (but
-  // never on anything simulated-observable).
-  std::uint64_t rebalances() const { return rebalances_; }
-  std::uint64_t shard_moves() const { return shard_moves_; }
-  // Effective shard policy (a single worker has nothing to balance).
-  ShardKind shard_kind() const {
-    return balancer_ != nullptr ? ShardKind::kBalanced : ShardKind::kStatic;
-  }
 
  private:
   // Tracer interposer: tags each event with the key of the quantum that
@@ -159,15 +143,13 @@ class ParallelMachine : public Driver {
   void flush_commits();
   void replay_traces();
   void install_node(NodeId id);
-  void apply_rebalance();
 
   net::Network* net_;
   Instr lookahead_;
   std::vector<Worker> workers_;
 
   // Window parameters, written by the coordinator before it releases an
-  // epoch; the release/acquire pair on epoch_ publishes them (along with
-  // any shard reassignment).
+  // epoch; the release/acquire pair on epoch_ publishes them.
   Instr window_horizon_ = 0;
   Instr window_max_time_ = kInstrInf;
 
@@ -186,11 +168,6 @@ class ParallelMachine : public Driver {
   std::condition_variable epoch_cv_;  // workers park here between windows
   std::condition_variable done_cv_;   // coordinator parks here at barriers
 
-  // Balanced-shard state: per-node quanta of the current window (worker-
-  // written, disjoint slots) feeding the balancer's EWMAs at each barrier.
-  std::unique_ptr<ShardBalancer> balancer_;
-  std::vector<std::uint64_t> window_quanta_;
-
   // Replay scratch + original tracers saved across a run() while buffers
   // are interposed (index = node id; nullptr = node had no tracer).
   std::vector<net::Network::Outbox*> outbox_ptrs_;
@@ -198,8 +175,6 @@ class ParallelMachine : public Driver {
   std::vector<Tracer*> saved_tracers_;
   std::uint64_t windows_ = 0;
   std::uint64_t occupancy_sum_ = 0;
-  std::uint64_t rebalances_ = 0;
-  std::uint64_t shard_moves_ = 0;
   std::uint64_t quanta_ = 0;
 };
 

@@ -1,7 +1,5 @@
 #include "util/slab.hpp"
 
-#include <new>
-
 namespace abcl::util {
 
 void SlabAllocator::Stats::merge(const Stats& o) {
@@ -17,19 +15,6 @@ void SlabAllocator::Stats::merge(const Stats& o) {
   slab_refills += o.slab_refills;
   slots_carved += o.slots_carved;
   backing_bytes += o.backing_bytes;
-}
-
-SlabAllocator::SlabAllocator(Arena& arena, bool pooled)
-    : arena_(&arena), pooled_(pooled) {}
-
-SlabAllocator::~SlabAllocator() {
-  // Pooled slots die with the arena. Unpooled blocks are individually
-  // heap-owned; free whatever the simulation still held at teardown.
-  while (heap_head_ != nullptr) {
-    HeapBlock* b = heap_head_;
-    heap_head_ = b->next;
-    ::operator delete(b, std::align_val_t{kMaxAlignment});
-  }
 }
 
 std::size_t SlabAllocator::size_class(std::size_t bytes) {
@@ -57,32 +42,9 @@ void SlabAllocator::refill(std::size_t cls) {
   stats_.backing_bytes += bytes;
 }
 
-void* SlabAllocator::heap_allocate(std::size_t cls) {
-  const std::size_t cbytes = class_bytes(cls);
-  void* raw = ::operator new(sizeof(HeapBlock) + cbytes,
-                             std::align_val_t{kMaxAlignment});
-  auto* b = static_cast<HeapBlock*>(raw);
-  b->prev = nullptr;
-  b->next = heap_head_;
-  if (heap_head_ != nullptr) heap_head_->prev = b;
-  heap_head_ = b;
-  stats_.backing_bytes += sizeof(HeapBlock) + cbytes;
-  return b + 1;
-}
-
-void SlabAllocator::heap_deallocate(void* p, std::size_t cls) {
-  (void)cls;
-  HeapBlock* b = static_cast<HeapBlock*>(p) - 1;
-  if (b->prev != nullptr) b->prev->next = b->next;
-  if (b->next != nullptr) b->next->prev = b->prev;
-  if (heap_head_ == b) heap_head_ = b->next;
-  ::operator delete(b, std::align_val_t{kMaxAlignment});
-}
-
 void* SlabAllocator::allocate(std::size_t bytes) {
   const std::size_t cls = size_class(bytes);
   ++stats_.allocs;
-  if (!pooled_) return heap_allocate(cls);
   if (FreeNode* n = free_[cls]) {
     free_[cls] = n->next;
     ++stats_.freelist_hits;
@@ -99,10 +61,6 @@ void SlabAllocator::deallocate(void* p, std::size_t bytes) {
   if (p == nullptr) return;
   const std::size_t cls = size_class(bytes);
   ++stats_.frees;
-  if (!pooled_) {
-    heap_deallocate(p, cls);
-    return;
-  }
   auto* n = static_cast<FreeNode*>(p);
   n->next = free_[cls];
   free_[cls] = n;

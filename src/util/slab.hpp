@@ -15,11 +15,9 @@
 // kMaxAlignment, which closes the old PoolAllocator bug where an
 // over-aligned frame silently got max_align_t alignment.
 //
-// Ablation ("pooling off"): constructed with pooled=false the allocator
-// degrades to general-purpose heap allocation per request — the baseline
-// bench_alloc measures the slab scheme against. Outstanding blocks are
-// tracked through an intrusive header list so teardown with live objects
-// (worlds are routinely dropped mid-state) stays leak-free under ASan.
+// Slots never return to the general heap: they die with the arena, so
+// teardown with live objects (worlds are routinely dropped mid-state) is
+// leak-free without tracking them.
 //
 // Determinism: allocation order on a node is a function of the simulation
 // only, so every Stats counter is bit-identical across host drivers and
@@ -54,16 +52,15 @@ class SlabAllocator {
     std::uint64_t allocs = 0;         // allocate() calls
     std::uint64_t frees = 0;          // deallocate() calls
     std::uint64_t freelist_hits = 0;  // allocations served by a recycled slot
-    std::uint64_t slab_refills = 0;   // arena trips (pooled mode only)
+    std::uint64_t slab_refills = 0;   // arena trips
     std::uint64_t slots_carved = 0;   // total slots those trips produced
-    std::uint64_t backing_bytes = 0;  // bytes obtained from arena or heap
+    std::uint64_t backing_bytes = 0;  // bytes obtained from the arena
 
     void merge(const Stats& o);
     std::uint64_t live() const { return allocs - frees; }
   };
 
-  explicit SlabAllocator(Arena& arena, bool pooled = true);
-  ~SlabAllocator();
+  explicit SlabAllocator(Arena& arena) : arena_(&arena) {}
 
   SlabAllocator(const SlabAllocator&) = delete;
   SlabAllocator& operator=(const SlabAllocator&) = delete;
@@ -80,7 +77,6 @@ class SlabAllocator {
   void* allocate(std::size_t bytes);
   void deallocate(void* p, std::size_t bytes);
 
-  bool pooled() const { return pooled_; }
   const Stats& stats() const { return stats_; }
   std::uint64_t live_count() const { return stats_.live(); }
   std::uint64_t alloc_count() const { return stats_.allocs; }
@@ -94,25 +90,12 @@ class SlabAllocator {
   struct FreeNode {
     FreeNode* next;
   };
-  // Unpooled-mode block header: doubly linked so deallocate() unlinks in
-  // O(1) and the destructor can free whatever is still outstanding. Padded
-  // to kMaxAlignment so the payload after it keeps the class guarantee.
-  struct alignas(kMaxAlignment) HeapBlock {
-    HeapBlock* next;
-    HeapBlock* prev;
-  };
-  static_assert(sizeof(HeapBlock) == kMaxAlignment);
-
   void refill(std::size_t cls);
-  void* heap_allocate(std::size_t cls);
-  void heap_deallocate(void* p, std::size_t cls);
 
   Arena* arena_;
-  bool pooled_;
   FreeNode* free_[kNumClasses] = {};
   std::byte* fresh_[kNumClasses] = {};        // bump cursor in current slab
   std::size_t fresh_left_[kNumClasses] = {};  // slots left at the cursor
-  HeapBlock* heap_head_ = nullptr;            // unpooled mode: live blocks
   Stats stats_;
 };
 

@@ -154,23 +154,4 @@ std::string spec_error(const std::string& context, const std::string& raw,
   return context + " \"" + raw + "\": " + why + " (" + hint + ")";
 }
 
-std::optional<std::size_t> parse_choice(
-    const char* text, std::initializer_list<const char*> words) {
-  if (text == nullptr) return std::nullopt;
-  const std::string s = text;
-  std::size_t i = 0;
-  for (const char* w : words) {
-    if (s == w) return i;
-    ++i;
-  }
-  return std::nullopt;
-}
-
-std::string choice_error(const std::string& knob, const std::string& raw,
-                         const std::string& choices,
-                         const std::string& default_hint) {
-  return knob + "=\"" + raw + "\": expected " + choices + ", or unset for " +
-         default_hint;
-}
-
 }  // namespace abcl::util

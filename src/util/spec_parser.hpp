@@ -1,23 +1,21 @@
 // One strict key=value spec grammar for every tuning knob.
 //
-// Several parsers grew independently — ABCLSIM_FAULTS, ABCLSIM_MIGRATION
-// and the single-word knobs such as ABCLSIM_SHARD — each re-implementing
-// the same trim / split / duplicate-key / overflow-checked-number machinery
-// with slightly different bugs waiting to diverge. SpecParser is the shared
-// core: a comma-separated key=value list with typed fields, where *any*
-// deviation (unknown key, repeated key, malformed number) is a hard error
-// carrying a human-readable reason. Garbage never falls back silently to a
-// default.
+// Several parsers grew independently — ABCLSIM_FAULTS and ABCLSIM_MIGRATION
+// — each re-implementing the same trim / split / duplicate-key /
+// overflow-checked-number machinery with slightly different bugs waiting to
+// diverge. SpecParser is the shared core: a comma-separated key=value list
+// with typed fields, where *any* deviation (unknown key, repeated key,
+// malformed number) is a hard error carrying a human-readable reason.
+// Garbage never falls back silently to a default.
 //
-// The existing entry points (net::parse_fault_spec, remote::
-// parse_migration_spec, the World env knobs) stay as thin wrappers so their
-// diagnostics and round-trip guarantees are unchanged; new knobs
-// (ABCLSIM_CHECKPOINT) route through here directly.
+// The existing entry points (net::parse_fault_spec,
+// remote::parse_migration_spec) stay as thin wrappers so their diagnostics
+// and round-trip guarantees are unchanged; new knobs (ABCLSIM_CHECKPOINT)
+// route through here directly.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <initializer_list>
 #include <optional>
 #include <string>
 #include <vector>
@@ -67,16 +65,5 @@ bool spec_off(const char* text);
 // e.g. context "fault spec", hint "expected comma-separated drop=PROB, ...".
 std::string spec_error(const std::string& context, const std::string& raw,
                        const std::string& why, const std::string& hint);
-
-// Single-word choice knobs (ABCLSIM_SHARD=static|balanced, ...): index of the
-// matching word, or nullopt. The caller handles unset before calling.
-std::optional<std::size_t> parse_choice(
-    const char* text, std::initializer_list<const char*> words);
-
-// Diagnostic for a failed choice knob:
-//   <knob>="<raw>": expected <choices>, or unset for <default_hint>
-std::string choice_error(const std::string& knob, const std::string& raw,
-                         const std::string& choices,
-                         const std::string& default_hint);
 
 }  // namespace abcl::util

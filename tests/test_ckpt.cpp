@@ -13,10 +13,13 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <memory>
 #include <string>
 
 #include "abcl/machine_api.hpp"
 #include "abcl/termination.hpp"
+#include "apps/nqueens.hpp"
 #include "ckpt/snapshot.hpp"
 #include "fuzz/interp.hpp"
 #include "fuzz/oracle.hpp"
@@ -149,17 +152,13 @@ TEST(CkptEnvDeath, GarbageAbortsWithDiagnostic) {
 // untouched, and a repeated with_* keeps the last value.
 TEST(ConfigPrecedence, EnvThenBuilderOverrideForEveryKnob) {
   ScopedEnv e1("ABCLSIM_HOST_THREADS", "3");
-  ScopedEnv e2("ABCLSIM_POOLING", "0");
-  ScopedEnv e3("ABCLSIM_SHARD", "balanced");
-  ScopedEnv e4("ABCLSIM_FAULTS", "drop=0.05,seed=9");
-  ScopedEnv e5("ABCLSIM_MIGRATION", "interval=16,seed=3");
-  ScopedEnv e6("ABCLSIM_CHECKPOINT", "at=123,path=env.ck");
+  ScopedEnv e2("ABCLSIM_FAULTS", "drop=0.05,seed=9");
+  ScopedEnv e3("ABCLSIM_MIGRATION", "interval=16,seed=3");
+  ScopedEnv e4("ABCLSIM_CHECKPOINT", "at=123,path=env.ck");
 
   WorldConfig cfg = WorldConfig::from_env();
   // from_env() picked up every variable.
   EXPECT_EQ(cfg.host_threads, 3);
-  EXPECT_FALSE(cfg.pooling);
-  EXPECT_EQ(cfg.shard, sim::ShardKind::kBalanced);
   EXPECT_TRUE(cfg.faults.enabled);
   EXPECT_EQ(cfg.faults.drop_ppm, 50'000u);
   EXPECT_TRUE(cfg.migration.enabled);
@@ -175,14 +174,10 @@ TEST(ConfigPrecedence, EnvThenBuilderOverrideForEveryKnob) {
   mc.enabled = true;
   mc.interval = 64;
   cfg.with_host_threads(7)
-      .with_pooling(true)
-      .with_shard(sim::ShardKind::kStatic)
       .with_faults(fc)
       .with_migration(mc)
       .with_ckpt(at_config(456));
   EXPECT_EQ(cfg.host_threads, 7);
-  EXPECT_TRUE(cfg.pooling);
-  EXPECT_EQ(cfg.shard, sim::ShardKind::kStatic);
   EXPECT_EQ(cfg.faults.dup_ppm, 10'000u);
   EXPECT_EQ(cfg.faults.drop_ppm, 0u);
   EXPECT_EQ(cfg.migration.interval, 64u);
@@ -192,19 +187,15 @@ TEST(ConfigPrecedence, EnvThenBuilderOverrideForEveryKnob) {
 
 TEST(ConfigPrecedence, OverridingOneKnobLeavesTheOthersAlone) {
   ScopedEnv e1("ABCLSIM_HOST_THREADS", "3");
-  ScopedEnv e2("ABCLSIM_POOLING", "off");
-  ScopedEnv e3("ABCLSIM_SHARD", "balanced");
-  ScopedEnv e4("ABCLSIM_FAULTS", "drop=0.05,seed=9");
-  ScopedEnv e5("ABCLSIM_MIGRATION", "interval=16,seed=3");
-  ScopedEnv e6("ABCLSIM_CHECKPOINT", "at=123");
+  ScopedEnv e2("ABCLSIM_FAULTS", "drop=0.05,seed=9");
+  ScopedEnv e3("ABCLSIM_MIGRATION", "interval=16,seed=3");
+  ScopedEnv e4("ABCLSIM_CHECKPOINT", "at=123");
 
   WorldConfig cfg = WorldConfig::from_env().with_nodes(64).with_seed(5);
   EXPECT_EQ(cfg.nodes, 64);
   EXPECT_EQ(cfg.seed, 5u);
   // Env-derived knobs survive unrelated with_* calls.
   EXPECT_EQ(cfg.host_threads, 3);
-  EXPECT_FALSE(cfg.pooling);
-  EXPECT_EQ(cfg.shard, sim::ShardKind::kBalanced);
   EXPECT_TRUE(cfg.faults.enabled);
   EXPECT_EQ(cfg.migration.interval, 16u);
   EXPECT_TRUE(cfg.ckpt.enabled);
@@ -218,16 +209,6 @@ TEST(ConfigPrecedence, OverridingOneKnobLeavesTheOthersAlone) {
 }
 
 // ------------------------------------------------- world-level contract ----
-
-TEST(CkptWorldDeath, CheckpointingRequiresPooling) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  core::Program prog;
-  fuzz::register_interp(prog);
-  prog.finalize();
-  WorldConfig cfg;
-  cfg.with_pooling(false).with_ckpt(at_config(100));
-  EXPECT_DEATH({ World w(prog, cfg); }, "requires pooling");
-}
 
 TEST(CkptWorldDeath, CheckpointWithoutConfigDies) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
@@ -264,7 +245,7 @@ TEST(CkptWorld, ResumedQuantaAccountingAcrossRestore) {
   const std::uint64_t at = base.sim_time / 2 + 1;
 
   fuzz::FuzzWorld fw(spec, kSerial, nullptr, sim::CostModel::ap1000(),
-                     sim::ShardKind::kStatic, at_config(at));
+                     at_config(at));
   RunReport r1 = fw.world().run();
   EXPECT_EQ(r1.stop_reason, StopReason::kCheckpointRequested);
   EXPECT_TRUE(fw.world().work_remaining());
@@ -295,8 +276,7 @@ TEST(CkptWorld, FileCheckpointIsTransparentAndRecaptureRoundTrips) {
   // Fire-and-forget: a path-configured checkpoint writes the file at the
   // boundary and resumes inside the same run() call, so a
   // checkpoint-unaware caller sees the uninterrupted run's results.
-  fuzz::FuzzWorld fw(spec, kSerial, nullptr, sim::CostModel::ap1000(),
-                     sim::ShardKind::kStatic, ck);
+  fuzz::FuzzWorld fw(spec, kSerial, nullptr, sim::CostModel::ap1000(), ck);
   RunReport r1 = fw.world().run();
   EXPECT_EQ(r1.stop_reason, StopReason::kQuiesced);
   EXPECT_EQ(r1.quanta, base.quanta);
@@ -325,17 +305,15 @@ TEST(CkptWorld, FileCheckpointIsTransparentAndRecaptureRoundTrips) {
   std::remove(ck.path.c_str());
 }
 
-TEST(CkptWorld, SnapshotCarriesShardPolicy) {
-  // Snapshots record the shard knob: a world checkpointed under the
-  // balanced shard restores under it even when the restore overrides the
-  // thread count — the override swaps the driver width, never the policy.
+TEST(CkptWorld, SnapshotCarriesTheDriverWidth) {
+  // Snapshots record host_threads: a world checkpointed under 8 workers
+  // restores under 8 unless the restore overrides the thread count.
   const fuzz::Spec spec = fuzz::generate(2);
   const fuzz::RunResult base = fuzz::run_spec(spec, kSerial);
   const std::uint64_t at = base.sim_time / 2 + 1;
 
   fuzz::FuzzWorld fw(spec, /*host_threads=*/8, nullptr,
-                     sim::CostModel::ap1000(), sim::ShardKind::kBalanced,
-                     at_config(at));
+                     sim::CostModel::ap1000(), at_config(at));
   RunReport r1 = fw.world().run();
   EXPECT_EQ(r1.stop_reason, StopReason::kCheckpointRequested);
   ckpt::MemSink sink;
@@ -344,15 +322,48 @@ TEST(CkptWorld, SnapshotCarriesShardPolicy) {
   for (int restore_threads : {0, 2}) {
     ckpt::MemSource src(sink.bytes());
     fw.restore_world(src, nullptr, restore_threads);
-    EXPECT_EQ(fw.world().config().shard, sim::ShardKind::kBalanced);
     auto* pm = dynamic_cast<sim::ParallelMachine*>(&fw.world().machine());
     ASSERT_NE(pm, nullptr);
-    EXPECT_EQ(pm->shard_kind(), sim::ShardKind::kBalanced);
+    EXPECT_EQ(pm->num_threads(), restore_threads == 0 ? 8 : restore_threads);
     RunReport r2 = fw.world().run();
     EXPECT_EQ(r2.stop_reason, StopReason::kQuiesced);
     EXPECT_EQ(r2.sim_time, base.sim_time);
     EXPECT_TRUE(fw.latch().done());
   }
+}
+
+// A restored run retires objects, the live-list heads among them. Restore
+// rebuilds every NodeRuntime at a new host address, so unlinking must not
+// write through a pointer the snapshot carried into the old runtime (under
+// ASan, which never hands the freed runtimes' memory straight back, such a
+// write is a heap-use-after-free).
+TEST(CkptWorld, RestoredRunRetiresObjectsThroughTheNewRuntime) {
+  core::Program prog;
+  const apps::NQueensProgram np = apps::register_nqueens(prog);
+  prog.finalize();
+  apps::NQueensParams params;
+  params.n = 8;
+  // At 256 nodes some node retires its checkpoint-time head after restore.
+  const WorldConfig cfg = WorldConfig{}.with_nodes(256).with_host_threads(-1);
+  apps::NQueensResult base;
+  {
+    World w(prog, cfg);
+    base = apps::run_nqueens(w, np, params);
+  }
+  ckpt::CheckpointConfig ck = at_config(base.sim_time / 2 + 1);
+  ck.path = ::testing::TempDir() + "abclsim_retire.bin";
+  {
+    // Writes the snapshot file at the boundary and runs on to quiescence.
+    World w(prog, WorldConfig(cfg).with_ckpt(ck));
+    apps::run_nqueens(w, np, params);
+  }
+  ckpt::FileSource src(ck.path);
+  std::unique_ptr<World> w = World::restore(prog, src);
+  const RunReport rep = w->run();
+  EXPECT_EQ(rep.stop_reason, StopReason::kQuiesced);
+  EXPECT_EQ(rep.sim_time, base.sim_time);
+  EXPECT_EQ(w->resumed_quanta() + rep.quanta, base.rep.quanta);
+  std::remove(ck.path.c_str());
 }
 
 // ------------------------------------------- never a partial world ---------
@@ -361,7 +372,6 @@ std::string snapshot_bytes(std::uint64_t seed) {
   const fuzz::Spec spec = fuzz::generate(seed);
   const fuzz::RunResult base = fuzz::run_spec(spec, kSerial);
   fuzz::FuzzWorld fw(spec, kSerial, nullptr, sim::CostModel::ap1000(),
-                     sim::ShardKind::kStatic,
                      at_config(base.sim_time / 2 + 1));
   fw.world().run();
   ckpt::MemSink sink;
@@ -486,57 +496,78 @@ TEST(CkptIntegrityDeath, ForgedQueuedPacketIsRejectedAtRestore) {
       "is addressed to node 0");
 }
 
-// The same re-sealed forgery against the config words the restore turns
-// back into enums. The seed and the checkpoint boundary are unique marker
-// words; placement is the u32 written just before the seed, and the shard
-// word follows the boundary and the (empty) path's u64 length. Topology
-// is the second u32 of the payload.
-TEST(CkptIntegrityDeath, ForgedConfigEnumIsRejectedAtRestore) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  constexpr std::uint64_t kSeed = 0x5eedbeefc0de4321ull;
-  constexpr std::uint64_t kAt = 0x00a7c0ffee123457ull;
+// The same re-sealed forgery against the config words restore validates.
+// The seed is a unique marker word: placement is the u32 written just
+// before it and host_threads the i64 just after it. Topology is the second
+// u32 of the payload.
+constexpr std::uint64_t kMarkerSeed = 0x5eedbeefc0de4321ull;
+
+struct MarkedSnapshot {
   std::string bytes;
+  std::size_t seed_at = 0;
+};
+
+MarkedSnapshot marked_snapshot() {
+  MarkedSnapshot m;
   {
     core::Program prog;
     fuzz::register_interp(prog);
     register_completion_latch(prog);
     prog.finalize();
-    World w(prog, WorldConfig{}.with_nodes(2).with_seed(kSeed).with_ckpt(
-                      at_config(kAt)));
+    World w(prog, WorldConfig{}.with_nodes(2).with_seed(kMarkerSeed).with_ckpt(
+                      at_config(100)));
     ckpt::MemSink sink;
     w.checkpoint(sink);
-    bytes = sink.take();
+    m.bytes = sink.take();
   }
-  auto unique_at = [&bytes](std::uint64_t word) {
-    const std::string m(reinterpret_cast<const char*>(&word), sizeof word);
-    const std::size_t at = bytes.find(m);
-    EXPECT_NE(at, std::string::npos);
-    EXPECT_EQ(bytes.find(m, at + 1), std::string::npos);
-    return at;
-  };
-  const std::size_t seed_at = unique_at(kSeed);
-  const std::size_t at_at = unique_at(kAt);
+  const std::string word(reinterpret_cast<const char*>(&kMarkerSeed),
+                         sizeof kMarkerSeed);
+  m.seed_at = m.bytes.find(word);
+  EXPECT_NE(m.seed_at, std::string::npos);
+  EXPECT_EQ(m.bytes.find(word, m.seed_at + 1), std::string::npos);
+  return m;
+}
+
+// Overwrites one word of `bytes`, then re-seals the header's FNV-1a
+// checksum (header bytes 32..39) over the payload (bytes 40..).
+template <class T>
+std::string forge_word(std::string s, std::size_t pos, T value) {
+  std::memcpy(&s[pos], &value, sizeof value);
+  const std::uint64_t sum = ckpt::fnv1a(s.data() + 40, s.size() - 40);
+  std::memcpy(&s[32], &sum, sizeof sum);
+  return s;
+}
+
+TEST(CkptIntegrityDeath, ForgedConfigEnumIsRejectedAtRestore) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const MarkedSnapshot m = marked_snapshot();
   ASSERT_FALSE(HasFailure());
   const std::size_t topology_at = 40 + sizeof(std::uint32_t);
-  const std::size_t placement_at = seed_at - sizeof(std::uint32_t);
-  const std::size_t shard_at = at_at + 2 * sizeof(std::uint64_t);
-
-  // Overwrites one u32 word, then re-seals the header's FNV-1a checksum
-  // (header bytes 32..39) over the payload (bytes 40..).
-  auto forge = [&](std::size_t pos, std::uint32_t value) {
-    std::string s = bytes;
-    std::memcpy(&s[pos], &value, sizeof value);
-    const std::uint64_t sum = ckpt::fnv1a(s.data() + 40, s.size() - 40);
-    std::memcpy(&s[32], &sum, sizeof sum);
-    return s;
-  };
-  expect_restore_death(forge(topology_at, 5),
+  const std::size_t placement_at = m.seed_at - sizeof(std::uint32_t);
+  expect_restore_death(forge_word(m.bytes, topology_at, std::uint32_t{5}),
                        "checkpoint restore: topology word 5 is out of range");
-  expect_restore_death(forge(placement_at, 0xFF),
+  expect_restore_death(forge_word(m.bytes, placement_at, std::uint32_t{0xFF}),
                        "checkpoint restore: placement word 255 is out of "
                        "range");
-  expect_restore_death(forge(shard_at, 2),
-                       "checkpoint restore: shard word 2 is out of range");
+}
+
+// A forged driver width must not spin up that many worker threads: restore
+// holds the word to int and to the ABCLSIM_HOST_THREADS ceiling of 1024.
+TEST(CkptIntegrityDeath, ForgedHostThreadsIsRejectedAtRestore) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const MarkedSnapshot m = marked_snapshot();
+  ASSERT_FALSE(HasFailure());
+  const std::size_t threads_at = m.seed_at + sizeof(std::uint64_t);
+  expect_restore_death(forge_word(m.bytes, threads_at, std::int64_t{1025}),
+                       "checkpoint restore: host_threads word 1025 is out of "
+                       "range");
+  expect_restore_death(
+      forge_word(m.bytes, threads_at, std::int64_t{1} << 32),
+      "checkpoint restore: host_threads word 4294967296 is out of range");
+  expect_restore_death(
+      forge_word(m.bytes, threads_at, std::numeric_limits<std::int64_t>::min()),
+      "checkpoint restore: host_threads word -9223372036854775808 is out of "
+      "range");
 }
 
 // --------------------------------------- snapshot-equivalence oracle -------

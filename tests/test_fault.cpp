@@ -251,7 +251,7 @@ TEST(NetworkFaults, ExactlyOnceUnderHeavyFaults) {
   fc.seed = 99;
   const int kNodes = 6;
   net::Network net(Topology(TopologyKind::kFullyConnected, kNodes), &cm, {},
-                   true, fc);
+                   fc);
   const sim::Instr min_lat = net.min_packet_latency();
 
   util::Xoshiro256 rng(7);

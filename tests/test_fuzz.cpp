@@ -281,33 +281,25 @@ remote::MigrationConfig corpus_migration(std::uint64_t seed) {
   return mc;
 }
 
-// The shard policy-matrix gate: every corpus seed runs under one of
-// {static, balanced} (seed % 2) composed with one of {plain, faults,
-// migration, checkpoint} ((seed / 2) % 4) — eight seeds per cell, so all 8
-// cells gate every PR. The serial baseline has no shard, so byte-identity
-// across serial and 1/2/8 workers must hold in every cell; the checkpoint
-// arm exercises snapshot save/restore under both shards, including
+// The policy-matrix gate: every corpus seed runs under one of {plain,
+// faults, migration, checkpoint} (seed % 4) — sixteen seeds per cell, so
+// all 4 cells gate every PR. Byte-identity across serial and 1/2/8 workers
+// must hold in every cell; the checkpoint arm also exercises
 // check_spec_checkpoint's restore at a different thread count (cross-driver
 // restore).
 TEST(PolicyMatrixCorpus, OracleHoldsForEveryCombo) {
   for (std::uint64_t seed : kCorpus) {
-    const sim::ShardKind s = (seed % 2) != 0 ? sim::ShardKind::kBalanced
-                                             : sim::ShardKind::kStatic;
-    const int feature = static_cast<int>((seed / 2) % 4);
-    SCOPED_TRACE("seed=" + std::to_string(seed) + " shard=" +
-                 sim::to_string(s) + " feature=" + std::to_string(feature));
+    const int feature = static_cast<int>(seed % 4);
+    SCOPED_TRACE("seed=" + std::to_string(seed) +
+                 " feature=" + std::to_string(feature));
     fuzz::Spec spec = fuzz::generate(seed);
     fuzz::OracleResult r;
     if (feature == 3) {
-      fuzz::CheckpointOracleOptions opts;
-      opts.shard = s;
-      r = fuzz::check_spec_checkpoint(spec, opts);
+      r = fuzz::check_spec_checkpoint(spec);
     } else {
       if (feature == 1) spec.faults = corpus_faults(seed);
       if (feature == 2) spec.migration = corpus_migration(seed);
-      fuzz::OracleOptions opts;
-      opts.shard = s;
-      r = fuzz::check_spec(spec, opts);
+      r = fuzz::check_spec(spec);
     }
     if (!r.ok) {
       write_repro(spec, "repro_policy_seed_" + std::to_string(seed),

@@ -78,15 +78,13 @@ void capture(World& world, const sim::Tracer& tracer, Fingerprint& fp) {
   fp.chrome_json = obs::chrome_trace_json(tracer);
 }
 
-Fingerprint run_nqueens_fp(int host_threads, int nodes, int n,
-                           bool pooling = true) {
+Fingerprint run_nqueens_fp(int host_threads, int nodes, int n) {
   core::Program prog;
   auto np = apps::register_nqueens(prog);
   prog.finalize();
   WorldConfig cfg;
   cfg.with_nodes(nodes);
   cfg.with_host_threads(host_threads);
-  cfg.with_pooling(pooling);
   World world(prog, cfg);
   sim::Tracer tracer(1u << 20);
   world.attach_tracer(&tracer);
@@ -211,24 +209,6 @@ TEST_P(NQueensCrossDriver, BitIdenticalAtEveryThreadCount) {
 INSTANTIATE_TEST_SUITE_P(Sweeps, NQueensCrossDriver,
                          ::testing::Values(std::tuple{16, 8}, std::tuple{64, 9},
                                            std::tuple{64, 10}));
-
-// Pooling is a host-side policy: with it disabled (general-purpose
-// allocation everywhere) the cross-driver byte-identity contract must hold
-// just the same — and the snapshots of the two modes must agree on every
-// simulated figure except the alloc/pooling fields, which is asserted
-// indirectly by both modes reproducing the same solutions/sim_time/quanta.
-TEST(PoolingAblationCrossDriver, BitIdenticalWithPoolingOff) {
-  Fingerprint serial = run_nqueens_fp(kSerial, 16, 8, /*pooling=*/false);
-  EXPECT_GT(serial.value, 0);
-  for (int t : kThreadCounts) {
-    expect_identical(serial, run_nqueens_fp(t, 16, 8, /*pooling=*/false), t);
-  }
-  Fingerprint pooled = run_nqueens_fp(kSerial, 16, 8, /*pooling=*/true);
-  EXPECT_EQ(pooled.value, serial.value);
-  EXPECT_EQ(pooled.sim_time, serial.sim_time);
-  EXPECT_EQ(pooled.quanta, serial.quanta);
-  EXPECT_EQ(pooled.packets, serial.packets);
-}
 
 // Tentpole acceptance check: any seeded FaultPlan must give byte-identical
 // metrics and trace snapshots between the serial driver and every thread

@@ -1,12 +1,13 @@
 // Hot-path memory subsystem tests: slab-backed node heaps through the
 // runtime's frame interfaces, packet-slot recycling through the Network,
-// leak-free teardown in both pooling modes (ASan-checked in CI), and the
-// WorldConfig builder / from_env entry point.
+// leak-free teardown (ASan-checked in CI), and the WorldConfig builder /
+// from_env entry point.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdlib>
 
+#include "apps/nqueens.hpp"
 #include "net/network.hpp"
 #include "net/packet_pool.hpp"
 #include "support.hpp"
@@ -71,22 +72,19 @@ static_assert(alignof(OverAlignedFrame) ==
 
 TEST(CtxFrameAlignment, OverAlignedFrameLandsOnItsBoundary) {
   Fixture fx;
-  for (bool pooling : {true, false}) {
-    WorldConfig cfg = WorldConfig{}.with_nodes(1).with_pooling(pooling);
-    World world(fx.prog, cfg);
-    core::NodeRuntime& rt = world.node(0);
-    // Fresh slot, recycled slot, and an interleaved pair — every path the
-    // allocator has for this class must respect the boundary.
-    OverAlignedFrame* a = rt.alloc_ctx_frame<OverAlignedFrame>();
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(a) % 64, 0u) << pooling;
-    rt.free_ctx_frame(a);
-    OverAlignedFrame* b = rt.alloc_ctx_frame<OverAlignedFrame>();
-    OverAlignedFrame* c = rt.alloc_ctx_frame<OverAlignedFrame>();
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b) % 64, 0u) << pooling;
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(c) % 64, 0u) << pooling;
-    rt.free_ctx_frame(c);
-    rt.free_ctx_frame(b);
-  }
+  World world(fx.prog, WorldConfig{}.with_nodes(1));
+  core::NodeRuntime& rt = world.node(0);
+  // Fresh slot, recycled slot, and an interleaved pair — every path the
+  // allocator has for this class must respect the boundary.
+  OverAlignedFrame* a = rt.alloc_ctx_frame<OverAlignedFrame>();
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(a) % 64, 0u);
+  rt.free_ctx_frame(a);
+  OverAlignedFrame* b = rt.alloc_ctx_frame<OverAlignedFrame>();
+  OverAlignedFrame* c = rt.alloc_ctx_frame<OverAlignedFrame>();
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b) % 64, 0u);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(c) % 64, 0u);
+  rt.free_ctx_frame(c);
+  rt.free_ctx_frame(b);
 }
 
 // ----------------------------------------------------- frame recycling -----
@@ -116,34 +114,35 @@ TEST(FrameRecycling, ReplyBoxesComeBackFromTheFreelist) {
 TEST(FrameRecycling, QuiescentWorldHasBalancedAllocCounters) {
   // After run-to-quiescence every transient allocation (message frames,
   // context frames, reply boxes) must have been returned: live() counts
-  // only the long-lived per-node structures, identically in both modes.
+  // only the long-lived per-node structures.
   Fixture fx;
-  std::uint64_t live_pooled = 0, live_heap = 0;
-  for (bool pooling : {true, false}) {
-    World world(fx.prog, WorldConfig{}.with_nodes(4).with_pooling(pooling));
-    world.boot(0, [&](Ctx& ctx) {
-      Word tag = 5;
-      MailAddr e = ctx.create_local(*fx.echo.cls, &tag, 1);
-      Word args[3] = {e.word_node(), e.word_ptr(), 40};
-      ctx.send_past(e, fx.echo.run, args, 3);
-    });
-    world.run();
-    util::SlabAllocator::Stats t = world.total_alloc_stats();
-    EXPECT_GT(t.allocs, 0u);
-    EXPECT_GE(t.allocs, t.frees);
-    if (pooling) {
-      live_pooled = t.live();
-      EXPECT_GT(t.freelist_hits, 0u);
-    } else {
-      live_heap = t.live();
-      // The ablation mode must not touch the slab machinery at all.
-      EXPECT_EQ(t.freelist_hits, 0u);
-      EXPECT_EQ(t.slab_refills, 0u);
-      EXPECT_EQ(t.slots_carved, 0u);
-    }
-    clear_log();
-  }
-  EXPECT_EQ(live_pooled, live_heap);
+  World world(fx.prog, WorldConfig{}.with_nodes(4));
+  world.boot(0, [&](Ctx& ctx) {
+    Word tag = 5;
+    MailAddr e = ctx.create_local(*fx.echo.cls, &tag, 1);
+    Word args[3] = {e.word_node(), e.word_ptr(), 40};
+    ctx.send_past(e, fx.echo.run, args, 3);
+  });
+  world.run();
+  util::SlabAllocator::Stats t = world.total_alloc_stats();
+  EXPECT_GT(t.allocs, 0u);
+  EXPECT_GE(t.allocs, t.frees);
+  EXPECT_GT(t.freelist_hits, 0u);
+}
+
+TEST(FrameRecycling, FreelistsServeMostFreesOnSerialNQueens) {
+  // The Fig. 5 workload at N = 9, P = 64. Long-lived structures never
+  // return, so the denominator is the churn: every free makes a slot
+  // eligible for reuse, and most of them must come back as freelist hits.
+  core::Program prog;
+  auto np = apps::register_nqueens(prog);
+  prog.finalize();
+  World world(prog, WorldConfig{}.with_nodes(64).with_host_threads(-1));
+  auto r = apps::run_nqueens(world, np, apps::NQueensParams::paper_calibrated(9));
+  EXPECT_EQ(r.solutions, 352);
+  const util::SlabAllocator::Stats t = world.total_alloc_stats();
+  EXPECT_GT(t.frees, 0u);
+  EXPECT_GT(t.freelist_hits * 2, t.frees);
 }
 
 // ----------------------------------------------------- packet recycling -----
@@ -192,35 +191,18 @@ TEST(PacketRecycling, PolledPacketSurvivesSubsequentSends) {
 }
 
 TEST(PacketRecycling, TeardownWithUndeliveredPacketsLeaksNothing) {
-  // Destroying a Network with packets still queued must release every slot
-  // (pooled: back through the home magazine; unpooled: plain delete). The
-  // ASan job turns any miss here into a failure.
+  // Destroying a Network with packets still queued must free every slot:
+  // they live in the pool's slabs, which die with it. The ASan job turns
+  // any miss here into a failure.
   sim::CostModel cm = sim::CostModel::ap1000();
-  for (bool pooling : {true, false}) {
-    net::Network net(net::Topology(net::TopologyKind::kTorus2D, 16), &cm, {},
-                     pooling);
-    for (int i = 0; i < 200; ++i) {
-      net.send(make_packet(i % 16, (i * 7) % 16, i, static_cast<net::Word>(i)),
-               net::AmCategory::kObjectMessage);
-    }
-    EXPECT_EQ(net.stats().packets, 200u);
-    EXPECT_FALSE(net.idle());
-    // ~Network runs here.
-  }
-}
-
-TEST(PacketRecycling, UnpooledModeAllocatesNoSlabs) {
-  sim::CostModel cm = sim::CostModel::ap1000();
-  net::Network net(net::Topology(net::TopologyKind::kTorus2D, 4), &cm, {},
-                   /*pooling=*/false);
-  for (int i = 0; i < 64; ++i) {
-    net.send(make_packet(0, 1, i, static_cast<net::Word>(i)),
+  net::Network net(net::Topology(net::TopologyKind::kTorus2D, 16), &cm);
+  for (int i = 0; i < 200; ++i) {
+    net.send(make_packet(i % 16, (i * 7) % 16, i, static_cast<net::Word>(i)),
              net::AmCategory::kObjectMessage);
-    net::Packet out;
-    ASSERT_TRUE(net.poll(1, sim::kInstrInf, out));
-    EXPECT_EQ(out.at(0), static_cast<net::Word>(i));
   }
-  EXPECT_EQ(net.packet_pool().slabs_allocated(), 0u);
+  EXPECT_EQ(net.stats().packets, 200u);
+  EXPECT_FALSE(net.idle());
+  // ~Network runs here.
 }
 
 // ------------------------------------------------- WorldConfig builder -----
@@ -236,7 +218,7 @@ TEST(WorldConfigBuilder, SettersChainAndCoverEveryField) {
                         .with_placement(remote::PlacementKind::kRandom)
                         .with_seed(99)
                         .with_host_threads(3)
-                        .with_pooling(false);
+                        .with_pooling(true);  // no-op shim
   EXPECT_EQ(cfg.nodes, 48);
   EXPECT_EQ(cfg.topology, net::TopologyKind::kMesh2D);
   EXPECT_EQ(cfg.cost.wire_latency, sim::CostModel::zero().wire_latency);
@@ -244,7 +226,12 @@ TEST(WorldConfigBuilder, SettersChainAndCoverEveryField) {
   EXPECT_EQ(cfg.placement, remote::PlacementKind::kRandom);
   EXPECT_EQ(cfg.seed, 99u);
   EXPECT_EQ(cfg.host_threads, 3);
-  EXPECT_FALSE(cfg.pooling);
+}
+
+TEST(WorldConfigBuilderDeathTest, WithPoolingFalseAborts) {
+  // There is no unpooled mode: asking for one must fail loudly, not
+  // silently pool.
+  EXPECT_DEATH(WorldConfig{}.with_pooling(false), "with_pooling\\(false\\)");
 }
 
 TEST(WorldConfigBuilder, AggregateInitStillWorks) {
@@ -252,50 +239,30 @@ TEST(WorldConfigBuilder, AggregateInitStillWorks) {
   // the builder defaults.
   WorldConfig cfg;
   cfg.nodes = 8;
-  EXPECT_TRUE(cfg.pooling);
   EXPECT_EQ(cfg.host_threads, 0);
   EXPECT_EQ(cfg.nodes, WorldConfig{}.with_nodes(8).nodes);
 }
 
-TEST(WorldConfigFromEnv, UnsetEnvironmentYieldsSerialPooledDefaults) {
+TEST(WorldConfigFromEnv, UnsetEnvironmentYieldsSerialDefaults) {
   ScopedEnv t("ABCLSIM_HOST_THREADS", nullptr);
-  ScopedEnv p("ABCLSIM_POOLING", nullptr);
   WorldConfig cfg = WorldConfig::from_env();
   // Unset threads is recorded as the resolved decision (-1 = force serial)
   // so a later World construction never re-reads the environment.
   EXPECT_EQ(cfg.host_threads, -1);
-  EXPECT_TRUE(cfg.pooling);
 }
 
-TEST(WorldConfigFromEnv, ReadsThreadsAndPooling) {
+TEST(WorldConfigFromEnv, ReadsThreads) {
   ScopedEnv t("ABCLSIM_HOST_THREADS", "4");
-  for (const char* off : {"0", "false", "off"}) {
-    ScopedEnv p("ABCLSIM_POOLING", off);
-    WorldConfig cfg = WorldConfig::from_env();
-    EXPECT_EQ(cfg.host_threads, 4);
-    EXPECT_FALSE(cfg.pooling) << off;
-  }
-  for (const char* on : {"1", "true", "on", ""}) {
-    ScopedEnv p("ABCLSIM_POOLING", on);
-    EXPECT_TRUE(WorldConfig::from_env().pooling) << on;
-  }
-}
-
-TEST(WorldConfigFromEnvDeathTest, GarbagePoolingValueAborts) {
-  ScopedEnv t("ABCLSIM_HOST_THREADS", nullptr);
-  ScopedEnv p("ABCLSIM_POOLING", "maybe");
-  EXPECT_DEATH(WorldConfig::from_env(), "ABCLSIM_POOLING");
+  EXPECT_EQ(WorldConfig::from_env().host_threads, 4);
 }
 
 TEST(WorldConfigFromEnvDeathTest, GarbageThreadsValueAborts) {
   ScopedEnv t("ABCLSIM_HOST_THREADS", "8x");
-  ScopedEnv p("ABCLSIM_POOLING", nullptr);
   EXPECT_DEATH(WorldConfig::from_env(), "ABCLSIM_HOST_THREADS");
 }
 
 TEST(WorldConfigFromEnv, BuilderChainsOffTheResolvedConfig) {
   ScopedEnv t("ABCLSIM_HOST_THREADS", nullptr);
-  ScopedEnv p("ABCLSIM_POOLING", nullptr);
   Fixture fx;
   World world(fx.prog, WorldConfig::from_env().with_nodes(2).with_seed(7));
   EXPECT_EQ(world.num_nodes(), 2);

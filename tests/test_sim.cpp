@@ -247,7 +247,7 @@ struct ParallelFixture {
   std::vector<std::vector<std::pair<sim::NodeId, Instr>>> per_node_order;
   std::unique_ptr<sim::ParallelMachine> machine;
 
-  ParallelFixture(int n, int threads, sim::ParallelOptions opts = {})
+  ParallelFixture(int n, int threads)
       : per_node_order(static_cast<size_t>(n)) {
     for (int i = 0; i < n; ++i) {
       owned.push_back(std::make_unique<MockNode>(i, &raw));
@@ -256,7 +256,7 @@ struct ParallelFixture {
     }
     std::vector<sim::NodeExec*> execs(raw.begin(), raw.end());
     machine = std::make_unique<sim::ParallelMachine>(
-        std::move(execs), /*net=*/nullptr, threads, opts);
+        std::move(execs), /*net=*/nullptr, threads);
   }
 };
 
@@ -397,39 +397,5 @@ TEST_P(ParallelMachineThreads, InterruptedRunMatchesUninterrupted) {
 
 INSTANTIATE_TEST_SUITE_P(Threads, ParallelMachineThreads,
                          ::testing::Values(1, 2, 8));
-
-// Balanced shards move nodes between workers at barriers; each move hands
-// the node's ready-set entry to its new owner. Load that travels from node
-// to node (each wakes for a burst, staggered in time) keeps the balancer
-// moving nodes, and every node must still run the serial quantum sequence.
-TEST(ParallelMachineBalanced, MovingLoadMatchesSerialPerNode) {
-  constexpr int kNodes = 32;
-  constexpr int kBurst = 20;
-  MachineFixture s(kNodes);
-  sim::ParallelOptions opts;
-  opts.shard = sim::ShardKind::kBalanced;
-  ParallelFixture p(kNodes, 8, opts);
-  for (auto* f : {&s.raw, &p.raw}) {
-    for (int i = 0; i < kNodes; ++i) {
-      for (int k = 0; k < kBurst; ++k) {
-        (*f)[static_cast<size_t>(i)]->deliver_at(
-            static_cast<Instr>(i * 100 + k * 10), nullptr);
-      }
-    }
-  }
-  auto want = s.machine->run();
-  auto got = p.machine->run();
-
-  EXPECT_EQ(p.machine->shard_kind(), sim::ShardKind::kBalanced);
-  EXPECT_GT(p.machine->shard_moves(), 0u);
-  EXPECT_EQ(got.quanta, want.quanta);
-  EXPECT_EQ(got.end_time, want.end_time);
-  const auto serial_per_node = per_node(s.order, kNodes);
-  for (int i = 0; i < kNodes; ++i) {
-    EXPECT_EQ(p.per_node_order[static_cast<size_t>(i)],
-              serial_per_node[static_cast<size_t>(i)])
-        << "node " << i;
-  }
-}
 
 }  // namespace

@@ -200,39 +200,6 @@ TEST(Slab, StatsMergeCoversEveryField) {
   EXPECT_EQ(total.backing_bytes, 2 * pool.stats().backing_bytes);
 }
 
-TEST(SlabUnpooled, HeapModeAllocatesAndTracksCounters) {
-  Arena a;
-  SlabAllocator pool(a, /*pooled=*/false);
-  EXPECT_FALSE(pool.pooled());
-  std::vector<void*> ps;
-  for (int i = 0; i < 64; ++i) {
-    void* p = pool.allocate(48);
-    std::memset(p, 0xCD, 48);  // must be fully usable
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) %
-                  SlabAllocator::kMaxAlignment,
-              0u);
-    ps.push_back(p);
-  }
-  EXPECT_EQ(pool.live_count(), 64u);
-  // No slab machinery in heap mode; the arena is untouched.
-  EXPECT_EQ(pool.stats().slab_refills, 0u);
-  EXPECT_EQ(pool.stats().freelist_hits, 0u);
-  EXPECT_EQ(a.bytes_allocated(), 0u);
-  for (void* p : ps) pool.deallocate(p, 48);
-  EXPECT_EQ(pool.live_count(), 0u);
-}
-
-TEST(SlabUnpooled, TeardownFreesOutstandingBlocks) {
-  // Destroying the allocator with live blocks must not leak (ASan-checked)
-  // — worlds are routinely dropped while objects are still live.
-  Arena a;
-  SlabAllocator pool(a, /*pooled=*/false);
-  for (int i = 0; i < 16; ++i) pool.allocate(128);
-  void* mid = pool.allocate(128);
-  pool.deallocate(mid, 128);  // unlink from the middle of the header list
-  for (int i = 0; i < 16; ++i) pool.allocate(1u << 12);
-}
-
 // ------------------------------------------------------ IntrusiveFifo ------
 
 struct Node {
@@ -763,19 +730,6 @@ TEST(SpecParser, SpecOffAndDiagnosticShapes) {
   EXPECT_NE(e.find("drop=lots"), std::string::npos);
   EXPECT_NE(e.find("bad value"), std::string::npos);
   EXPECT_NE(e.find("expected X"), std::string::npos);
-
-  const std::string c = util::choice_error("ABCLSIM_SHARD", "stack",
-                                           "static or balanced", "static");
-  EXPECT_NE(c.find("ABCLSIM_SHARD"), std::string::npos);
-  EXPECT_NE(c.find("stack"), std::string::npos);
-}
-
-TEST(SpecParser, ParseChoiceMatchesExactWordsOnly) {
-  EXPECT_EQ(util::parse_choice("bucket", {"bucket", "heap"}), 0u);
-  EXPECT_EQ(util::parse_choice("heap", {"bucket", "heap"}), 1u);
-  EXPECT_FALSE(util::parse_choice("buck", {"bucket", "heap"}).has_value());
-  EXPECT_FALSE(util::parse_choice("", {"bucket", "heap"}).has_value());
-  EXPECT_FALSE(util::parse_choice(nullptr, {"bucket", "heap"}).has_value());
 }
 
 }  // namespace
