@@ -32,11 +32,11 @@ Status ComputeFrame::run(Ctx& ctx, FibState&, ComputeFrame& f) {
     ctx.retire_self();
     ABCL_RETURN();
   }
-  f.cc = ctx.remote_create_begin(*ctx.current_object()->cls,
+  f.cc = ctx.remote_create_begin(*ctx.current_object()->cls(),
                                  ctx.placement().choose(ctx), nullptr, 0);
   ABCL_AWAIT(ctx, f, 1, f.cc.call);
   f.ch1 = ctx.remote_create_finish(f.cc);
-  f.cc = ctx.remote_create_begin(*ctx.current_object()->cls,
+  f.cc = ctx.remote_create_begin(*ctx.current_object()->cls(),
                                  ctx.placement().choose(ctx), nullptr, 0);
   ABCL_AWAIT(ctx, f, 2, f.cc.call);
   f.ch2 = ctx.remote_create_finish(f.cc);

@@ -93,7 +93,7 @@ Status NqGoFrame::run(Ctx& ctx, NqState& self, NqGoFrame& f) {
       args[7] = (self.d2 | bit) >> 1;
       args[8] = self.work;
       NodeId target = ctx.placement().choose(ctx);
-      f.cc = ctx.remote_create_begin(*ctx.current_object()->cls, target, args, 9);
+      f.cc = ctx.remote_create_begin(*ctx.current_object()->cls(), target, args, 9);
     }
     ABCL_AWAIT(ctx, f, 1, f.cc.call);
     {

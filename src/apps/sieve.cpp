@@ -40,7 +40,7 @@ struct NumFrame : Frame {
     // while we await the chunk are queued (waiting mode) and replayed in
     // order once `next` is set.
     f.cc = ctx.remote_create_begin(
-        *ctx.current_object()->cls, ctx.placement().choose(ctx),
+        *ctx.current_object()->cls(), ctx.placement().choose(ctx),
         args(f.n, self.latch, self.latch_done));
     ABCL_AWAIT(ctx, f, 1, f.cc.call);
     self.next = ctx.remote_create_finish(f.cc);

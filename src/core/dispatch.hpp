@@ -25,16 +25,17 @@ namespace abcl::core {
 template <class T, class FrameT>
 Status run_frame(NodeRuntime& rt, ObjectHeader* o, FrameT& f, bool on_stack);
 
-// Continuation entry stored in ObjectHeader::resume_entry while blocked.
+// Continuation entry stored in the blocked frame's CtxTrailer while blocked.
 template <class T, class FrameT>
 Status resume_frame(NodeRuntime& rt, ObjectHeader* o) {
-  auto* f = static_cast<FrameT*>(o->blocked_frame);
-  o->blocked_frame = nullptr;
+  auto* f = static_cast<FrameT*>(o->blocked_frame());
+  o->set_blocked_frame(nullptr);
   // If the object was also registered on a reply box (await / hybrid
   // await-or-select) and something else resumed it, cancel the
   // registration: a later reply then simply fills the box.
-  if (ReplyBox* b = o->awaiting_box) {
-    o->awaiting_box = nullptr;
+  CtxTrailer* tr = ctx_trailer(f);
+  if (ReplyBox* b = tr->awaiting_box) {
+    tr->awaiting_box = nullptr;
     if (b->state == ReplyBox::State::kWaiting && b->waiter == o) {
       b->state = ReplyBox::State::kEmpty;
       b->waiter = nullptr;
@@ -42,7 +43,7 @@ Status resume_frame(NodeRuntime& rt, ObjectHeader* o) {
   }
   rt.charge(rt.cost_model().ctx_restore);
   rt.stats().resumes += 1;
-  rt.trace(sim::TraceEv::kResume, o->cls->id);
+  rt.trace(sim::TraceEv::kResume, o->cls()->id);
   return run_frame<T, FrameT>(rt, o, *f, /*on_stack=*/false);
 }
 
@@ -53,7 +54,7 @@ Status run_frame(NodeRuntime& rt, ObjectHeader* o, FrameT& f, bool on_stack) {
   static_assert(std::is_base_of_v<CtxFrameBase, FrameT>,
                 "method frames must derive core::CtxFrameBase");
 
-  o->vftp = &o->cls->active;
+  o->vftp = &o->cls()->active;
   o->mode = Mode::kActive;
 
   ObjectHeader* prev = rt.current_object();

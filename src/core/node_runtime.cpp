@@ -7,8 +7,8 @@ namespace abcl::core {
 
 namespace {
 
-std::uint16_t object_size_class(const ClassInfo& cls) {
-  return static_cast<std::uint16_t>(
+std::uint8_t object_size_class(const ClassInfo& cls) {
+  return static_cast<std::uint8_t>(
       util::SlabAllocator::size_class(object_alloc_bytes(cls.state_bytes)));
 }
 
@@ -29,8 +29,9 @@ NodeRuntime::NodeRuntime(NodeId id, Program& prog, net::Network& net,
 
 NodeRuntime::~NodeRuntime() {
   for (ObjectHeader* o = live_head_; o != nullptr; o = o->live_next) {
-    if (o->cls != nullptr && !o->needs_init && o->cls->destruct != nullptr) {
-      o->cls->destruct(o->state());
+    const ClassInfo* cls = o->cls();
+    if (cls != nullptr && !o->needs_init && cls->destruct != nullptr) {
+      cls->destruct(o->state());
     }
   }
   // Slab memory dies with the arena.
@@ -146,7 +147,7 @@ Status NodeRuntime::deliver_local(ObjectHeader* o, const MsgView& m) {
     if (o->is_idle_receiver()) {
       stats_.forced_buffer_depth += 1;
       queue_message(o, m);
-      o->vftp = &o->cls->active;
+      o->vftp = &o->cls()->active;
       o->mode = Mode::kActive;
       charge(cm_->sched_enqueue);
       stats_.sched_enqueues += 1;
@@ -175,7 +176,7 @@ Status NodeRuntime::deliver_local(ObjectHeader* o, const MsgView& m) {
 
 Status NodeRuntime::dispatch_body(ObjectHeader* o, const MsgView& m) {
   if (o->needs_init) return lazy_init_entry(*this, o, m);
-  return o->cls->dormant.entry(m.pattern)(*this, o, m);
+  return o->cls()->dormant.entry(m.pattern)(*this, o, m);
 }
 
 void NodeRuntime::queue_message(ObjectHeader* o, const MsgView& m) {
@@ -195,7 +196,7 @@ void NodeRuntime::naive_local_send(ObjectHeader* o, const MsgView& m) {
     should_sched = true;
   } else if (o->mode == Mode::kWaiting && o->vftp->wait_site >= 0) {
     const WaitSite& ws =
-        *o->cls->wait_sites[static_cast<std::size_t>(o->vftp->wait_site)];
+        *o->cls()->wait_sites[static_cast<std::size_t>(o->vftp->wait_site)];
     should_sched = ws.find(m.pattern) != nullptr;
   }
   if (should_sched && o->sched_state == SchedState::kNone) {
@@ -212,9 +213,9 @@ void NodeRuntime::run_sched_item(ObjectHeader* o) {
   stats_.sched_dispatches += 1;
 
   if (kind == SchedState::kQueuedResume) {
-    ABCL_CHECK(o->mode == Mode::kWaiting && o->blocked_frame != nullptr);
+    ABCL_CHECK(o->mode == Mode::kWaiting && o->blocked_frame() != nullptr);
     ++call_depth_;
-    o->resume_entry(*this, o);
+    o->resume_entry()(*this, o);
     --call_depth_;
     return;
   }
@@ -224,10 +225,10 @@ void NodeRuntime::run_sched_item(ObjectHeader* o) {
     // A reply may have been delivered while this item was pending (hybrid
     // wait under the naive policy / at the depth bound): the box is full
     // and the object must resume through it.
-    if (o->awaiting_box != nullptr &&
-        o->awaiting_box->state == ReplyBox::State::kFull) {
+    ReplyBox* box = o->awaiting_box();
+    if (box != nullptr && box->state == ReplyBox::State::kFull) {
       ++call_depth_;
-      o->resume_entry(*this, o);
+      o->resume_entry()(*this, o);
       --call_depth_;
       return;
     }
@@ -235,17 +236,18 @@ void NodeRuntime::run_sched_item(ObjectHeader* o) {
     // accepted message; reply waits are resumed by the reply box instead.
     if (o->vftp->wait_site < 0) return;
     const WaitSite& ws =
-        *o->cls->wait_sites[static_cast<std::size_t>(o->vftp->wait_site)];
+        *o->cls()->wait_sites[static_cast<std::size_t>(o->vftp->wait_site)];
     MsgFrame* mf = o->mq.remove_first_if(
         [&](MsgFrame& f) { return ws.find(f.pattern) != nullptr; });
     if (mf == nullptr) return;
     const WaitSite::Accept* a = ws.find(mf->pattern);
-    a->copy_in(o->blocked_frame, MsgView::of_frame(*mf));
-    o->blocked_frame->pc = a->resume_pc;
+    CtxFrameBase* hf = o->blocked_frame();
+    a->copy_in(hf, MsgView::of_frame(*mf));
+    hf->pc = a->resume_pc;
     free_msg_frame(mf);
     stats_.local_to_waiting_hit += 1;
     ++call_depth_;
-    o->resume_entry(*this, o);
+    o->resume_entry()(*this, o);
     --call_depth_;
     return;
   }
@@ -253,7 +255,7 @@ void NodeRuntime::run_sched_item(ObjectHeader* o) {
   MsgFrame* mf = o->mq.pop_front();
   if (mf == nullptr) {
     if (o->mode == Mode::kActive) {
-      o->vftp = o->needs_init ? &o->cls->lazy_init : &o->cls->dormant;
+      o->vftp = o->needs_init ? &o->cls()->lazy_init : &o->cls()->dormant;
       o->mode = Mode::kDormant;
       maybe_retire(o);
     }
@@ -278,7 +280,7 @@ void NodeRuntime::method_epilogue(ObjectHeader* o) {
     // VFTP stays the active (queuing) table until the queue drains.
   } else {
     if (!cm_->opt.elide_vftp_switch) charge(cm_->vftp_switch);
-    o->vftp = o->needs_init ? &o->cls->lazy_init : &o->cls->dormant;
+    o->vftp = o->needs_init ? &o->cls()->lazy_init : &o->cls()->dormant;
     o->mode = Mode::kDormant;
     maybe_retire(o);
   }
@@ -287,8 +289,10 @@ void NodeRuntime::method_epilogue(ObjectHeader* o) {
 
 void NodeRuntime::commit_block(ObjectHeader* o, CtxFrameBase* hf, ResumeFn resume) {
   trace(sim::TraceEv::kBlock, static_cast<std::uint64_t>(block_reason_.kind));
-  o->blocked_frame = hf;
-  o->resume_entry = resume;
+  const ClassInfo& cls = *o->cls();
+  o->set_blocked_frame(hf);
+  CtxTrailer* tr = ctx_trailer(hf);
+  *tr = CtxTrailer{resume, nullptr};
   switch (block_reason_.kind) {
     case BlockReason::Kind::kAwait: {
       stats_.blocks_await += 1;
@@ -296,8 +300,8 @@ void NodeRuntime::commit_block(ObjectHeader* o, CtxFrameBase* hf, ResumeFn resum
       ABCL_CHECK(b != nullptr && b->state == ReplyBox::State::kEmpty);
       b->state = ReplyBox::State::kWaiting;
       b->waiter = o;
-      o->awaiting_box = b;
-      o->vftp = &o->cls->active;  // all entries queue while awaiting a reply
+      tr->awaiting_box = b;
+      o->vftp = &cls.active;  // all entries queue while awaiting a reply
       o->mode = Mode::kWaiting;
       break;
     }
@@ -308,14 +312,14 @@ void NodeRuntime::commit_block(ObjectHeader* o, CtxFrameBase* hf, ResumeFn resum
       ABCL_CHECK(b != nullptr && b->state == ReplyBox::State::kEmpty);
       ABCL_CHECK(block_reason_.site >= 0 &&
                  static_cast<std::size_t>(block_reason_.site) <
-                     o->cls->wait_sites.size());
+                     cls.wait_sites.size());
       b->state = ReplyBox::State::kWaiting;
       b->waiter = o;
-      o->awaiting_box = b;
+      tr->awaiting_box = b;
       // Accepted patterns restore directly; everything else queues; the
       // reply resumes through the box — whichever comes first wins.
       o->vftp =
-          &o->cls->wait_sites[static_cast<std::size_t>(block_reason_.site)]->vft;
+          &cls.wait_sites[static_cast<std::size_t>(block_reason_.site)]->vft;
       o->mode = Mode::kWaiting;
       break;
     }
@@ -323,15 +327,15 @@ void NodeRuntime::commit_block(ObjectHeader* o, CtxFrameBase* hf, ResumeFn resum
       stats_.blocks_select += 1;
       ABCL_CHECK(block_reason_.site >= 0 &&
                  static_cast<std::size_t>(block_reason_.site) <
-                     o->cls->wait_sites.size());
+                     cls.wait_sites.size());
       o->vftp =
-          &o->cls->wait_sites[static_cast<std::size_t>(block_reason_.site)]->vft;
+          &cls.wait_sites[static_cast<std::size_t>(block_reason_.site)]->vft;
       o->mode = Mode::kWaiting;
       break;
     }
     case BlockReason::Kind::kYield: {
       stats_.yields += 1;
-      o->vftp = &o->cls->active;
+      o->vftp = &cls.active;
       o->mode = Mode::kWaiting;
       charge(cm_->sched_enqueue);
       stats_.sched_enqueues += 1;
@@ -345,10 +349,10 @@ void NodeRuntime::commit_block(ObjectHeader* o, CtxFrameBase* hf, ResumeFn resum
 }
 
 void NodeRuntime::resume_object(ObjectHeader* o) {
-  ABCL_CHECK(o->mode == Mode::kWaiting && o->blocked_frame != nullptr);
+  ABCL_CHECK(o->mode == Mode::kWaiting && o->blocked_frame() != nullptr);
   if (cfg_.policy == SchedPolicy::kStack && call_depth_ < cfg_.max_call_depth) {
     ++call_depth_;
-    o->resume_entry(*this, o);
+    o->resume_entry()(*this, o);
     --call_depth_;
   } else if (o->sched_state == SchedState::kNone) {
     charge(cm_->sched_enqueue);
@@ -388,8 +392,8 @@ Status NodeRuntime::block_yield() {
 std::uint16_t NodeRuntime::select_try(std::int32_t site, void* frame) {
   ObjectHeader* o = cur_obj_;
   ABCL_CHECK(o != nullptr && site >= 0 &&
-             static_cast<std::size_t>(site) < o->cls->wait_sites.size());
-  const WaitSite& ws = *o->cls->wait_sites[static_cast<std::size_t>(site)];
+             static_cast<std::size_t>(site) < o->cls()->wait_sites.size());
+  const WaitSite& ws = *o->cls()->wait_sites[static_cast<std::size_t>(site)];
   std::uint32_t scanned = 0;
   MsgFrame* mf = o->mq.remove_first_if([&](MsgFrame& f) {
     ++scanned;
@@ -538,15 +542,13 @@ Word NodeRuntime::take_reply(NowCall& c) {
 ObjectHeader* NodeRuntime::alloc_object(const ClassInfo& cls) {
   trace(sim::TraceEv::kCreate, cls.id);
   std::size_t bytes = object_alloc_bytes(cls.state_bytes);
-  auto szcls = static_cast<std::uint16_t>(util::SlabAllocator::size_class(bytes));
   void* mem = pool_.allocate(bytes);
   auto* o = new (mem) ObjectHeader();
-  o->cls = &cls;
   o->home = id_;
   o->mode = Mode::kDormant;
   o->needs_init = true;
   o->vftp = &cls.lazy_init;
-  o->alloc_size_class = szcls;
+  o->alloc_size_class = object_size_class(cls);
   link_live(o);
   ++live_objects_;
   ++total_created_;
@@ -556,12 +558,11 @@ ObjectHeader* NodeRuntime::alloc_object(const ClassInfo& cls) {
 ObjectHeader* NodeRuntime::format_chunk(std::uint16_t size_class) {
   void* mem = pool_.allocate(util::SlabAllocator::class_bytes(size_class));
   auto* o = new (mem) ObjectHeader();
-  o->cls = nullptr;
   o->home = id_;
   o->mode = Mode::kFault;
   o->needs_init = true;
   o->vftp = &prog_->fault_vft();
-  o->alloc_size_class = size_class;
+  o->alloc_size_class = static_cast<std::uint8_t>(size_class);
   link_live(o);
   ++live_objects_;
   ++total_created_;
@@ -579,12 +580,13 @@ void NodeRuntime::link_live(ObjectHeader* o) {
 }
 
 void NodeRuntime::destroy_object(ObjectHeader* o) {
-  if (o->cls != nullptr && !o->needs_init && o->cls->destruct != nullptr) {
-    o->cls->destruct(o->state());
+  const ClassInfo* cls = o->cls();
+  if (cls != nullptr && !o->needs_init && cls->destruct != nullptr) {
+    cls->destruct(o->state());
   }
   if (!migrated_meta_.empty()) migrated_meta_.erase(o);
   while (MsgFrame* f = o->mq.pop_front()) free_msg_frame(f);
-  if (o->pending_init != nullptr) free_msg_frame(o->pending_init);
+  if (MsgFrame* f = o->pending_init()) free_msg_frame(f);
   // Unlink from the live list (a null live_pprev marks the head).
   *(o->live_pprev != nullptr ? o->live_pprev : &live_head_) = o->live_next;
   if (o->live_next != nullptr) o->live_next->live_pprev = o->live_pprev;
@@ -597,7 +599,7 @@ void NodeRuntime::destroy_object(ObjectHeader* o) {
 void NodeRuntime::maybe_retire(ObjectHeader* o) {
   if (!o->retired) return;
   if (o->mode != Mode::kDormant || !o->mq.empty() ||
-      o->blocked_frame != nullptr || o->sched_state != SchedState::kNone) {
+      o->blocked_frame() != nullptr || o->sched_state != SchedState::kNone) {
     return;
   }
   destroy_object(o);
@@ -619,7 +621,7 @@ MailAddr NodeRuntime::create_local(const ClassInfo& cls, const Word* args,
     f->nargs = static_cast<std::uint8_t>(nargs);
     f->reply = kNilReply;
     for (int i = 0; i < nargs; ++i) f->args[i] = args[i];
-    o->pending_init = f;
+    o->set_pending_init(f);
   }
   return MailAddr{id_, o};
 }
@@ -819,7 +821,6 @@ void NodeRuntime::on_create(const net::Packet& pkt) {
   ABCL_CHECK(chunk->alloc_size_class == object_size_class(cls));
   charge(cm_->create_remote_install);
 
-  chunk->cls = &cls;
   MsgView ctor{0, static_cast<std::uint8_t>(pkt.nwords - 1), &pkt.payload[1],
                kNilReply};
   cls.construct(chunk->state(), ctor);
@@ -897,7 +898,7 @@ void NodeRuntime::send_service(NodeId to, net::HandlerId h,
 
 bool NodeRuntime::migratable_now(const ObjectHeader* o) const {
   if (o == nullptr || o == cur_obj_) return false;
-  if (o->cls == nullptr || !o->cls->migratable || o->retired) return false;
+  if (o->cls() == nullptr || !o->cls()->migratable || o->retired) return false;
   if (o->mode != Mode::kDormant && o->mode != Mode::kActive &&
       o->mode != Mode::kWaiting) {
     return false;
@@ -905,8 +906,8 @@ bool NodeRuntime::migratable_now(const ObjectHeader* o) const {
   // A pending now-call pins the object: its ReplyBox lives on this node and
   // the reply will resume it here. Yield-blocked contexts (frame but no
   // wait site) have no pattern that can re-enter them remotely.
-  if (o->awaiting_box != nullptr) return false;
-  if (o->blocked_frame != nullptr && o->vftp->wait_site < 0) return false;
+  if (o->awaiting_box() != nullptr) return false;
+  if (o->blocked_frame() != nullptr && o->vftp->wait_site < 0) return false;
   return true;
 }
 
@@ -1009,7 +1010,7 @@ void NodeRuntime::maybe_shed() {
 void NodeRuntime::migrate_object_to(ObjectHeader* o, NodeId target) {
   ABCL_CHECK(target >= 0 && target < num_nodes() && target != id_);
   ABCL_CHECK_MSG(migratable_now(o), "object not migratable right now");
-  const ClassInfo& cls = *o->cls;
+  const ClassInfo& cls = *o->cls();
   sched_.remove(o);
 
   // Epoch = the object's migration count; the prior-stub trail travels so
@@ -1031,30 +1032,27 @@ void NodeRuntime::migrate_object_to(ObjectHeader* o, NodeId target) {
   } else if (cls.state_bytes > 0) {
     std::memcpy(blob.data(), o->state(), cls.state_bytes);
   }
-  if (o->pending_init != nullptr) {
+  if (MsgFrame* f = o->pending_init()) {
     flags |= remote::kMigPendingInit;
-    MsgFrame* f = o->pending_init;
     blob.push_back(static_cast<Word>(f->pattern) |
                    (static_cast<Word>(f->nargs) << 16));
     blob.push_back(f->reply.word_node());
     blob.push_back(f->reply.word_box());
     for (int i = 0; i < f->nargs; ++i) blob.push_back(f->args[i]);
     free_msg_frame(f);
-    o->pending_init = nullptr;
+    o->set_pending_init(nullptr);
   }
   std::int64_t wait_site = -1;
-  if (o->blocked_frame != nullptr) {
+  if (CtxFrameBase* hf = o->blocked_frame()) {
     flags |= remote::kMigWaiting;
     wait_site = o->vftp->wait_site;  // >= 0 per migratable_now
-    CtxFrameBase* hf = o->blocked_frame;
     blob.push_back(hf->bytes);
     std::size_t base = blob.size();
     blob.insert(blob.end(), (hf->bytes + 7) / 8, 0);
     std::memcpy(&blob[base], hf, hf->bytes);
-    blob.push_back(reinterpret_cast<Word>(o->resume_entry));
+    blob.push_back(reinterpret_cast<Word>(ctx_trailer(hf)->resume_entry));
     free_ctx_frame(hf);
-    o->blocked_frame = nullptr;
-    o->resume_entry = nullptr;
+    o->set_blocked_frame(nullptr);
   }
 
   // Start packet: 6 header words + 2 per prior stub (kMaxPriorStubs keeps
@@ -1159,13 +1157,10 @@ void NodeRuntime::attach_migrated(Word old_ptr_word, InboundMigration& in) {
   // is not a creation — total_created and the kCreate trace stay untouched
   // so conservation checks (created == per-class sums) and migration-off
   // fingerprints line up. It is a live object changing homes.
-  std::size_t bytes = object_alloc_bytes(cls.state_bytes);
-  auto szcls = static_cast<std::uint16_t>(util::SlabAllocator::size_class(bytes));
-  void* mem = pool_.allocate(bytes);
+  void* mem = pool_.allocate(object_alloc_bytes(cls.state_bytes));
   auto* o = new (mem) ObjectHeader();
-  o->cls = &cls;
   o->home = id_;
-  o->alloc_size_class = szcls;
+  o->alloc_size_class = object_size_class(cls);
   link_live(o);
   ++live_objects_;
 
@@ -1182,16 +1177,18 @@ void NodeRuntime::attach_migrated(Word old_ptr_word, InboundMigration& in) {
     f->reply = ReplyDest::from_words(in.blob[pos], in.blob[pos + 1]);
     pos += 2;
     for (int i = 0; i < f->nargs; ++i) f->args[i] = in.blob[pos++];
-    o->pending_init = f;
+    o->set_pending_init(f);
   }
   if ((in.flags & remote::kMigWaiting) != 0) {
     const auto fbytes = static_cast<std::uint16_t>(in.blob[pos++]);
-    void* fmem = pool_.allocate(fbytes);
+    void* fmem = pool_.allocate(ctx_alloc_bytes(fbytes));
     std::memcpy(fmem, &in.blob[pos], fbytes);
     pos += (fbytes + 7) / 8;
     auto* hf = static_cast<CtxFrameBase*>(fmem);
-    o->blocked_frame = hf;
-    o->resume_entry = reinterpret_cast<ResumeFn>(in.blob[pos++]);
+    o->set_blocked_frame(hf);
+    // migratable_now refused objects registered on a reply box.
+    *ctx_trailer(hf) =
+        CtxTrailer{reinterpret_cast<ResumeFn>(in.blob[pos++]), nullptr};
     ABCL_CHECK(in.wait_site >= 0 &&
                static_cast<std::size_t>(in.wait_site) < cls.wait_sites.size());
     o->vftp = &cls.wait_sites[static_cast<std::size_t>(in.wait_site)]->vft;

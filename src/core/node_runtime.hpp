@@ -197,11 +197,15 @@ class NodeRuntime final : public sim::NodeExec {
     // PoolAllocator handed every class max_align_t at best).
     static_assert(alignof(FrameT) <= util::SlabAllocator::kMaxAlignment,
                   "context frame over-aligned beyond the slab guarantee");
-    auto* f = static_cast<FrameT*>(pool_.allocate(sizeof(FrameT)));
+    // The slot also holds the frame's CtxTrailer (object.hpp).
+    auto* f = static_cast<FrameT*>(
+        pool_.allocate(ctx_alloc_bytes(sizeof(FrameT))));
     f->bytes = sizeof(FrameT);
     return f;
   }
-  void free_ctx_frame(CtxFrameBase* f) { pool_.deallocate(f, f->bytes); }
+  void free_ctx_frame(CtxFrameBase* f) {
+    pool_.deallocate(f, ctx_alloc_bytes(f->bytes));
+  }
 
   MsgFrame* alloc_msg_frame();
   void free_msg_frame(MsgFrame* f);
@@ -327,9 +331,9 @@ class NodeRuntime final : public sim::NodeExec {
     Word args[kMaxArgs] = {};
   };
 
-  // ----- live-migration state (all node-side: ObjectHeader never grows,
-  // so slab size classes and the migration-off alloc metrics stay
-  // byte-identical to the committed baselines) -----------------------------
+  // ----- live-migration state (all node-side: migration adds no word to
+  // ObjectHeader, so a migration-off run allocates exactly what it would
+  // without the feature) ------------------------------------------------------
 
   // A kFlushMarker parked at an in-transit stub; replayed after the
   // buffered mail once kMigrateDone installs the forwarding address.

@@ -27,7 +27,9 @@ enum class SchedPolicy : std::uint8_t {
 class SchedQueue {
  public:
   bool empty() const { return q_.empty(); }
-  std::size_t size() const { return q_.size(); }
+  // O(1): sampled every quantum (sched_depth, gossip, the shed policy),
+  // so the queue counts its items rather than walking the list.
+  std::size_t size() const { return size_; }
 
   // Enqueues `o` with the given continuation kind. An object is in the
   // queue at most once; conflicting kinds indicate a runtime bug.
@@ -40,9 +42,14 @@ class SchedQueue {
     }
     o->sched_state = kind;
     q_.push_back(o);
+    ++size_;
   }
 
-  ObjectHeader* pop() { return q_.pop_front(); }
+  ObjectHeader* pop() {
+    ObjectHeader* o = q_.pop_front();
+    if (o != nullptr) --size_;
+    return o;
+  }
 
   // Detaches `o` wherever it sits in the queue (migration shed). Returns
   // true iff it was queued; its sched_state is reset so a later push is a
@@ -52,6 +59,7 @@ class SchedQueue {
     ObjectHeader* out =
         q_.remove_first_if([o](ObjectHeader& x) { return &x == o; });
     ABCL_CHECK(out == o);
+    --size_;
     o->sched_state = SchedState::kNone;
     return true;
   }
@@ -66,10 +74,14 @@ class SchedQueue {
   // sched_state transition — the restored arena image already carries the
   // object's sched_state, and push() would early-return on it. Relinking in
   // the snapshot's FIFO order rebuilds the identical sched_next chain.
-  void ckpt_relink_tail(ObjectHeader* o) { q_.push_back(o); }
+  void ckpt_relink_tail(ObjectHeader* o) {
+    q_.push_back(o);
+    ++size_;
+  }
 
  private:
   util::IntrusiveFifo<ObjectHeader, &ObjectHeader::sched_next> q_;
+  std::size_t size_ = 0;
 };
 
 // Per-node runtime statistics; aggregated by the World into run reports and

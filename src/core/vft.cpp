@@ -13,7 +13,8 @@ Status generic_queue_entry(NodeRuntime& rt, ObjectHeader* o, const MsgView& m) {
 }
 
 Status not_understood_entry(NodeRuntime& rt, ObjectHeader* o, const MsgView& m) {
-  const char* cls = (o->cls != nullptr) ? o->cls->name.c_str() : "<fault-chunk>";
+  const char* cls =
+      (o->cls() != nullptr) ? o->cls()->name.c_str() : "<fault-chunk>";
   const char* pat = rt.program().patterns().info(m.pattern).name.c_str();
   std::fprintf(stderr, "abclsim: message '%s' not understood by class '%s'\n",
                pat, cls);
@@ -22,18 +23,20 @@ Status not_understood_entry(NodeRuntime& rt, ObjectHeader* o, const MsgView& m) 
 }
 
 Status lazy_init_entry(NodeRuntime& rt, ObjectHeader* o, const MsgView& m) {
-  ABCL_CHECK(o->needs_init && o->cls != nullptr);
+  const ClassInfo* cls = o->cls();
+  ABCL_CHECK(o->needs_init && cls != nullptr);
   MsgView ctor_view{};
-  if (o->pending_init != nullptr) ctor_view = MsgView::of_frame(*o->pending_init);
-  o->cls->construct(o->state(), ctor_view);
-  if (o->pending_init != nullptr) {
-    rt.free_msg_frame(o->pending_init);
-    o->pending_init = nullptr;
+  MsgFrame* args = o->pending_init();
+  if (args != nullptr) ctor_view = MsgView::of_frame(*args);
+  cls->construct(o->state(), ctor_view);
+  if (args != nullptr) {
+    rt.free_msg_frame(args);
+    o->set_pending_init(nullptr);
   }
   o->needs_init = false;
-  o->vftp = &o->cls->dormant;
+  o->vftp = &cls->dormant;
   o->mode = Mode::kDormant;
-  return o->cls->dormant.entry(m.pattern)(rt, o, m);
+  return cls->dormant.entry(m.pattern)(rt, o, m);
 }
 
 Status select_restore_entry(NodeRuntime& rt, ObjectHeader* o, const MsgView& m) {
@@ -43,14 +46,14 @@ Status select_restore_entry(NodeRuntime& rt, ObjectHeader* o, const MsgView& m) 
       *vft->cls->wait_sites[static_cast<std::size_t>(vft->wait_site)];
   const WaitSite::Accept* a = ws.find(m.pattern);
   ABCL_CHECK(a != nullptr);
-  CtxFrameBase* f = o->blocked_frame;
+  CtxFrameBase* f = o->blocked_frame();
   ABCL_CHECK(f != nullptr);
   a->copy_in(f, m);
   f->pc = a->resume_pc;
   rt.stats().local_to_waiting_hit += 1;
   // Run the continuation right here (the sender's stack hosts it, exactly
   // like a dormant-object invocation).
-  ResumeFn resume = o->resume_entry;
+  ResumeFn resume = ctx_trailer(f)->resume_entry;
   return resume(rt, o);
 }
 

@@ -3,7 +3,9 @@
 // Used for per-object message queues and the node-wise scheduling queue;
 // both are FIFO and never need random removal, so a head/tail singly-linked
 // list with an embedded `next` pointer gives O(1) push/pop with zero
-// allocation — the idiom the paper's hand-written C runtime uses.
+// allocation — the idiom the paper's hand-written C runtime uses. The queue
+// is two words (no element count: it sits in every object header), so
+// size() walks the list; hot paths test empty() instead.
 #pragma once
 
 #include <cstddef>
@@ -22,7 +24,11 @@ class IntrusiveFifo {
   // The queue does not own its elements; destruction with elements still
   // linked is legal (the owner reclaims them through its pools).
   bool empty() const { return head_ == nullptr; }
-  std::size_t size() const { return size_; }
+  std::size_t size() const {
+    std::size_t n = 0;
+    for (T* cur = head_; cur != nullptr; cur = cur->*Next) ++n;
+    return n;
+  }
 
   T* front() const { return head_; }
 
@@ -35,7 +41,6 @@ class IntrusiveFifo {
       tail_->*Next = t;
       tail_ = t;
     }
-    ++size_;
   }
 
   T* pop_front() {
@@ -44,7 +49,6 @@ class IntrusiveFifo {
     head_ = t->*Next;
     if (head_ == nullptr) tail_ = nullptr;
     t->*Next = nullptr;
-    --size_;
     return t;
   }
 
@@ -62,7 +66,6 @@ class IntrusiveFifo {
         }
         if (tail_ == cur) tail_ = prev;
         cur->*Next = nullptr;
-        --size_;
         return cur;
       }
     }
@@ -74,15 +77,11 @@ class IntrusiveFifo {
     for (T* cur = head_; cur != nullptr; cur = cur->*Next) fn(*cur);
   }
 
-  void clear() {
-    head_ = tail_ = nullptr;
-    size_ = 0;
-  }
+  void clear() { head_ = tail_ = nullptr; }
 
  private:
   T* head_ = nullptr;
   T* tail_ = nullptr;
-  std::size_t size_ = 0;
 };
 
 }  // namespace abcl::util

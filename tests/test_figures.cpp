@@ -197,7 +197,7 @@ TEST(Figure3, StackUnwindingOnNowTypeToActiveReceiver) {
     // At this point: S blocked with a heap frame, R's queue holds m, R is
     // scheduled (its epilogue found the buffered m).
     EXPECT_EQ(s.ptr->mode, core::Mode::kWaiting);
-    EXPECT_NE(s.ptr->blocked_frame, nullptr);
+    EXPECT_NE(s.ptr->blocked_frame(), nullptr);
     EXPECT_EQ(r.ptr->mq.size(), 1u);
     EXPECT_EQ(r.ptr->sched_state, core::SchedState::kQueuedNext);
     EXPECT_FALSE(s.ptr->state_as<AskerState>()->completed);

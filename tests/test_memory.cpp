@@ -145,6 +145,25 @@ TEST(FrameRecycling, FreelistsServeMostFreesOnSerialNQueens) {
   EXPECT_GT(t.freelist_hits * 2, t.frees);
 }
 
+// --------------------------------------------------------- object layout -----
+
+TEST(ObjectLayout, Table4NQueensWorldFitsThe128ByteClass) {
+  // bench_table4's N=8 row: 64 nodes, paper-calibrated work. A 56-B N-queens
+  // node behind the 64-B header needs 120 B, so objects and stock chunks
+  // take 128-B slots; a header that grows again pushes them to 256 B and
+  // the heap back to 3,072 KiB.
+  core::Program prog;
+  auto np = apps::register_nqueens(prog);
+  prog.finalize();
+  const std::size_t cls = util::SlabAllocator::size_class(
+      core::object_alloc_bytes(np.node_cls->state_bytes));
+  EXPECT_EQ(util::SlabAllocator::class_bytes(cls), 128u);
+  World world(prog, WorldConfig{}.with_nodes(64));
+  auto r = apps::run_nqueens(world, np, apps::NQueensParams::paper_calibrated(8));
+  EXPECT_EQ(r.solutions, 92);
+  EXPECT_EQ(r.heap_bytes, std::size_t{2048} << 10);
+}
+
 // ----------------------------------------------------- packet recycling -----
 
 net::Packet make_packet(std::int32_t src, std::int32_t dst, sim::Instr t,

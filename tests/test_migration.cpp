@@ -397,6 +397,72 @@ TEST(Migration, WaitingObjectMovesWithItsBlockedFrame) {
   EXPECT_EQ(st->resumed_node, 2u);
 }
 
+// Built from its creation arguments, so a move before the first message
+// must carry them (the kMigPendingInit blob section).
+struct SeedState {
+  std::uint64_t base = 0;
+  std::uint64_t scale = 0;
+  std::uint64_t sum = 0;
+  std::uint64_t ran_on = ~std::uint64_t{0};
+  void on_create(const Msg& m) {
+    base = m.at(0);
+    scale = m.at(1);
+  }
+};
+
+struct SeedFrame : Frame {
+  Word v = 0;
+  static void init(SeedFrame& f, const Msg& m) { f.v = m.at(0); }
+  static Status run(Ctx& ctx, SeedState& self, SeedFrame& f) {
+    ABCL_BEGIN(f);
+    self.sum = self.base + self.scale * f.v;
+    self.ran_on = static_cast<std::uint64_t>(ctx.node_id());
+    ABCL_END();
+  }
+};
+
+TEST(Migration, UninitializedObjectShipsItsCreationArguments) {
+  // The creation arguments share the header's continuation word with the
+  // blocked frame. An object that has not run yet must read as unblocked
+  // (a raw read of the word would refuse it as yield-blocked), ship its
+  // arguments, and build its state from them at the new home.
+  core::Program prog;
+  PatternId go = prog.patterns().intern("mig.seed", 1);
+  ClassDef<SeedState> def(prog, "MigSeed");
+  def.migratable();
+  def.method<SeedFrame>(go);
+  prog.finalize();
+  WorldConfig cfg;
+  cfg.with_nodes(2);
+  World world(prog, cfg);
+  MailAddr a;
+  world.boot(0, [&](Ctx& ctx) { a = ctx.create_local(def.info(), {40, 3}); });
+  world.run();
+  ASSERT_TRUE(a.ptr->needs_init);
+  ASSERT_NE(a.ptr->pending_init(), nullptr);
+  EXPECT_EQ(a.ptr->blocked_frame(), nullptr);
+  EXPECT_EQ(a.ptr->resume_entry(), nullptr);
+  EXPECT_TRUE(world.node(0).migratable_now(a.ptr));
+
+  world.boot(0, [&](Ctx& ctx) { ctx.migrate_object_to(a.ptr, 1); });
+  world.run();
+  MailAddr home = resolve(world, a);
+  ASSERT_EQ(home.node, 1);
+  EXPECT_TRUE(home.ptr->needs_init);
+  EXPECT_NE(home.ptr->pending_init(), nullptr);
+  EXPECT_EQ(home.ptr->vftp, &def.info().lazy_init);
+
+  world.boot(0, [&](Ctx& ctx) { ctx.send_past(a, go, {5}); });
+  world.run();
+  EXPECT_FALSE(home.ptr->needs_init);
+  EXPECT_EQ(home.ptr->pending_init(), nullptr);
+  const auto* st = home.ptr->state_as<const SeedState>();
+  EXPECT_EQ(st->base, 40u);
+  EXPECT_EQ(st->scale, 3u);
+  EXPECT_EQ(st->sum, 55u);
+  EXPECT_EQ(st->ran_on, 1u);
+}
+
 TEST(MigrationDeath, NonMigratableClassIsRejected) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   core::Program prog;

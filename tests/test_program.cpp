@@ -194,6 +194,9 @@ TEST(Program, ObjectLayoutLeavesAlignedStateOffset) {
   EXPECT_EQ(core::ObjectHeader::state_offset() % 16, 0u);
   EXPECT_GE(core::ObjectHeader::state_offset(), sizeof(core::ObjectHeader));
   EXPECT_GE(core::object_alloc_bytes(0), core::ObjectHeader::state_offset() + 1);
+  // One cache line; state starts right behind it.
+  EXPECT_EQ(sizeof(core::ObjectHeader), 64u);
+  EXPECT_EQ(core::ObjectHeader::state_offset(), 64u);
 }
 
 }  // namespace

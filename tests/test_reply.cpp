@@ -63,14 +63,14 @@ TEST(Reply, BlockingAwaitSpillsAndResumes) {
     ctx.send_past(a, fx.asker.go, args, 3);
     // Delay holds the reply: the asker must be blocked now.
     EXPECT_EQ(a.ptr->mode, core::Mode::kWaiting);
-    EXPECT_NE(a.ptr->blocked_frame, nullptr);
+    EXPECT_NE(a.ptr->blocked_frame(), nullptr);
     EXPECT_FALSE(a.ptr->state_as<AskerState>()->completed);
     // Kick: the reply resumes the asker directly on this stack.
     Word v = 1234;
     ctx.send_past(d, fx.delay.kick, &v, 1);
     EXPECT_TRUE(a.ptr->state_as<AskerState>()->completed);
     EXPECT_EQ(a.ptr->state_as<AskerState>()->got, 1234);
-    EXPECT_EQ(a.ptr->blocked_frame, nullptr);
+    EXPECT_EQ(a.ptr->blocked_frame(), nullptr);
   });
   world.run();
   auto st = world.total_stats();

@@ -198,7 +198,7 @@ struct GoFrame : Frame {
   static Status run(Ctx& ctx, State& self, GoFrame& f) {
     self.seen = f.k;
     if (f.k > 0) {
-      MailAddr next = ctx.create_local(*ctx.current_object()->cls, nullptr, 0);
+      MailAddr next = ctx.create_local(*ctx.current_object()->cls(), nullptr, 0);
       Word w = static_cast<Word>(f.k - 1);
       ctx.send_past(next, f.pat, &w, 1);
     }
