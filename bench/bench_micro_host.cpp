@@ -68,21 +68,20 @@ BENCHMARK(BM_MsgQueuePushPop);
 
 // ---- network ----------------------------------------------------------------
 
+// One send and one poll on the slot path, as NodeRuntime makes them: the
+// sender fills a pool slot in place, the receiver reads that slot and
+// releases it.
 void BM_NetworkSendPoll(benchmark::State& state) {
   sim::CostModel cm = sim::CostModel::ap1000();
   net::Network net(net::Topology(net::TopologyKind::kTorus2D, 64), &cm);
   sim::Instr t = 0;
   for (auto _ : state) {
-    net::Packet p;
-    p.handler = 0;
-    p.src = 0;
-    p.dst = 37;
-    p.send_time = t++;
-    p.push(42);
-    net.send(std::move(p), net::AmCategory::kObjectMessage);
-    net::Packet out;
-    bool got = net.poll(37, sim::kInstrInf, out);
-    benchmark::DoNotOptimize(got);
+    net::Packet* p = net.open(0, 37, 0, t++);
+    p->push(42);
+    net.send(p, net::AmCategory::kObjectMessage);
+    net::Packet* got = net.poll(37, sim::kInstrInf);
+    benchmark::DoNotOptimize(got->at(0));
+    net.release(37, got);
   }
 }
 BENCHMARK(BM_NetworkSendPoll);
@@ -94,13 +93,9 @@ void BM_NetworkSendPollDeep(benchmark::State& state) {
   net::Network net(net::Topology(net::TopologyKind::kTorus2D, 64), &cm);
   sim::Instr t = 0;
   auto send_one = [&](std::int32_t src) {
-    net::Packet p;
-    p.handler = 0;
-    p.src = src;
-    p.dst = 37;
-    p.send_time = t;
-    p.push(42);
-    net.send(std::move(p), net::AmCategory::kObjectMessage);
+    net::Packet* p = net.open(src, 37, 0, t);
+    p->push(42);
+    net.send(p, net::AmCategory::kObjectMessage);
   };
   for (std::int32_t s = 0; s < 64; ++s) {
     for (int i = 0; i < 4; ++i) send_one(s);
@@ -109,9 +104,9 @@ void BM_NetworkSendPollDeep(benchmark::State& state) {
   for (auto _ : state) {
     send_one(static_cast<std::int32_t>(t % 64));
     ++t;
-    net::Packet out;
-    bool got = net.poll(37, sim::kInstrInf, out);
-    benchmark::DoNotOptimize(got);
+    net::Packet* got = net.poll(37, sim::kInstrInf);
+    benchmark::DoNotOptimize(got->at(0));
+    net.release(37, got);
   }
 }
 BENCHMARK(BM_NetworkSendPollDeep);
@@ -144,22 +139,18 @@ void BM_FlushOutboxesMerge(benchmark::State& state) {
             (b + kBoxes * (i % (kNodes / kBoxes))) % kNodes);
         boxes[b].set_current_key(t + static_cast<sim::Instr>((i * 7 + b * 3) %
                                                              64));
-        net::Packet p;
-        p.handler = 0;
-        p.src = src;
-        p.dst = (src + 17) % kNodes;
-        p.send_time = t;
-        p.push(42);
-        net.send(std::move(p), net::AmCategory::kObjectMessage);
+        net::Packet* p = net.open(src, (src + 17) % kNodes, 0, t);
+        p->push(42);
+        net.send(p, net::AmCategory::kObjectMessage);
       }
     }
     for (auto& b : boxes) b.sort_canonical();
     state.ResumeTiming();
     net.flush_outboxes(ptrs, kBoxes);
     state.PauseTiming();
-    net::Packet out;
     for (std::int32_t d = 0; d < kNodes; ++d) {
-      while (net.poll(d, sim::kInstrInf, out)) {
+      while (net::Packet* got = net.poll(d, sim::kInstrInf)) {
+        net.release(d, got);
       }
     }
     t += 128;

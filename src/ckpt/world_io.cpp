@@ -12,10 +12,12 @@
 //   (b) a logical serialization of everything that lives outside the
 //       arenas: node scalars and stats, the scheduler FIFO (relinked in
 //       saved order), slab freelist heads, chunk stocks, gossip maps,
-//       migration directories, network queues (packets re-acquire fresh
-//       pool slots; their payload words — which may embed arena pointers —
-//       stay valid because of (a)), channel floors/seqs and the fault
-//       layer's dedup windows.
+//       migration directories, network queues (packets written field by
+//       field with exactly nwords payload words, so the bytes never depend
+//       on which pool slot a packet sat in; on restore they re-acquire
+//       fresh slots, and their payload words — which may embed arena
+//       pointers — stay valid because of (a)), channel floors/seqs and the
+//       fault layer's dedup windows.
 //
 // Canonical order: every unordered container is written sorted by its key,
 // so two checkpoints of identical simulated states are byte-identical.
@@ -24,9 +26,12 @@
 // handler registry, exactly the contract live migration already relies on
 // when it ships resume entries as raw words.
 #include <algorithm>
+#include <cstddef>
 #include <cstring>
 #include <limits>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "abcl/machine_api.hpp"
@@ -73,13 +78,14 @@ struct WorldIo {
     const WorldConfig& cfg = world.cfg_;
     w.u32(static_cast<std::uint32_t>(cfg.nodes));
     w.u32(static_cast<std::uint32_t>(cfg.topology));
-    w.raw(cfg.cost);
-    w.raw(cfg.node);
+    auto put = [&w](const void* p, std::size_t n) { w.bytes(p, n); };
+    config_fields(cfg.cost, put);
+    config_fields(cfg.node, put);
     w.u32(static_cast<std::uint32_t>(cfg.placement));
     w.u64(cfg.seed);
     w.i64(cfg.host_threads);
-    w.raw(cfg.faults);
-    w.raw(cfg.migration);
+    config_fields(cfg.faults, put);
+    config_fields(cfg.migration, put);
     w.b(cfg.ckpt.enabled);
     w.u64(cfg.ckpt.at);
     w.str(cfg.ckpt.path);
@@ -95,14 +101,15 @@ struct WorldIo {
     ABCL_CHECK_MSG(cfg.nodes >= 1,
                    "checkpoint restore: snapshot carries no nodes");
     cfg.topology = enum_word(r, net::TopologyKind::kHypercube, "topology");
-    r.raw_into(cfg.cost);
-    r.raw_into(cfg.node);
+    auto get = [&r](void* p, std::size_t n) { r.bytes(p, n); };
+    config_fields(cfg.cost, get);
+    config_fields(cfg.node, get);
     cfg.placement =
         enum_word(r, remote::PlacementKind::kLeastLoaded, "placement");
     cfg.seed = r.u64();
     cfg.host_threads = host_threads_word(r);
-    r.raw_into(cfg.faults);
-    r.raw_into(cfg.migration);
+    config_fields(cfg.faults, get);
+    config_fields(cfg.migration, get);
     cfg.ckpt.enabled = r.b();
     cfg.ckpt.at = r.u64();
     cfg.ckpt.path = r.str();
@@ -136,6 +143,61 @@ struct WorldIo {
     }
 
     world.build_machine();
+  }
+
+  // Config structs are written member by member: their padding bytes hold
+  // whatever the stack held where the config was built, and snapshot bytes
+  // must be a function of simulated state alone. `f(p, n)` saves or loads
+  // the n bytes at p; C is the config type, const when saving. The size
+  // guards catch a member added without being listed here.
+  template <class C, class F>
+  static void config_fields(C& c, F&& f) {
+    auto field = [&f](auto& m) { f(&m, sizeof m); };
+    using T = std::remove_const_t<C>;
+    if constexpr (std::is_same_v<T, sim::CostModel>) {
+      static_assert(sizeof(T) == 232, "new CostModel field? list it here");
+      // Every member ahead of `opt` is an 8-byte word: no padding there.
+      static_assert(offsetof(T, opt) == 28 * 8);
+      f(&c, offsetof(T, opt));
+      field(c.opt.elide_locality_check);
+      field(c.opt.elide_vftp_switch);
+      field(c.opt.elide_mq_check);
+      field(c.opt.elide_poll);
+    } else if constexpr (std::is_same_v<T, core::NodeRuntime::Config>) {
+      static_assert(sizeof(T) == 88, "new Config field? list it here");
+      field(c.policy);
+      field(c.max_call_depth);
+      field(c.max_packets_per_quantum);
+      field(c.reduction_budget);
+      field(c.chunk_stock_target);
+      field(c.disable_replenish);
+      field(c.gossip_interval);
+      field(c.seed);
+      config_fields(c.migration, f);
+      field(c.reserved_arena);
+      field(c.arena_base);
+    } else if constexpr (std::is_same_v<T, net::FaultConfig>) {
+      static_assert(sizeof(T) == 64, "new FaultConfig field? list it here");
+      field(c.enabled);
+      field(c.drop_ppm);
+      field(c.dup_ppm);
+      field(c.delay_ppm);
+      field(c.delay_max);
+      field(c.blackout_ppm);
+      field(c.blackout_window);
+      field(c.rto);
+      field(c.rto_max);
+      field(c.seed);
+    } else {
+      static_assert(std::is_same_v<T, remote::MigrationConfig>);
+      static_assert(sizeof(T) == 32, "new MigrationConfig field? list it here");
+      field(c.enabled);
+      field(c.interval);
+      field(c.hysteresis);
+      field(c.max_batch);
+      field(c.min_queue);
+      field(c.seed);
+    }
   }
 
   // A config enum word, checked against the enum's last enumerator: the
@@ -181,7 +243,7 @@ struct WorldIo {
 
     // Per-destination queues in canonical (arrive, src, seq) order. The
     // 24-byte queue entries are reconstructed from the packets themselves
-    // (enqueue stamps arrive_time into the slot).
+    // (commit stamps arrive_time and seq into the slot).
     std::vector<net::Network::QueuedPacket> entries;
     for (const auto& q : n.queues_) {
       entries.clear();
@@ -194,7 +256,9 @@ struct WorldIo {
                   return net::Network::PacketOrder{}(a, b);
                 });
       w.u64(entries.size());
-      for (const net::Network::QueuedPacket& e : entries) w.raw(*e.slot);
+      for (const net::Network::QueuedPacket& e : entries) {
+        save_packet(w, *e.slot);
+      }
     }
 
     if (n.fault_plan_ != nullptr) {
@@ -229,8 +293,7 @@ struct WorldIo {
       std::uint64_t count = r.u64();
       for (std::uint64_t i = 0; i < count; ++i) {
         net::Packet* slot = n.pool_.acquire(n.home_mag_);
-        r.raw_into(*slot);
-        check_packet(*slot, dst, n.queues_.size(), handlers);
+        load_packet(r, *slot, dst, n.queues_.size(), handlers);
         n.queues_[dst].push(net::Network::QueuedPacket{
             slot->arrive_time, slot->src, slot->seq, slot});
       }
@@ -255,34 +318,68 @@ struct WorldIo {
     }
   }
 
-  // A restored packet is dispatched verbatim, and Packet::at and
+  // One queued packet, field by field, with exactly nwords payload words:
+  // a pool slot keeps stale bytes past nwords (and padding), which depend
+  // on slot reuse and so on host interleaving under the parallel driver.
+  // Layout: u32 handler, u32 src, u32 dst, u64 send_time, u64 arrive_time,
+  // u64 seq, u64 link_seq, u32 retries, u32 nwords, nwords x u64 payload.
+  static void save_packet(Writer& w, const net::Packet& p) {
+    w.u32(p.handler);
+    w.u32(static_cast<std::uint32_t>(p.src));
+    w.u32(static_cast<std::uint32_t>(p.dst));
+    w.u64(p.send_time);
+    w.u64(p.arrive_time);
+    w.u64(p.seq);
+    w.u64(p.link_seq);
+    w.u32(p.retries);
+    w.u32(p.nwords);
+    for (int i = 0; i < p.nwords; ++i) w.u64(p.payload[i]);
+  }
+
+  // Reads one packet into a fresh slot, writing every field a receiver
+  // reads. A restored packet is dispatched verbatim, and Packet::at and
   // AmRegistry::entry bound their index only in debug builds. The checksum
   // proves integrity, not authorship: a crafted snapshot can re-seal it, so
-  // every field that indexes host memory is checked here, where a
-  // diagnostic can still name the packet.
-  static void check_packet(const net::Packet& p, std::size_t dst,
-                           std::size_t nodes, std::size_t handlers) {
+  // every field that indexes host memory is checked here — the payload
+  // length before any payload word is read — where a diagnostic can still
+  // name the packet.
+  static void load_packet(Reader& r, net::Packet& p, std::size_t dst,
+                          std::size_t nodes, std::size_t handlers) {
     auto bad = [dst](const std::string& why) {
       return "checkpoint restore: packet queued toward node " +
              std::to_string(dst) + " " + why;
     };
-    ABCL_CHECK_MSG(p.nwords <= net::kMaxPacketWords,
-                   bad("carries " + std::to_string(p.nwords) +
+    const std::uint32_t handler = r.u32();
+    const auto src = static_cast<std::int32_t>(r.u32());
+    const auto to = static_cast<std::int32_t>(r.u32());
+    p.send_time = r.u64();
+    p.arrive_time = r.u64();
+    p.seq = r.u64();
+    p.link_seq = r.u64();
+    const std::uint32_t retries = r.u32();
+    const std::uint32_t nwords = r.u32();
+    ABCL_CHECK_MSG(nwords <= net::kMaxPacketWords,
+                   bad("carries " + std::to_string(nwords) +
                        " payload words (max " +
                        std::to_string(net::kMaxPacketWords) + ")")
                        .c_str());
-    ABCL_CHECK_MSG(p.handler < handlers,
-                   bad("names handler " + std::to_string(p.handler) +
+    ABCL_CHECK_MSG(handler < handlers,
+                   bad("names handler " + std::to_string(handler) +
                        ", but the Program registers " +
                        std::to_string(handlers))
                        .c_str());
-    ABCL_CHECK_MSG(p.src >= 0 && static_cast<std::size_t>(p.src) < nodes,
-                   bad("has source node " + std::to_string(p.src) +
+    ABCL_CHECK_MSG(src >= 0 && static_cast<std::size_t>(src) < nodes,
+                   bad("has source node " + std::to_string(src) +
                        " outside the " + std::to_string(nodes) + "-node world")
                        .c_str());
-    ABCL_CHECK_MSG(static_cast<std::size_t>(p.dst) == dst,
-                   bad("is addressed to node " + std::to_string(p.dst))
-                       .c_str());
+    ABCL_CHECK_MSG(to >= 0 && static_cast<std::size_t>(to) == dst,
+                   bad("is addressed to node " + std::to_string(to)).c_str());
+    p.handler = static_cast<net::HandlerId>(handler);
+    p.src = src;
+    p.dst = to;
+    p.retries = static_cast<std::uint16_t>(retries);
+    p.nwords = static_cast<std::uint8_t>(nwords);
+    for (std::uint32_t i = 0; i < nwords; ++i) p.payload[i] = r.u64();
   }
 
   // Channel-indexed word state (arrival floors, link seqs): flat matrix on
@@ -412,25 +509,33 @@ struct WorldIo {
 
   // ----- node components ---------------------------------------------------
 
+  // The non-empty stocks, then the non-zero pendings, each in key order:
+  // an emptied record writes nothing, so the bytes are a function of the
+  // stock's contents alone.
   static void save_stock(Writer& w, const remote::ChunkStock& s) {
-    std::vector<std::uint64_t> keys;
-    keys.reserve(s.stocks_.size());
-    for (const auto& [k, v] : s.stocks_) keys.push_back(k);
-    std::sort(keys.begin(), keys.end());
-    w.u64(keys.size());
-    for (std::uint64_t k : keys) {
-      const auto& chunks = s.stocks_.at(k);
-      w.u64(k);
-      w.u64(chunks.size());
-      for (const core::ObjectHeader* c : chunks) w.u64(ptr_word(c));
+    std::vector<std::pair<std::uint64_t, const remote::ChunkStock::Record*>>
+        recs;
+    recs.reserve(s.records_.size());
+    std::uint64_t nstocks = 0;
+    std::uint64_t npend = 0;
+    for (const auto& [k, rec] : s.records_) {
+      recs.emplace_back(k, &rec);
+      if (!rec.chunks.empty()) ++nstocks;
+      if (rec.pending != 0) ++npend;
     }
-    keys.clear();
-    for (const auto& [k, v] : s.pending_) keys.push_back(k);
-    std::sort(keys.begin(), keys.end());
-    w.u64(keys.size());
-    for (std::uint64_t k : keys) {
+    std::sort(recs.begin(), recs.end());  // keys are unique
+    w.u64(nstocks);
+    for (const auto& [k, rec] : recs) {
+      if (rec->chunks.empty()) continue;
       w.u64(k);
-      w.u64(s.pending_.at(k));
+      w.u64(rec->chunks.size());
+      for (const core::ObjectHeader* c : rec->chunks) w.u64(ptr_word(c));
+    }
+    w.u64(npend);
+    for (const auto& [k, rec] : recs) {
+      if (rec->pending == 0) continue;
+      w.u64(k);
+      w.u64(rec->pending);
     }
     w.raw(s.stats_);
   }
@@ -440,7 +545,7 @@ struct WorldIo {
     for (std::uint64_t i = 0; i < nstocks; ++i) {
       std::uint64_t k = r.u64();
       std::uint64_t depth = r.u64();
-      auto& vec = s.stocks_[k];
+      auto& vec = s.records_[k].chunks;
       vec.reserve(depth);
       for (std::uint64_t j = 0; j < depth; ++j) {
         vec.push_back(word_ptr<core::ObjectHeader>(r.u64()));
@@ -449,7 +554,7 @@ struct WorldIo {
     std::uint64_t npend = r.u64();
     for (std::uint64_t i = 0; i < npend; ++i) {
       std::uint64_t k = r.u64();
-      s.pending_[k] = r.u64();
+      s.records_[k].pending = r.u64();
     }
     r.raw_into(s.stats_);
   }

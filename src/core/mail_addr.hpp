@@ -11,9 +11,18 @@
 
 namespace abcl::core {
 
+// Both address structs spell out their padding word and keep it zero: they
+// are copied from the stack into node heaps (frames, object state), and an
+// implicit padding hole would carry whatever the stack held there into the
+// arena images a checkpoint writes verbatim — bytes that differ between the
+// serial and the parallel driver.
 struct MailAddr {
   NodeId node = -1;
+  std::int32_t pad_ = 0;
   ObjectHeader* ptr = nullptr;
+
+  constexpr MailAddr() = default;
+  constexpr MailAddr(NodeId n, ObjectHeader* p) : node(n), ptr(p) {}
 
   constexpr bool is_nil() const { return ptr == nullptr; }
 
@@ -41,7 +50,11 @@ inline constexpr MailAddr kNilAddr{};
 // come from the original receiver.
 struct ReplyDest {
   NodeId node = -1;
+  std::int32_t pad_ = 0;
   ReplyBox* box = nullptr;
+
+  constexpr ReplyDest() = default;
+  constexpr ReplyDest(NodeId n, ReplyBox* b) : node(n), box(b) {}
 
   constexpr bool is_nil() const { return box == nullptr; }
 

@@ -63,11 +63,13 @@ void NodeRuntime::step() {
   // up by a later quantum. This makes a quantum's inputs a pure function of
   // the pre-quantum state, which is what lets the host-parallel driver run
   // whole lookahead windows of quanta concurrently yet bit-identically.
-  net::Packet pkt;
+  // Each handler runs on the pool slot the packet landed in; the slot goes
+  // back to the pool once the handler returns.
   bool dup = false;
-  int handled = 0;
-  while (handled < cfg_.max_packets_per_quantum &&
-         net_->poll(id_, quantum_start_clock_, pkt, &dup)) {
+  for (int handled = 0; handled < cfg_.max_packets_per_quantum; ++handled) {
+    net::Packet* slot = net_->poll(id_, quantum_start_clock_, &dup);
+    if (slot == nullptr) break;
+    const net::Packet& pkt = *slot;
     charge(cm_->recv_handler);
     if (dup) {
       // A retransmitted or network-duplicated copy the dedup window already
@@ -76,20 +78,20 @@ void NodeRuntime::step() {
       // and it contributes nothing to the delivery stats, which count
       // logical messages.
       trace(sim::TraceEv::kFaultDup, pkt.handler);
-      ++handled;
-      continue;
+    } else {
+      stats_.remote_recv += 1;
+      // Send -> dispatch latency in simulated instrs: the wire plus however
+      // long the packet sat deliverable in the receive queue. The dispatch
+      // instant includes the just-charged handler cost, matching the
+      // paper's "receiver instructions" accounting.
+      auto cat = static_cast<int>(prog_->am().entry(pkt.handler).category);
+      stats_.msg_latency[cat].add(
+          static_cast<std::uint64_t>(clock_ - pkt.send_time));
+      trace(sim::TraceEv::kRecvRemote, pkt.handler);
+      if (pkt.retries != 0) trace(sim::TraceEv::kFaultRetry, pkt.retries);
+      prog_->am().dispatch(pkt.handler, this, pkt);
     }
-    stats_.remote_recv += 1;
-    // Send -> dispatch latency in simulated instrs: the wire plus however
-    // long the packet sat deliverable in the receive queue. The dispatch
-    // instant includes the just-charged handler cost, matching the paper's
-    // "receiver instructions" accounting.
-    auto cat = static_cast<int>(prog_->am().entry(pkt.handler).category);
-    stats_.msg_latency[cat].add(static_cast<std::uint64_t>(clock_ - pkt.send_time));
-    trace(sim::TraceEv::kRecvRemote, pkt.handler);
-    if (pkt.retries != 0) trace(sim::TraceEv::kFaultRetry, pkt.retries);
-    prog_->am().dispatch(pkt.handler, this, pkt);
-    ++handled;
+    net_->release(id_, slot);
   }
 
   // Shed check before the dispatch: the decision reads the run-queue depth
@@ -459,16 +461,12 @@ void NodeRuntime::remote_send(MailAddr t, PatternId p, const Word* args,
   charge(cm_->send_setup);
   stats_.remote_sends += 1;
   trace(sim::TraceEv::kSendRemote, p);
-  net::Packet pkt;
-  pkt.handler = prog_->h_obj_msg(p);
-  pkt.src = id_;
-  pkt.dst = t.node;
-  pkt.send_time = clock_;
-  pkt.push(t.word_ptr());
-  pkt.push(rd.word_node());
-  pkt.push(rd.word_box());
-  for (int i = 0; i < nargs; ++i) pkt.push(args[i]);
-  net_->send(std::move(pkt), net::AmCategory::kObjectMessage);
+  net::Packet* pkt = net_->open(id_, t.node, prog_->h_obj_msg(p), clock_);
+  pkt->push(t.word_ptr());
+  pkt->push(rd.word_node());
+  pkt->push(rd.word_box());
+  for (int i = 0; i < nargs; ++i) pkt->push(args[i]);
+  net_->send(pkt, net::AmCategory::kObjectMessage);
 }
 
 void NodeRuntime::reply(const ReplyDest& rd, const Word* vals, int n) {
@@ -481,14 +479,10 @@ void NodeRuntime::reply(const ReplyDest& rd, const Word* vals, int n) {
   }
   charge(cm_->send_setup);
   stats_.remote_sends += 1;
-  net::Packet pkt;
-  pkt.handler = prog_->h_reply();
-  pkt.src = id_;
-  pkt.dst = rd.node;
-  pkt.send_time = clock_;
-  pkt.push(rd.word_box());
-  for (int i = 0; i < n; ++i) pkt.push(vals[i]);
-  net_->send(std::move(pkt), net::AmCategory::kObjectMessage);
+  net::Packet* pkt = net_->open(id_, rd.node, prog_->h_reply(), clock_);
+  pkt->push(rd.word_box());
+  for (int i = 0; i < n; ++i) pkt->push(vals[i]);
+  net_->send(pkt, net::AmCategory::kObjectMessage);
 }
 
 void NodeRuntime::deliver_reply_local(ReplyBox* b, const Word* vals, int n) {
@@ -652,14 +646,10 @@ CreateCall NodeRuntime::remote_create_begin(const ClassInfo& cls, NodeId target,
 
   charge(cm_->send_setup);
   stats_.remote_sends += 1;
-  net::Packet pkt;
-  pkt.handler = prog_->h_alloc_request();
-  pkt.src = id_;
-  pkt.dst = target;
-  pkt.send_time = clock_;
-  pkt.push(szcls);
-  pkt.push(reinterpret_cast<Word>(b));
-  net_->send(std::move(pkt), net::AmCategory::kCreateRequest);
+  net::Packet* pkt = net_->open(id_, target, prog_->h_alloc_request(), clock_);
+  pkt->push(szcls);
+  pkt->push(reinterpret_cast<Word>(b));
+  net_->send(pkt, net::AmCategory::kCreateRequest);
   return CreateCall{kNilAddr, NowCall{b}};
 }
 
@@ -696,14 +686,10 @@ void NodeRuntime::send_create_packet(const ClassInfo& cls, NodeId target,
       stock_.planned_depth(target, szcls) <
           static_cast<std::size_t>(cfg_.chunk_stock_target);
   if (want_replenish) stock_.note_replenish_requested(target, szcls);
-  net::Packet pkt;
-  pkt.handler = prog_->h_create(cls.id);
-  pkt.src = id_;
-  pkt.dst = target;
-  pkt.send_time = clock_;
-  pkt.push(reinterpret_cast<Word>(chunk) | (want_replenish ? 1 : 0));
-  for (int i = 0; i < nargs; ++i) pkt.push(args[i]);
-  net_->send(std::move(pkt), net::AmCategory::kCreateRequest);
+  net::Packet* pkt = net_->open(id_, target, prog_->h_create(cls.id), clock_);
+  pkt->push(reinterpret_cast<Word>(chunk) | (want_replenish ? 1 : 0));
+  for (int i = 0; i < nargs; ++i) pkt->push(args[i]);
+  net_->send(pkt, net::AmCategory::kCreateRequest);
 }
 
 bool NodeRuntime::inline_guard(MailAddr target, const ClassInfo& cls) {
@@ -768,13 +754,9 @@ void NodeRuntime::gossip_load_now() {
   auto load = static_cast<Word>(sched_.size());
   for (NodeId nb : net_->topology().neighbors(id_)) {
     charge(cm_->send_setup);
-    net::Packet pkt;
-    pkt.handler = prog_->h_load_gossip();
-    pkt.src = id_;
-    pkt.dst = nb;
-    pkt.send_time = clock_;
-    pkt.push(load);
-    net_->send(std::move(pkt), net::AmCategory::kService);
+    net::Packet* pkt = net_->open(id_, nb, prog_->h_load_gossip(), clock_);
+    pkt->push(load);
+    net_->send(pkt, net::AmCategory::kService);
   }
 }
 
@@ -843,13 +825,10 @@ void NodeRuntime::on_create(const net::Packet& pkt) {
   // Replenish the requester's stock (Category 3).
   ObjectHeader* fresh = format_chunk(chunk->alloc_size_class);
   charge(cm_->send_setup);
-  net::Packet rep;
-  rep.handler = prog_->h_replenish(chunk->alloc_size_class);
-  rep.src = id_;
-  rep.dst = pkt.src;
-  rep.send_time = clock_;
-  rep.push(reinterpret_cast<Word>(fresh));
-  net_->send(std::move(rep), net::AmCategory::kAllocReply);
+  net::Packet* rep = net_->open(
+      id_, pkt.src, prog_->h_replenish(chunk->alloc_size_class), clock_);
+  rep->push(reinterpret_cast<Word>(fresh));
+  net_->send(rep, net::AmCategory::kAllocReply);
 }
 
 void NodeRuntime::on_alloc_request(const net::Packet& pkt) {
@@ -862,8 +841,8 @@ void NodeRuntime::on_alloc_request(const net::Packet& pkt) {
 void NodeRuntime::on_replenish(const net::Packet& pkt) {
   charge(cm_->chunk_replenish);
   std::uint16_t szcls = prog_->size_class_of_handler(pkt.handler);
-  stock_.note_replenish_arrived(pkt.src, szcls);
-  stock_push(pkt.src, szcls, reinterpret_cast<ObjectHeader*>(pkt.at(0)));
+  stock_.replenish_arrived(pkt.src, szcls,
+                           reinterpret_cast<ObjectHeader*>(pkt.at(0)));
 }
 
 void NodeRuntime::on_load_gossip(const net::Packet& pkt) {
@@ -887,13 +866,9 @@ void NodeRuntime::send_service(NodeId to, net::HandlerId h,
   // Service traffic mirrors gossip's accounting: send-setup instructions
   // are charged but remote_sends counts only application messages.
   charge(cm_->send_setup);
-  net::Packet pkt;
-  pkt.handler = h;
-  pkt.src = id_;
-  pkt.dst = to;
-  pkt.send_time = clock_;
-  for (Word w : words) pkt.push(w);
-  net_->send(std::move(pkt), net::AmCategory::kService);
+  net::Packet* pkt = net_->open(id_, to, h, clock_);
+  for (Word w : words) pkt->push(w);
+  net_->send(pkt, net::AmCategory::kService);
 }
 
 bool NodeRuntime::migratable_now(const ObjectHeader* o) const {
@@ -1059,22 +1034,18 @@ void NodeRuntime::migrate_object_to(ObjectHeader* o, NodeId target) {
   // this within kMaxPacketWords).
   const Word old_ptr = reinterpret_cast<Word>(o);
   charge(cm_->send_setup);
-  net::Packet sp;
-  sp.handler = prog_->h_migrate_start();
-  sp.src = id_;
-  sp.dst = target;
-  sp.send_time = clock_;
-  sp.push(old_ptr);
-  sp.push(cls.id);
-  sp.push(static_cast<Word>(flags) | (static_cast<Word>(epoch) << 32));
-  sp.push(static_cast<Word>(wait_site));
-  sp.push(static_cast<Word>(blob.size()));
-  sp.push(static_cast<Word>(priors.size()));
+  net::Packet* sp = net_->open(id_, target, prog_->h_migrate_start(), clock_);
+  sp->push(old_ptr);
+  sp->push(cls.id);
+  sp->push(static_cast<Word>(flags) | (static_cast<Word>(epoch) << 32));
+  sp->push(static_cast<Word>(wait_site));
+  sp->push(static_cast<Word>(blob.size()));
+  sp->push(static_cast<Word>(priors.size()));
   for (const MailAddr& pr : priors) {
-    sp.push(pr.word_node());
-    sp.push(pr.word_ptr());
+    sp->push(pr.word_node());
+    sp->push(pr.word_ptr());
   }
-  net_->send(std::move(sp), net::AmCategory::kService);
+  net_->send(sp, net::AmCategory::kService);
 
   // The header left behind is now a buffering stub: every arrival queues
   // until the new home confirms with kMigrateDone. The fault table (all
@@ -1089,17 +1060,13 @@ void NodeRuntime::migrate_object_to(ObjectHeader* o, NodeId target) {
   // order-independent anyway — fault plans may reorder them).
   for (std::uint32_t off = 0; off < blob.size(); off += kFragWords) {
     charge(cm_->send_setup);
-    net::Packet fp;
-    fp.handler = prog_->h_migrate_frag();
-    fp.src = id_;
-    fp.dst = target;
-    fp.send_time = clock_;
-    fp.push(old_ptr);
-    fp.push(off);
+    net::Packet* fp = net_->open(id_, target, prog_->h_migrate_frag(), clock_);
+    fp->push(old_ptr);
+    fp->push(off);
     std::uint32_t n = std::min<std::uint32_t>(
         kFragWords, static_cast<std::uint32_t>(blob.size()) - off);
-    for (std::uint32_t i = 0; i < n; ++i) fp.push(blob[off + i]);
-    net_->send(std::move(fp), net::AmCategory::kService);
+    for (std::uint32_t i = 0; i < n; ++i) fp->push(blob[off + i]);
+    net_->send(fp, net::AmCategory::kService);
   }
 
   stats_.migrations_out += 1;

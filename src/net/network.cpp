@@ -41,7 +41,7 @@ Network::Network(Topology topology, const sim::CostModel* cm,
       src_seq_(static_cast<std::size_t>(topology_.num_nodes()), 0),
       outboxes_(static_cast<std::size_t>(topology_.num_nodes()), nullptr),
       flush_touched_mark_(static_cast<std::size_t>(topology_.num_nodes()), 0),
-      poll_mags_(static_cast<std::size_t>(topology_.num_nodes()), nullptr) {
+      mags_(static_cast<std::size_t>(topology_.num_nodes()), &home_mag_) {
   ABCL_CHECK(cm_ != nullptr);
   ABCL_CHECK_MSG(cm_->wire_latency + cm_->per_hop > 0,
                  "network lookahead must be positive for the PDES driver");
@@ -87,11 +87,24 @@ std::uint64_t& Network::link_seq(NodeId src, NodeId dst) {
   return link_seq_map_[key];
 }
 
-void Network::send(Packet&& p, AmCategory category) {
-  ABCL_CHECK(p.dst >= 0 && p.dst < topology_.num_nodes());
-  ABCL_CHECK(p.src >= 0 && p.src < topology_.num_nodes());
-  if (Outbox* ob = outboxes_[static_cast<std::size_t>(p.src)]) {
-    ob->items_.push_back({std::move(p), category, ob->current_key_});
+Packet* Network::open(NodeId src, NodeId dst, HandlerId handler,
+                      sim::Instr send_time) {
+  ABCL_CHECK(dst >= 0 && dst < topology_.num_nodes());
+  ABCL_CHECK(src >= 0 && src < topology_.num_nodes());
+  Packet* p = pool_.acquire(*mags_[idx(src)]);
+  p->handler = handler;
+  p->src = src;
+  p->dst = dst;
+  p->send_time = send_time;
+  p->link_seq = 0;
+  p->retries = 0;
+  p->nwords = 0;
+  return p;
+}
+
+void Network::send(Packet* p, AmCategory category) {
+  if (Outbox* ob = outboxes_[idx(p->src)]) {
+    ob->items_.push_back({p, ob->current_key_, p->src, category});
     ob->sorted_ = false;
     return;
   }
@@ -101,56 +114,58 @@ void Network::send(Packet&& p, AmCategory category) {
   ABCL_CHECK_MSG(outboxes_installed_ == 0,
                  "direct send from a source without an outbox while a "
                  "parallel run has outboxes installed");
-  commit(std::move(p), category);
+  commit(p, category);
 }
 
-void Network::commit(Packet&& p, AmCategory category) {
-  std::int32_t hops = topology_.hops(p.src, p.dst);
+void Network::send(const Packet& p, AmCategory category) {
+  Packet* slot = open(p.src, p.dst, p.handler, p.send_time);
+  copy_payload(*slot, p);
+  send(slot, category);
+}
+
+void Network::commit(Packet* p, AmCategory category) {
+  std::int32_t hops = topology_.hops(p->src, p->dst);
   sim::Instr wire = cm_->wire_latency +
                     static_cast<sim::Instr>(hops) * cm_->per_hop +
-                    static_cast<sim::Instr>(p.wire_words()) * cm_->per_word;
+                    static_cast<sim::Instr>(p->wire_words()) * cm_->per_word;
   if (wire == 0) wire = 1;  // strictly positive lookahead
-  sim::Instr arrive = p.send_time + wire;
+  sim::Instr arrive = p->send_time + wire;
 
   // Enforce per-channel FIFO: a later send on the same channel never
   // arrives before an earlier one.
-  sim::Instr& floor = channel_floor(p.src, p.dst);
+  sim::Instr& floor = channel_floor(p->src, p->dst);
   if (arrive < floor) arrive = floor;
   floor = arrive;
 
-  p.arrive_time = arrive;
-  p.seq = src_seq_[static_cast<std::size_t>(p.src)]++;
+  p->arrive_time = arrive;
+  p->seq = src_seq_[idx(p->src)]++;
 
   // Logical (sender-intent) accounting: one packet per send regardless of
   // how many physical attempts/copies the fault layer generates below —
   // fault overhead is reported separately in FaultStats.
   stats_.packets += 1;
-  stats_.payload_words += p.nwords;
-  stats_.wire_words += static_cast<std::uint64_t>(p.wire_words());
+  stats_.payload_words += p->nwords;
+  stats_.wire_words += static_cast<std::uint64_t>(p->wire_words());
   stats_.per_category[static_cast<int>(category)] += 1;
-  stats_.wire_latency_instr.add(static_cast<double>(arrive - p.send_time));
+  stats_.wire_latency_instr.add(static_cast<double>(arrive - p->send_time));
 
   if (fault_plan_ != nullptr) {
     commit_faulty(p);
     return;
   }
-  enqueue_copy(p, arrive);
+  enqueue(p);
 }
 
-void Network::enqueue_copy(const Packet& p, sim::Instr arrive) {
-  NodeId dst = p.dst;
-  Packet* slot = pool_.acquire(home_mag_);
-  *slot = p;
-  slot->arrive_time = arrive;
-  queues_[static_cast<std::size_t>(dst)].push(
-      QueuedPacket{arrive, p.src, p.seq, slot});
+void Network::enqueue(Packet* p) {
+  NodeId dst = p->dst;
+  queues_[idx(dst)].push(QueuedPacket{p->arrive_time, p->src, p->seq, p});
   if (flush_active_) {
     // Batched wakeups: record the destination once; flush_outboxes runs a
     // single rekey pass per dst after all commits. Equivalent to the
     // per-packet callback because more packets only lower a destination's
     // effective key — the post-flush key is the min the driver would have
     // folded in packet by packet.
-    auto d = static_cast<std::size_t>(dst);
+    auto d = idx(dst);
     if (!flush_touched_mark_[d]) {
       flush_touched_mark_[d] = 1;
       flush_touched_.push_back(dst);
@@ -170,61 +185,80 @@ void Network::enqueue_copy(const Packet& p, sim::Instr arrive) {
 // wire below already clamps there), so the PDES lookahead stays valid, and
 // copies get strictly increasing arrivals so the (arrive, src, seq)
 // delivery order stays a strict total order.
-void Network::commit_faulty(Packet& p) {
+void Network::commit_faulty(Packet* p) {
   const FaultPlan& plan = *fault_plan_;
   const FaultConfig& fc = plan.config();
   FaultStats& fs = fault_commit_;
+  const NodeId src = p->src;
+  const NodeId dst = p->dst;
 
-  const std::uint64_t lseq = link_seq(p.src, p.dst)++;
-  p.link_seq = lseq;
-  const sim::Instr base_arrive = p.arrive_time;
+  const std::uint64_t lseq = link_seq(src, dst)++;
+  p->link_seq = lseq;
+  const sim::Instr base_arrive = p->arrive_time;
   // Effective wire time including the per-channel FIFO clamp the caller
   // already applied; >= min_packet_latency() by construction.
-  const sim::Instr eff_wire = base_arrive - p.send_time;
+  const sim::Instr eff_wire = base_arrive - p->send_time;
 
-  sim::Instr t = p.send_time;   // transmit instant of the current attempt
+  // One delivery copy in its own slot: the committed header and payload,
+  // stamped with this copy's arrival and attempt number.
+  auto enqueue_copy = [this, p](sim::Instr arrive, std::uint32_t attempt) {
+    Packet* c = pool_.acquire(home_mag_);
+    c->handler = p->handler;
+    c->src = p->src;
+    c->dst = p->dst;
+    c->send_time = p->send_time;
+    c->arrive_time = arrive;
+    c->seq = p->seq;
+    c->link_seq = p->link_seq;
+    c->retries = static_cast<std::uint16_t>(attempt);
+    copy_payload(*c, *p);
+    enqueue(c);
+  };
+
+  sim::Instr t = p->send_time;  // transmit instant of the current attempt
   sim::Instr last_arrive = 0;   // strictly-increasing de-tie clamp
   for (std::uint32_t attempt = 0;; ++attempt) {
     const bool forced = attempt + 1 == FaultPlan::kMaxAttempts;
     fs.attempts += 1;
     bool lost = false;
     if (!forced) {
-      if (plan.drop(p.src, p.dst, lseq, attempt)) {
+      if (plan.drop(src, dst, lseq, attempt)) {
         fs.drops += 1;
         lost = true;
       } else if (fc.blackout_ppm != 0 &&
-                 plan.blackout(p.src, p.dst, t / fc.blackout_window)) {
+                 plan.blackout(src, dst, t / fc.blackout_window)) {
         fs.blackout_drops += 1;
         lost = true;
       }
     }
     if (!lost) {
-      sim::Instr extra = plan.extra_delay(p.src, p.dst, lseq, attempt);
+      sim::Instr extra = plan.extra_delay(src, dst, lseq, attempt);
       if (extra != 0) fs.delays += 1;
       sim::Instr a = t + eff_wire + extra;
       if (a <= last_arrive) a = last_arrive + 1;
       last_arrive = a;
-      p.retries = static_cast<std::uint16_t>(attempt);
       fs.copies_enqueued += 1;
       fs.retry_delay_instr.add(a - base_arrive);
-      enqueue_copy(p, a);
-      if (plan.duplicate(p.src, p.dst, lseq, attempt)) {
+      enqueue_copy(a, attempt);
+      if (plan.duplicate(src, dst, lseq, attempt)) {
         sim::Instr d = a + 1;
         last_arrive = d;
         fs.duplicates += 1;
         fs.copies_enqueued += 1;
         fs.retry_delay_instr.add(d - base_arrive);
-        enqueue_copy(p, d);
+        enqueue_copy(d, attempt);
       }
       if (forced) {
         fs.forced_deliveries += 1;
-        return;
+        break;
       }
-      if (!plan.ack_lost(p.src, p.dst, lseq, attempt)) return;  // acked: done
+      if (!plan.ack_lost(src, dst, lseq, attempt)) break;  // acked: done
       fs.spurious_retransmits += 1;
     }
     t += plan.backoff(attempt);
   }
+  // Every delivery copy lives in its own slot now.
+  pool_.release(home_mag_, p);
 }
 
 void Network::Outbox::sort_canonical() {
@@ -234,14 +268,14 @@ void Network::Outbox::sort_canonical() {
   std::stable_sort(items_.begin(), items_.end(),
                    [](const Item& a, const Item& b) {
                      if (a.key != b.key) return a.key < b.key;
-                     return a.pkt.src < b.pkt.src;
+                     return a.src < b.src;
                    });
   sorted_ = true;
 }
 
-void Network::set_poll_magazine(NodeId dst, PacketPool::Magazine* m) {
-  ABCL_CHECK(dst >= 0 && dst < topology_.num_nodes());
-  poll_mags_[static_cast<std::size_t>(dst)] = m;
+void Network::set_magazine(NodeId node, PacketPool::Magazine* m) {
+  ABCL_CHECK(node >= 0 && node < topology_.num_nodes());
+  mags_[idx(node)] = m != nullptr ? m : &home_mag_;
 }
 
 void Network::set_outbox(NodeId src, Outbox* ob) {
@@ -293,7 +327,7 @@ void Network::flush_merge(Outbox* const* boxes, std::size_t nboxes) {
   }
   if (k == 0) return;
   if (k == 1) {
-    for (Outbox::Item& it : *runs[0].items) commit(std::move(it.pkt), it.cat);
+    for (const Outbox::Item& it : *runs[0].items) commit(it.slot, it.cat);
     return;
   }
 
@@ -313,7 +347,7 @@ void Network::flush_merge(Outbox* const* boxes, std::size_t nboxes) {
     const Outbox::Item& x = (*ca.items)[ca.pos];
     const Outbox::Item& y = (*cb.items)[cb.pos];
     if (x.key != y.key) return x.key < y.key;
-    if (x.pkt.src != y.pkt.src) return x.pkt.src < y.pkt.src;
+    if (x.src != y.src) return x.src < y.src;
     return a < b;
   };
 
@@ -333,19 +367,16 @@ void Network::flush_merge(Outbox* const* boxes, std::size_t nboxes) {
   for (;;) {
     Cursor& c = runs[winner];
     if (c.pos == c.items->size()) break;  // winner exhausted => all are
-    Outbox::Item& it = (*c.items)[c.pos++];
-    commit(std::move(it.pkt), it.cat);
+    const Outbox::Item& it = (*c.items)[c.pos++];
+    commit(it.slot, it.cat);
     winner = replay(winner);
   }
 }
 
-bool Network::poll(NodeId dst, sim::Instr now, Packet& out, bool* was_dup) {
-  auto& q = queues_[static_cast<std::size_t>(dst)];
-  if (q.empty() || q.top().arrive > now) return false;
+Packet* Network::poll(NodeId dst, sim::Instr now, bool* was_dup) {
+  auto& q = queues_[idx(dst)];
+  if (q.empty() || q.top().arrive > now) return nullptr;
   Packet* slot = q.top().slot;
-  out = *slot;
-  PacketPool::Magazine* m = poll_mags_[static_cast<std::size_t>(dst)];
-  pool_.release(m != nullptr ? *m : home_mag_, slot);
   q.pop();
   if (was_dup != nullptr) *was_dup = false;
   if (fault_plan_ != nullptr) {
@@ -353,14 +384,22 @@ bool Network::poll(NodeId dst, sim::Instr now, Packet& out, bool* was_dup) {
     // dispatched; retransmits and network duplicates are reported back so
     // the caller charges the handler cost and discards. This state is owned
     // by the worker polling `dst` — no cross-thread writes.
-    DstFaultState& st = dst_fault_[static_cast<std::size_t>(dst)];
-    if (st.windows[out.src].accept(out.link_seq)) {
+    DstFaultState& st = dst_fault_[idx(dst)];
+    if (st.windows[slot->src].accept(slot->link_seq)) {
       st.delivered += 1;
     } else {
       st.dup_suppressed += 1;
       if (was_dup != nullptr) *was_dup = true;
     }
   }
+  return slot;
+}
+
+bool Network::poll(NodeId dst, sim::Instr now, Packet& out, bool* was_dup) {
+  Packet* slot = poll(dst, now, was_dup);
+  if (slot == nullptr) return false;
+  out = *slot;
+  release(dst, slot);
   return true;
 }
 

@@ -36,14 +36,19 @@
 // packets accumulate, so the post-flush key equals the min over per-packet
 // observations.
 //
-// Buffer management: in-flight packets live in PacketPool slots; the
-// destination heaps order 24-byte references by (arrive_time, src, seq),
-// so heap sifts stop copying whole payloads. Commits acquire slots through
-// the coordinator-owned home magazine; polls release them through the
-// magazine installed for the destination (set_poll_magazine — the parallel
-// driver installs one per worker; serial runs fall back to the home
-// magazine). Slot addresses are host-dependent, but nothing observable
-// reads them.
+// Buffer management: a PacketPool slot is a packet's only home from its
+// send to the end of its handler. The sender opens a slot through the
+// magazine of the thread that runs the source node and fills it in place;
+// outbox items (24 B) and destination-heap entries (32 B) reference it;
+// poll hands the receiver the slot itself, and the poller releases it
+// through its own magazine after the handler returns. The fault layer's extra delivery
+// copies (retransmits, duplicates) are the only whole-packet copies: each
+// gets its own slot, and the original slot goes back to the pool once the
+// last copy is enqueued. Per-node magazine hooks (set_magazine) route a
+// node's acquires and releases to the worker that runs it; the home
+// magazine serves the serial driver, boot code, restores and the
+// coordinator's fault copies. Slot addresses are host-dependent, but
+// nothing observable reads them.
 #pragma once
 
 #include <cstdint>
@@ -103,11 +108,16 @@ class Network {
 
    private:
     friend class Network;
+    // A buffered send: the filled slot plus its canonical-order sort key
+    // (the issuing quantum's key and the slot's src, kept here so sorting
+    // and merging never dereference the slot).
     struct Item {
-      Packet pkt;
+      Packet* slot;
+      sim::Instr key;
+      std::int32_t src;
       AmCategory cat;
-      sim::Instr key;  // quantum key of the send (canonical-order sort key)
     };
+    static_assert(sizeof(Item) <= 24, "outbox items are slot references");
     std::vector<Item> items_;
     sim::Instr current_key_ = 0;
     bool sorted_ = true;  // empty is trivially sorted
@@ -128,12 +138,22 @@ class Network {
 
   const Topology& topology() const { return topology_; }
 
-  // Sends `p` (src/dst/handler/payload/send_time filled by the caller,
-  // category recorded for stats). Computes arrive_time and seq — or, when an
-  // outbox is installed for p.src, buffers the packet for flush_outboxes.
+  // Opens a packet from `src` to `dst`: acquires a pool slot through the
+  // magazine installed for `src` and writes every header field a receiver
+  // reads (no payload words, no retries, no channel sequence). The caller
+  // pushes the payload into the slot and hands it to send().
+  Packet* open(NodeId src, NodeId dst, HandlerId handler, sim::Instr send_time);
+
+  // Sends a slot open() returned (category recorded for stats). Computes
+  // arrive_time and seq in the slot and enqueues it toward its dst — or,
+  // when an outbox is installed for its src, buffers it for flush_outboxes.
   // While any outbox is installed (a parallel run), every source must have
   // one: a direct commit would jump the canonical order, so it aborts.
-  void send(Packet&& p, AmCategory category);
+  void send(Packet* slot, AmCategory category);
+
+  // Test and micro-bench wrapper: copies `p`'s header and payload into a
+  // slot opened for p.src -> p.dst and sends it.
+  void send(const Packet& p, AmCategory category);
 
   // Redirects sends with src == `src` into `ob` (nullptr restores the
   // direct path). Only the parallel driver installs these, around a run.
@@ -147,12 +167,24 @@ class Network {
   // after all commits.
   void flush_outboxes(Outbox* const* boxes, std::size_t nboxes);
 
-  // Pops the next packet for `dst` with arrive_time <= now, or nullptr-like
-  // false if none. Out-of-order across channels never happens because the
-  // per-destination heap orders by arrival. With a fault plan installed,
-  // `*was_dup` (when non-null) reports whether the popped copy is a
-  // duplicate the receiver must discard — the caller still pays its handler
-  // cost but must not dispatch it. Always false when faults are off.
+  // Pops the next packet for `dst` with arrive_time <= now and returns its
+  // slot, or nullptr if none. The receiver dispatches on the slot in place
+  // and hands it back with release(dst, slot) when its handler returns; no
+  // send reuses the slot before that. Out-of-order across channels never
+  // happens because the per-destination heap orders by arrival. With a
+  // fault plan installed, `*was_dup` (when non-null) reports whether the
+  // popped copy is a duplicate the receiver must discard — the caller still
+  // pays its handler cost but must not dispatch it. Always false when
+  // faults are off.
+  Packet* poll(NodeId dst, sim::Instr now, bool* was_dup = nullptr);
+
+  // Returns a slot poll(dst, ...) handed out, through dst's magazine.
+  void release(NodeId dst, Packet* slot) {
+    pool_.release(*mags_[idx(dst)], slot);
+  }
+
+  // Test and micro-bench wrapper: copies the polled packet into `out` and
+  // releases its slot. Returns false if nothing is deliverable.
   bool poll(NodeId dst, sim::Instr now, Packet& out, bool* was_dup = nullptr);
 
   // Earliest pending arrival for `dst`, or kInstrInf.
@@ -179,14 +211,23 @@ class Network {
   bool idle() const { return in_flight() == 0; }
   const Stats& stats() const { return stats_; }
 
-  // Routes slot releases for polls on `dst` through `m` (nullptr restores
-  // the home magazine). Only the parallel driver installs these, around a
-  // run; the caller guarantees `m` is owned by the thread polling `dst`.
-  void set_poll_magazine(NodeId dst, PacketPool::Magazine* m);
+  // Routes the slot acquires of `node`'s sends and the slot releases after
+  // its polls through `m` (nullptr restores the home magazine). Only the
+  // parallel driver installs these, around a run; the caller guarantees
+  // that `m` is owned by the thread that runs `node`.
+  void set_magazine(NodeId node, PacketPool::Magazine* m);
 
   PacketPool& packet_pool() { return pool_; }
-  // Coordinator-side magazine (commit acquires, serial-driver releases).
+  // Coordinator-side magazine: the serial driver, boot code, restores and
+  // the fault layer's delivery copies.
   const PacketPool::Magazine& home_magazine() const { return home_mag_; }
+  // Free slots in the pool's depot plus the home magazine (host-dependent;
+  // never exported into metrics). The parallel driver drains its workers'
+  // magazines at the end of every run, so between runs at quiescence this
+  // is packet_pool().slabs_allocated() * PacketPool::kSlabPackets.
+  std::uint64_t free_slots() const {
+    return pool_.free_slots() + static_cast<std::uint64_t>(home_mag_.size());
+  }
 
   // ----- fault injection ---------------------------------------------------
   bool faults_enabled() const { return fault_plan_ != nullptr; }
@@ -202,7 +243,7 @@ class Network {
   friend struct abcl::ckpt::WorldIo;
 
   // Destination-queue entry: the simulated delivery key plus the pooled
-  // slot holding the payload. Moving 24 bytes instead of sizeof(Packet)
+  // slot holding the payload. Moving 32 bytes instead of sizeof(Packet)
   // is most of the pooled send/poll win at depth.
   struct QueuedPacket {
     sim::Instr arrive;
@@ -221,15 +262,17 @@ class Network {
   };
   using DstQueue = util::MinHeap<QueuedPacket, PacketOrder>;
 
+  static std::size_t idx(NodeId n) { return static_cast<std::size_t>(n); }
   sim::Instr& channel_floor(NodeId src, NodeId dst);
   std::uint64_t& link_seq(NodeId src, NodeId dst);
-  void commit(Packet&& p, AmCategory category);
+  void commit(Packet* p, AmCategory category);
   // Plays out the whole retry protocol for one committed packet (see
-  // net/fault.hpp); enqueues every surviving delivery copy.
-  void commit_faulty(Packet& p);
-  // Common tail of commit: acquire a slot, enqueue toward p.dst, and
+  // net/fault.hpp); enqueues a copy of `p` in its own slot for every
+  // surviving delivery, then releases `p`.
+  void commit_faulty(Packet* p);
+  // Common tail of commit: enqueue the stamped slot toward its dst, and
   // record/fire the deliverability wakeup.
-  void enqueue_copy(const Packet& p, sim::Instr arrive);
+  void enqueue(Packet* p);
   void flush_merge(Outbox* const* boxes, std::size_t nboxes);
 
   Topology topology_;
@@ -253,7 +296,9 @@ class Network {
   Stats stats_;
   PacketPool pool_;
   PacketPool::Magazine home_mag_;
-  std::vector<PacketPool::Magazine*> poll_mags_;  // per-dst; nullptr = home
+  // Per-node magazine for send acquires and poll releases; &home_mag_
+  // unless the parallel driver installed a worker's.
+  std::vector<PacketPool::Magazine*> mags_;
 
   // ----- fault-injection state (all empty/null when faults are off) -------
   // Receive side of one destination: dedup windows keyed by source plus the

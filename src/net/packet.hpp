@@ -4,9 +4,13 @@
 // id names the procedure that runs at the receiver the moment the packet is
 // polled; the payload is untyped words whose layout the (specialized,
 // per-pattern) handler knows statically — the paper's "tags are no longer
-// necessary" property.
+// necessary" property. In the simulator a packet lives in a PacketPool slot
+// from its send to the end of its handler (net/packet_pool.hpp); the member
+// initializers below only serve packets that tests and micro-benchmarks
+// build on the stack.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 
 #include "sim/time.hpp"
@@ -58,5 +62,12 @@ struct Packet {
   // the paper's "4 words including routing information" minimal message).
   int wire_words() const { return nwords + 4; }
 };
+
+// Copies `from`'s payload — its first nwords words, the only meaningful
+// ones in a pool slot — into `to`.
+inline void copy_payload(Packet& to, const Packet& from) {
+  std::copy_n(from.payload, from.nwords, to.payload);
+  to.nwords = from.nwords;
+}
 
 }  // namespace abcl::net

@@ -1,6 +1,17 @@
 #include "net/packet_pool.hpp"
 
+#include <type_traits>
+
 namespace abcl::net {
+
+// Slabs are raw bytes: Packet is an implicit-lifetime aggregate, so a slot
+// begins its life when the sender first writes it, and nothing here runs
+// Packet's member initializers over memory the sender overwrites anyway.
+static_assert(std::is_aggregate_v<Packet> &&
+                  std::is_trivially_destructible_v<Packet> &&
+                  std::is_trivially_copyable_v<Packet>,
+              "pool slots are uninitialized storage for Packets");
+static_assert(alignof(Packet) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
 
 void PacketPool::depot_get(Magazine& m) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -12,8 +23,9 @@ void PacketPool::depot_get(Magazine& m) {
       continue;
     }
     if (fresh_left_ == 0) {
-      slabs_.push_back(std::make_unique<Packet[]>(kSlabPackets));
-      fresh_ = slabs_.back().get();
+      slabs_.push_back(std::make_unique_for_overwrite<std::byte[]>(
+          kSlabPackets * sizeof(Packet)));
+      fresh_ = reinterpret_cast<Packet*>(slabs_.back().get());
       fresh_left_ = kSlabPackets;
     }
     m.slots_[m.n_++] = fresh_++;
@@ -55,6 +67,11 @@ void PacketPool::flush(Magazine& m) {
 std::uint64_t PacketPool::slabs_allocated() const {
   std::lock_guard<std::mutex> lock(mu_);
   return slabs_.size();
+}
+
+std::uint64_t PacketPool::free_slots() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return depot_.size() + static_cast<std::uint64_t>(fresh_left_);
 }
 
 }  // namespace abcl::net

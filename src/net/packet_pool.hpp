@@ -1,29 +1,37 @@
 // Recycled packet buffers with per-thread magazine caches.
 //
-// Every in-flight packet occupies one pooled slot; destination queues hold
-// 24-byte references ordered by (arrive_time, src, seq) instead of sifting
-// whole Packet payloads through a binary heap. Slots come from slabs owned
-// by the pool and recycle through a central depot (mutex-guarded free
-// stack) fronted by Magazines — small per-thread caches in the style of
-// Bonwick's magazine layer — so the hot path is a bare pointer pop/push
-// and the depot lock is only taken every kMagazineCap operations.
+// A pool slot is a packet's only home from its send to the end of its
+// handler: the sender fills the slot in place (Network::open), the commit
+// pushes a 32-byte reference ordered by (arrive_time, src, seq) into the
+// destination heap, and the receiver's handler reads the slot where it
+// landed before the poller releases it. Slots come from slabs owned by the
+// pool and recycle through a central depot (mutex-guarded free stack)
+// fronted by Magazines — small per-thread caches in the style of Bonwick's
+// magazine layer — so the hot path is a bare pointer pop/push and the depot
+// lock is only taken every kMagazineCap operations.
 //
-// Threading model (matches the ParallelMachine window discipline):
-//   - acquire() runs only where commits run: on the coordinator thread
-//     (serial driver, boot code, window-barrier outbox flushes), always
-//     through the owner's "home" magazine.
-//   - release() runs on whichever worker polls the destination node, each
-//     through its own magazine; a full magazine flushes to the depot under
-//     the lock.
-// Magazines are single-owner by construction; the depot mutex orders slot
-// handoff between threads, and the driver's window barrier orders writes
-// to a slot's payload (commit) before any read (poll).
+// Slots are uninitialized: slabs are allocated without value-initialization
+// and a recycled slot keeps its previous packet's bytes. A sender therefore
+// writes every header field a receiver reads (Network::open does), and only
+// the first `nwords` payload words of a slot are ever meaningful. The ASan
+// job's malloc fill turns a forgotten field into a failure.
+//
+// Threading model (matches the ParallelMachine window discipline): each
+// thread acquires and releases through its own magazine. Inside a window a
+// worker acquires for its nodes' sends and releases after its nodes'
+// handlers; the coordinator uses the Network's home magazine for the serial
+// driver, boot code, restores and the fault layer's delivery copies at the
+// window barrier. Magazines are single-owner by construction; the depot
+// mutex orders slot handoff between threads, and the driver's window
+// barrier orders a sender's writes to a slot before any poll reads it.
 //
 // Determinism: slot addresses depend on host interleaving, but nothing
-// observable does — queues order by simulated quantities only, and none of
-// the pool's occupancy figures are exported into the metrics snapshot.
+// observable does — queues order by simulated quantities only, snapshots
+// write packets field by field, and none of the pool's occupancy figures
+// are exported into the metrics snapshot.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -61,8 +69,8 @@ class PacketPool {
   PacketPool(const PacketPool&) = delete;
   PacketPool& operator=(const PacketPool&) = delete;
 
-  // Returns a slot whose payload the caller now owns. The slot's previous
-  // contents are unspecified.
+  // Returns a slot whose contents the caller now owns. The slot's previous
+  // contents are unspecified (see the file header).
   Packet* acquire(Magazine& m);
 
   // Returns `p` to `m`'s cache, spilling half a full magazine to the depot.
@@ -74,14 +82,17 @@ class PacketPool {
 
   // Depot-side figures (host-dependent; never exported into metrics).
   std::uint64_t slabs_allocated() const;
+  // Free slots held by the depot, unissued slab slots included; slots
+  // cached in magazines are not counted.
+  std::uint64_t free_slots() const;
 
  private:
   void depot_get(Magazine& m);   // locked: refill up to half capacity
   void depot_put(Magazine& m, int keep);  // locked: spill down to `keep`
 
   mutable std::mutex mu_;
-  std::vector<Packet*> depot_;                    // free slots (LIFO)
-  std::vector<std::unique_ptr<Packet[]>> slabs_;  // slot storage
+  std::vector<Packet*> depot_;                       // free slots (LIFO)
+  std::vector<std::unique_ptr<std::byte[]>> slabs_;  // slot storage
   int fresh_left_ = 0;       // unissued slots in slabs_.back()
   Packet* fresh_ = nullptr;  // cursor into slabs_.back()
 };

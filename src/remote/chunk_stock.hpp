@@ -34,14 +34,14 @@ class ChunkStock {
   // Pops a predelivered chunk on `peer` of the given size class, if any.
   std::optional<core::ObjectHeader*> try_pop(core::NodeId peer,
                                              std::uint16_t size_class) {
-    auto it = stocks_.find(key(peer, size_class));
-    if (it == stocks_.end() || it->second.empty()) {
+    auto it = records_.find(key(peer, size_class));
+    if (it == records_.end() || it->second.chunks.empty()) {
       ++stats_.misses;
       return std::nullopt;
     }
     ++stats_.hits;
-    core::ObjectHeader* chunk = it->second.back();
-    it->second.pop_back();
+    core::ObjectHeader* chunk = it->second.chunks.back();
+    it->second.chunks.pop_back();
     return chunk;
   }
 
@@ -49,43 +49,50 @@ class ChunkStock {
             core::ObjectHeader* chunk) {
     ABCL_CHECK(chunk != nullptr);
     ++stats_.pushes;
-    stocks_[key(peer, size_class)].push_back(chunk);
+    records_[key(peer, size_class)].chunks.push_back(chunk);
   }
 
   std::size_t depth(core::NodeId peer, std::uint16_t size_class) const {
-    auto it = stocks_.find(key(peer, size_class));
-    return it == stocks_.end() ? 0 : it->second.size();
+    const Record* r = find(peer, size_class);
+    return r == nullptr ? 0 : r->chunks.size();
   }
 
   // Replenish-in-flight bookkeeping. A creator that requests a replenish
   // with every create packet overshoots the steady-state target as soon as
   // the stock is drained and then bursts back up; tracking requests that
   // have not yet arrived lets the creator cap depth + pending at the
-  // target. note_replenish_arrived clamps at zero so a replenish that
+  // target. replenish_arrived clamps pending at zero so a replenish that
   // predates the bookkeeping (e.g. seeded mid-flight) cannot underflow.
   void note_replenish_requested(core::NodeId peer, std::uint16_t size_class) {
-    pending_[key(peer, size_class)] += 1;
+    records_[key(peer, size_class)].pending += 1;
   }
 
-  void note_replenish_arrived(core::NodeId peer, std::uint16_t size_class) {
-    auto it = pending_.find(key(peer, size_class));
-    if (it != pending_.end() && it->second > 0) it->second -= 1;
+  // A replenish from `peer` delivered `chunk`: one fewer in flight, one
+  // more on hand.
+  void replenish_arrived(core::NodeId peer, std::uint16_t size_class,
+                         core::ObjectHeader* chunk) {
+    ABCL_CHECK(chunk != nullptr);
+    ++stats_.pushes;
+    Record& r = records_[key(peer, size_class)];
+    if (r.pending > 0) r.pending -= 1;
+    r.chunks.push_back(chunk);
   }
 
   std::size_t pending_replenish(core::NodeId peer,
                                 std::uint16_t size_class) const {
-    auto it = pending_.find(key(peer, size_class));
-    return it == pending_.end() ? 0 : it->second;
+    const Record* r = find(peer, size_class);
+    return r == nullptr ? 0 : r->pending;
   }
 
   // Chunks usable without further wire traffic: on hand plus in flight.
   std::size_t planned_depth(core::NodeId peer, std::uint16_t size_class) const {
-    return depth(peer, size_class) + pending_replenish(peer, size_class);
+    const Record* r = find(peer, size_class);
+    return r == nullptr ? 0 : r->chunks.size() + r->pending;
   }
 
   std::size_t total_chunks() const {
     std::size_t n = 0;
-    for (const auto& [k, v] : stocks_) n += v.size();
+    for (const auto& [k, r] : records_) n += r.chunks.size();
     return n;
   }
 
@@ -99,8 +106,19 @@ class ChunkStock {
            size_class;
   }
 
-  std::unordered_map<std::uint64_t, std::vector<core::ObjectHeader*>> stocks_;
-  std::unordered_map<std::uint64_t, std::size_t> pending_;
+  // Everything known about one (peer, size class): the chunks on hand and
+  // the replenishes requested but not yet arrived.
+  struct Record {
+    std::vector<core::ObjectHeader*> chunks;
+    std::size_t pending = 0;
+  };
+
+  const Record* find(core::NodeId peer, std::uint16_t size_class) const {
+    auto it = records_.find(key(peer, size_class));
+    return it == records_.end() ? nullptr : &it->second;
+  }
+
+  std::unordered_map<std::uint64_t, Record> records_;
   Stats stats_;
 };
 

@@ -132,7 +132,7 @@ void ParallelMachine::install_node(NodeId id) {
   }
   if (net_ != nullptr) {
     net_->set_outbox(id, &w.outbox);
-    net_->set_poll_magazine(id, &w.magazine);
+    net_->set_magazine(id, &w.magazine);
   }
 }
 
@@ -220,14 +220,14 @@ Driver::RunReport ParallelMachine::run(Instr max_time) {
     threads_.clear();
   }
 
-  // Restore tracers and the direct send/release paths. Worker threads are
-  // joined (or never existed), so draining their magazines back to the
-  // depot from this thread is race-free.
+  // Restore tracers, the direct send path and the home magazine. Worker
+  // threads are joined (or never existed), so draining their magazines back
+  // to the depot from this thread is race-free.
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     if (Tracer* orig = saved_tracers_[i]) nodes_[i]->swap_tracer(orig);
     if (net_ != nullptr) {
       net_->set_outbox(static_cast<NodeId>(i), nullptr);
-      net_->set_poll_magazine(static_cast<NodeId>(i), nullptr);
+      net_->set_magazine(static_cast<NodeId>(i), nullptr);
     }
   }
   if (net_ != nullptr) {

@@ -40,12 +40,16 @@
 // Thread-safety partition during a window: a worker touches only its own
 // nodes' state, those nodes' destination queues (poll side), its own outbox,
 // trace buffer, packet-pool magazine and ready-set shard, plus its nodes'
-// slots in the ready set's key array (disjoint indices). The one shared
-// mutable structure is the packet pool's depot, which a worker only
-// reaches through its magazine's overflow path (mutex-guarded, amortized
-// one trip per kMagazineCap frees). Between windows the coordinator alone
-// runs the flush, and its notify_work calls push woken nodes into their
-// owners' shards. Window parameters — the horizon and max_time — are
+// slots in the ready set's key array (disjoint indices), and the packet
+// slots it acquired for its nodes' sends or polled for their handlers. The
+// one shared mutable structure is the packet pool's depot, which a worker
+// only reaches through its magazine's underflow and overflow paths
+// (mutex-guarded, amortized one trip per kMagazineCap/2 operations); the
+// depot mutex orders every slot handoff between threads. Between windows
+// the coordinator alone runs the flush — it commits the workers' filled
+// slots without copying them, and takes the fault layer's delivery copies
+// from the home magazine — and its notify_work calls push woken nodes into
+// their owners' shards. Window parameters — the horizon and max_time — are
 // written by the coordinator between windows and published by the
 // release/acquire pair on epoch_; each worker's shard writes reach the
 // coordinator through the release-store on its `done`.
@@ -128,8 +132,9 @@ class ParallelMachine : public Driver {
 
   struct Worker {
     net::Network::Outbox outbox;
-    // Thread-local cache of free packet slots; polls on this shard release
-    // into it, touching the shared depot only on overflow.
+    // Thread-local cache of free packet slots: this shard's sends acquire
+    // from it and its polls release into it after the handler returns,
+    // touching the shared depot only on underflow or overflow.
     net::PacketPool::Magazine magazine;
     WindowTraceBuffer traces;
     std::uint64_t quanta = 0;

@@ -332,6 +332,68 @@ TEST(CkptWorld, SnapshotCarriesTheDriverWidth) {
   }
 }
 
+// Snapshot bytes are a function of simulated state alone. The serial and
+// the 2-thread driver recycle packet slots in different orders, so a queued
+// packet's slot holds different stale bytes past its payload under each;
+// the canonical packet image must not carry them. Both runs resume from one
+// early snapshot, so their node arenas sit at the same recorded bases (every
+// arena pointer in the image matches), then run to the same boundary. The
+// only permitted difference is the host_threads config word (and the
+// checksum over it).
+TEST(CkptWorld, SnapshotBytesMatchAcrossDrivers) {
+  // The world seed is a unique marker word (FuzzWorld seeds with spec.seed
+  // | 1); host_threads is the i64 written right after it.
+  constexpr std::uint64_t kMarker = 0x5eedc0de5eedc0deull | 1;
+  fuzz::Spec spec = fuzz::generate(2);
+  spec.seed = kMarker;
+  const fuzz::RunResult base = fuzz::run_spec(spec, kSerial);
+  const std::uint64_t at = base.sim_time / 2 + 1;
+
+  fuzz::FuzzWorld fw(spec, kSerial, nullptr, sim::CostModel::ap1000(),
+                     at_config(base.sim_time / 8 + 1));
+  ASSERT_EQ(fw.world().run().stop_reason, StopReason::kCheckpointRequested);
+  ckpt::MemSink early;
+  fw.checkpoint_to(early);
+  const std::vector<fuzz::Counters> early_counters = fw.per_node();
+  auto capture = [&](int host_threads) {
+    ckpt::MemSource src(early.bytes());
+    fw.restore_world(src, nullptr, host_threads);
+    fw.reset_counters(early_counters);
+    EXPECT_EQ(fw.world().run(at).stop_reason, StopReason::kMaxTime);
+    EXPECT_GT(fw.world().network().in_flight(), 0u);
+    ckpt::MemSink sink;
+    fw.checkpoint_to(sink);
+    return sink.take();
+  };
+  std::string serial = capture(kSerial);
+  std::string threaded = capture(2);
+  ASSERT_EQ(serial.size(), threaded.size());
+
+  const std::string marker(reinterpret_cast<const char*>(&kMarker),
+                           sizeof kMarker);
+  const std::size_t seed_at = serial.find(marker);
+  ASSERT_NE(seed_at, std::string::npos);
+  const std::size_t host_threads_at = seed_at + sizeof kMarker;
+  auto host_threads = [&](const std::string& b) {
+    std::int64_t v = 0;
+    std::memcpy(&v, &b[host_threads_at], sizeof v);
+    return v;
+  };
+  EXPECT_EQ(host_threads(serial), kSerial);
+  EXPECT_EQ(host_threads(threaded), 2);
+  for (std::string* b : {&serial, &threaded}) {
+    b->replace(32, 8, 8, '\0');               // checksum
+    b->replace(host_threads_at, 8, 8, '\0');  // host_threads
+  }
+  std::size_t first_diff = 0;
+  while (first_diff < serial.size() &&
+         serial[first_diff] == threaded[first_diff]) {
+    ++first_diff;
+  }
+  EXPECT_EQ(first_diff, serial.size())
+      << "snapshots differ from byte " << first_diff;
+}
+
 // A restored run retires objects, the live-list heads among them. Restore
 // rebuilds every NodeRuntime at a new host address, so unlinking must not
 // write through a pointer the snapshot carried into the old runtime (under
@@ -473,27 +535,36 @@ TEST(CkptIntegrityDeath, ForgedQueuedPacketIsRejectedAtRestore) {
   const std::size_t at = bytes.find(marker);
   ASSERT_NE(at, std::string::npos);
   ASSERT_EQ(bytes.find(marker, at + 1), std::string::npos);
-  const std::size_t pkt = at - offsetof(net::Packet, payload);
+  // A queued packet is written field by field: u32 handler, u32 src,
+  // u32 dst, u64 send_time, u64 arrive_time, u64 seq, u64 link_seq,
+  // u32 retries, u32 nwords, then the payload, whose first word is the
+  // marker. Offsets below are back from the marker.
+  constexpr std::size_t kNwordsBack = 4;
+  constexpr std::size_t kDstBack = 4 + 4 + 4 * 8 + 4;
+  constexpr std::size_t kHandlerBack = kDstBack + 4 + 4;
 
   // Overwrites one field of the planted packet, then re-seals the header's
   // FNV-1a checksum (header bytes 32..39) over the payload (bytes 40..).
-  auto forge = [&](std::size_t field, const auto& value) {
+  auto forge = [&](std::size_t back, std::uint32_t value) {
     std::string s = bytes;
-    std::memcpy(&s[pkt + field], &value, sizeof value);
+    std::memcpy(&s[at - back], &value, sizeof value);
     const std::uint64_t sum = ckpt::fnv1a(s.data() + 40, s.size() - 40);
     std::memcpy(&s[32], &sum, sizeof sum);
     return s;
   };
-  expect_restore_death(
-      forge(offsetof(net::Packet, nwords),
-            static_cast<std::uint8_t>(net::kMaxPacketWords + 1)),
-      "carries 25 payload words");
-  expect_restore_death(forge(offsetof(net::Packet, handler),
-                             static_cast<net::HandlerId>(0xFFFF)),
-                       "names handler 65535");
-  expect_restore_death(
-      forge(offsetof(net::Packet, dst), static_cast<std::int32_t>(0)),
-      "is addressed to node 0");
+  // The planted fields read back as written before any forgery.
+  auto field = [&](std::size_t back) {
+    std::uint32_t v = 0;
+    std::memcpy(&v, &bytes[at - back], sizeof v);
+    return v;
+  };
+  ASSERT_EQ(field(kNwordsBack), 1u);
+  ASSERT_EQ(field(kDstBack), 1u);
+  ASSERT_EQ(field(kDstBack + 4), 0u);  // src
+  expect_restore_death(forge(kNwordsBack, net::kMaxPacketWords + 1),
+                       "carries 25 payload words");
+  expect_restore_death(forge(kHandlerBack, 0xFFFF), "names handler 65535");
+  expect_restore_death(forge(kDstBack, 0), "is addressed to node 0");
 }
 
 // The same re-sealed forgery against the config words restore validates.

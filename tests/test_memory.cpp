@@ -209,6 +209,70 @@ TEST(PacketRecycling, PolledPacketSurvivesSubsequentSends) {
   EXPECT_EQ(second.at(0), 222u);
 }
 
+TEST(PacketRecycling, HeldSlotIsNeverHandedToASend) {
+  // The slot API's twin of the test above: a handler runs on the slot its
+  // packet landed in, so until the poller releases that slot no send may
+  // be handed it — not even after the magazine has cycled through the depot
+  // several times.
+  sim::CostModel cm = sim::CostModel::ap1000();
+  net::Network net(net::Topology(net::TopologyKind::kTorus2D, 4), &cm);
+  net.send(make_packet(0, 1, 0, 111), net::AmCategory::kObjectMessage);
+  net::Packet* held = net.poll(1, sim::kInstrInf);
+  ASSERT_NE(held, nullptr);
+  for (int i = 1; i <= 4 * net::PacketPool::kMagazineCap; ++i) {
+    net::Packet* p = net.open(0, 2, 0, i);
+    EXPECT_NE(p, held);
+    p->push(222);
+    net.send(p, net::AmCategory::kObjectMessage);
+    net::Packet* q = net.poll(2, sim::kInstrInf);
+    ASSERT_EQ(q, p);
+    net.release(2, q);
+  }
+  EXPECT_EQ(held->at(0), 111u);
+  EXPECT_EQ(held->nwords, 1);
+  net.release(1, held);
+  EXPECT_TRUE(net.idle());
+}
+
+TEST(PacketRecycling, EverySlotIsBackAtQuiescence) {
+  // Every slot a send acquires goes back to the pool: after its handler
+  // returns, or under a fault plan once its last delivery copy is enqueued
+  // (each copy then returns after its own poll). With workers, the driver
+  // drains their magazines into the depot at the end of each run.
+  net::FaultConfig lossy;
+  lossy.enabled = true;
+  lossy.drop_ppm = 100'000;
+  lossy.dup_ppm = 100'000;
+  lossy.seed = 7;
+  struct Case {
+    const char* name;
+    int threads;
+    bool faults;
+  };
+  for (const Case& c : {Case{"serial", -1, false}, Case{"2 threads", 2, false},
+                        Case{"serial, drop/dup", -1, true},
+                        Case{"2 threads, drop/dup", 2, true}}) {
+    SCOPED_TRACE(c.name);
+    core::Program prog;
+    auto np = apps::register_nqueens(prog);
+    prog.finalize();
+    WorldConfig cfg = WorldConfig{}.with_nodes(16).with_host_threads(c.threads);
+    if (c.faults) cfg.with_faults(lossy);
+    World world(prog, cfg);
+    auto r =
+        apps::run_nqueens(world, np, apps::NQueensParams::paper_calibrated(7));
+    EXPECT_EQ(r.solutions, 40);
+    net::Network& net = world.network();
+    EXPECT_TRUE(net.idle());
+    EXPECT_GT(net.stats().packets, 0u);
+    if (c.faults) {
+      EXPECT_GT(net.fault_stats().duplicates, 0u);
+    }
+    EXPECT_EQ(net.free_slots(), net.packet_pool().slabs_allocated() *
+                                    net::PacketPool::kSlabPackets);
+  }
+}
+
 TEST(PacketRecycling, TeardownWithUndeliveredPacketsLeaksNothing) {
   // Destroying a Network with packets still queued must free every slot:
   // they live in the pool's slabs, which die with it. The ASan job turns

@@ -363,6 +363,38 @@ TEST(Network, OutboxBuffersUntilFlush) {
   net.set_outbox(0, nullptr);
 }
 
+TEST(Network, PollHandsOutTheSlotTheSenderFilled) {
+  // Zero copy: the slot a sender opens and fills is the one the receiver's
+  // poll returns, whether the send commits directly or waits in an outbox
+  // for the barrier flush.
+  sim::CostModel cm = sim::CostModel::ap1000();
+  auto net = make_net(4, &cm);
+  Packet* direct = net.open(0, 1, 0, 0);
+  direct->push(7);
+  net.send(direct, net::AmCategory::kObjectMessage);
+  Packet* got = net.poll(1, sim::kInstrInf);
+  ASSERT_EQ(got, direct);
+  EXPECT_EQ(got->at(0), 7u);
+  EXPECT_EQ(got->seq, 0u);
+  net.release(1, got);
+
+  net::Network::Outbox ob;
+  net.set_outbox(0, &ob);
+  ob.set_current_key(5);
+  Packet* buffered = net.open(0, 2, 0, 5);
+  buffered->push(9);
+  net.send(buffered, net::AmCategory::kObjectMessage);
+  net::Network::Outbox* boxes[] = {&ob};
+  net.flush_outboxes(boxes, 1);
+  net.set_outbox(0, nullptr);
+  got = net.poll(2, sim::kInstrInf);
+  ASSERT_EQ(got, buffered);
+  EXPECT_EQ(got->at(0), 9u);
+  EXPECT_EQ(got->seq, 1u);
+  net.release(2, got);
+  EXPECT_TRUE(net.idle());
+}
+
 // While a parallel run has outboxes installed, a source without one must
 // not commit directly: its packet would land ahead of the window's buffered
 // sends. Uninstalling every outbox restores the direct path.

@@ -60,22 +60,25 @@ TEST(ChunkStock, PushPopDepth) {
 
 TEST(ChunkStock, PendingReplenishClampsAtZero) {
   remote::ChunkStock stock;
+  auto c = reinterpret_cast<core::ObjectHeader*>(0x1000);
   // An arrival with no recorded request (e.g. one seeded mid-flight before
   // the bookkeeping saw it) must clamp at zero, not wrap around.
-  stock.note_replenish_arrived(1, 3);
+  stock.replenish_arrived(1, 3, c);
   EXPECT_EQ(stock.pending_replenish(1, 3), 0u);
+  EXPECT_EQ(stock.depth(1, 3), 1u);
   stock.note_replenish_requested(1, 3);
   stock.note_replenish_requested(1, 3);
   EXPECT_EQ(stock.pending_replenish(1, 3), 2u);
   EXPECT_EQ(stock.pending_replenish(2, 3), 0u);  // distinct peer
-  stock.note_replenish_arrived(1, 3);
-  stock.note_replenish_arrived(1, 3);
-  stock.note_replenish_arrived(1, 3);  // over-arrival clamps
+  EXPECT_EQ(stock.planned_depth(1, 3), 3u);      // on hand + in flight
+  stock.replenish_arrived(1, 3, c);
+  stock.replenish_arrived(1, 3, c);
+  stock.replenish_arrived(1, 3, c);  // over-arrival clamps
   EXPECT_EQ(stock.pending_replenish(1, 3), 0u);
-  auto c = reinterpret_cast<core::ObjectHeader*>(0x1000);
-  stock.push(1, 3, c);
+  EXPECT_EQ(stock.depth(1, 3), 4u);
+  EXPECT_EQ(stock.stats().pushes, 4u);
   stock.note_replenish_requested(1, 3);
-  EXPECT_EQ(stock.planned_depth(1, 3), 2u);  // on hand + in flight
+  EXPECT_EQ(stock.planned_depth(1, 3), 5u);
 }
 
 TEST(RemoteCreate, OverfullStockDrainsBackToTargetInsteadOfGrowing) {
