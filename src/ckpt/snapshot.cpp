@@ -53,6 +53,19 @@ std::uint64_t fnv1a(const void* p, std::size_t n, std::uint64_t h) {
   return h;
 }
 
+std::uint64_t checksum(const void* p, std::size_t n) {
+  const auto* b = static_cast<const unsigned char*>(p);
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    std::uint64_t w;
+    std::memcpy(&w, b + i, sizeof w);
+    h ^= w;
+    h *= 0x100000001b3ull;
+  }
+  return fnv1a(b + i, n - i, h);
+}
+
 namespace {
 
 struct Header {
@@ -74,7 +87,7 @@ void Writer::finish(std::uint64_t program_fingerprint, Sink& sink) const {
   h.reserved = 0;
   h.fingerprint = program_fingerprint;
   h.payload_bytes = buf_.size();
-  h.checksum = fnv1a(buf_.data(), buf_.size());
+  h.checksum = checksum(buf_.data(), buf_.size());
   sink.write(&h, sizeof h);
   sink.write(buf_.data(), buf_.size());
 }
@@ -105,7 +118,7 @@ Reader::Reader(Source& src, std::uint64_t program_fingerprint) {
   char extra;
   ABCL_CHECK_MSG(src.read(&extra, 1) == 0,
                  "checkpoint restore: trailing bytes after the snapshot");
-  ABCL_CHECK_MSG(fnv1a(payload_.data(), payload_.size()) == h.checksum,
+  ABCL_CHECK_MSG(checksum(payload_.data(), payload_.size()) == h.checksum,
                  "checkpoint restore: checksum mismatch (corrupt snapshot)");
 }
 

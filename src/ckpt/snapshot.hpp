@@ -33,7 +33,7 @@ namespace abcl::ckpt {
 
 // "ABCLCKPT" little-endian; bump kVersion on any layout change.
 inline constexpr std::uint64_t kMagic = 0x54504b434c434241ull;
-inline constexpr std::uint32_t kVersion = 7;
+inline constexpr std::uint32_t kVersion = 8;
 
 // ---------------------------------------------------------------------------
 // Byte transport
@@ -108,6 +108,13 @@ class FileSource : public Source {
 
 std::uint64_t fnv1a(const void* p, std::size_t n,
                     std::uint64_t h = 0xcbf29ce484222325ull);
+
+// The payload checksum in the snapshot header: FNV-1a folded over the
+// payload's 8-byte words (native byte order, little-endian on every
+// supported host), then byte by byte over the tail. Each word step
+// h <- (h ^ w) * p mod 2^64 is a bijection of h (p is odd), so a change to
+// any one word still changes the sum, at an eighth of the byte-wise cost.
+std::uint64_t checksum(const void* p, std::size_t n);
 
 class Writer {
  public:

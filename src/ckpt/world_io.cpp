@@ -29,6 +29,8 @@
 #include <cstddef>
 #include <cstring>
 #include <limits>
+#include <memory>
+#include <set>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -264,21 +266,27 @@ struct WorldIo {
     if (n.fault_plan_ != nullptr) {
       w.raw(n.fault_commit_);
       save_channel_words(w, n.use_matrix_, n.link_seq_matrix_, n.link_seq_map_);
+      // Each destination's touched windows (DedupWindow::touched), in
+      // ascending source order.
+      const std::size_t nodes = n.dst_fault_.size();
       for (const net::Network::DstFaultState& st : n.dst_fault_) {
         w.u64(st.delivered);
         w.u64(st.dup_suppressed);
-        std::vector<std::int32_t> srcs;
-        srcs.reserve(st.windows.size());
-        for (const auto& [src, win] : st.windows) srcs.push_back(src);
-        std::sort(srcs.begin(), srcs.end());
-        w.u64(srcs.size());
-        for (std::int32_t src : srcs) {
-          const net::DedupWindow& win = st.windows.at(src);
+        std::uint64_t touched = 0;
+        for (std::size_t src = 0; st.windows && src < nodes; ++src) {
+          touched += st.windows[src].touched() ? 1 : 0;
+        }
+        w.u64(touched);
+        for (std::size_t src = 0; touched != 0 && src < nodes; ++src) {
+          const net::DedupWindow& win = st.windows[src];
+          if (!win.touched()) continue;
           w.u32(static_cast<std::uint32_t>(src));
           w.u64(win.base_);
           w.u64(win.bits_);
-          w.u64(win.far_.size());
-          for (std::uint64_t s : win.far_) w.u64(s);  // std::set: sorted
+          w.u64(win.spill_size());
+          if (win.far_) {
+            for (std::uint64_t s : *win.far_) w.u64(s);  // std::set: sorted
+          }
         }
       }
     }
@@ -302,17 +310,26 @@ struct WorldIo {
     if (n.fault_plan_ != nullptr) {
       r.raw_into(n.fault_commit_);
       load_channel_words(r, n.use_matrix_, n.link_seq_matrix_, n.link_seq_map_);
+      const std::size_t nodes = n.dst_fault_.size();
       for (net::Network::DstFaultState& st : n.dst_fault_) {
         st.delivered = r.u64();
         st.dup_suppressed = r.u64();
         std::uint64_t nwin = r.u64();
         for (std::uint64_t i = 0; i < nwin; ++i) {
-          auto src = static_cast<std::int32_t>(r.u32());
-          net::DedupWindow& win = st.windows[src];
+          const std::uint32_t src = r.u32();
+          ABCL_CHECK_MSG(src < nodes,
+                         ("checkpoint restore: dedup window for source node " +
+                          std::to_string(src) + " outside the " +
+                          std::to_string(nodes) + "-node world")
+                             .c_str());
+          net::DedupWindow& win = n.dedup_windows(st)[src];
           win.base_ = r.u64();
           win.bits_ = r.u64();
           std::uint64_t nfar = r.u64();
-          for (std::uint64_t j = 0; j < nfar; ++j) win.far_.insert(r.u64());
+          if (nfar != 0) {
+            win.far_ = std::make_unique<std::set<std::uint64_t>>();
+          }
+          for (std::uint64_t j = 0; j < nfar; ++j) win.far_->insert(r.u64());
         }
       }
     }
@@ -465,11 +482,49 @@ struct WorldIo {
     save_migration(w, rt);
   }
 
+  // The image's own pointers, checked before anything follows them: the
+  // checksum proves integrity, not authorship, and an image restored at a
+  // forged base keeps pointing where it was captured.
+  struct ImageBounds {
+    core::NodeId node;
+    std::uint64_t base;
+    std::uint64_t used;
+
+    // Checks that the `bytes` bytes at `word` lie inside [base, base +
+    // used), or that `word` is null where `null_ok`; a bytes == 0 cursor
+    // may sit at the image's end.
+    void check(std::uint64_t word, std::size_t bytes, const char* what,
+               bool null_ok = true) const {
+      const bool inside = word >= base && word - base <= used &&
+                          used - (word - base) >= bytes;
+      ABCL_CHECK_MSG((null_ok && word == 0) || inside,
+                     ("checkpoint restore: node " + std::to_string(node) +
+                      " " + what + " " + std::to_string(word) +
+                      " falls outside its arena image [" +
+                      std::to_string(base) + ", " +
+                      std::to_string(base + used) + ")")
+                         .c_str());
+    }
+  };
+
   static std::unique_ptr<core::NodeRuntime> load_node(
       Reader& r, core::NodeId id, core::Program& prog, net::Network& net,
       const sim::CostModel& cm, core::NodeRuntime::Config nc) {
-    std::uint64_t base = r.u64();
-    std::uint64_t used = r.u64();
+    const std::uint64_t base = r.u64();
+    // A reserved arena only ever sits on a slot base; any other word (the
+    // kReserveAuto sentinel included) would place the image elsewhere.
+    ABCL_CHECK_MSG(util::Arena::is_slot_base(base),
+                   ("checkpoint restore: node " + std::to_string(id) +
+                    " arena base " + std::to_string(base) +
+                    " is not a slot base of the checkpoint window")
+                       .c_str());
+    const std::uint64_t used = r.u64();
+    ABCL_CHECK_MSG(used <= util::Arena::kSlotBytes,
+                   ("checkpoint restore: node " + std::to_string(id) +
+                    " arena image of " + std::to_string(used) +
+                    " bytes exceeds the slot")
+                       .c_str());
+    const ImageBounds image_bounds{id, base, used};
     std::uint64_t ballo = r.u64();
     const void* image = r.view(used);
     nc.arena_base = base;
@@ -483,21 +538,30 @@ struct WorldIo {
     rt->quanta_run_ = r.u64();
     rt->total_created_ = r.u64();
     rt->live_objects_ = r.u64();
-    rt->live_head_ = word_ptr<core::ObjectHeader>(r.u64());
+    const std::uint64_t live_head = r.u64();
+    image_bounds.check(live_head, sizeof(core::ObjectHeader), "live-list head");
+    rt->live_head_ = word_ptr<core::ObjectHeader>(live_head);
     r.raw_into(rt->stats_);
     r.raw_into(rt->rng_);
 
     for (std::size_t c = 0; c < util::SlabAllocator::kNumClasses; ++c) {
-      rt->pool_.free_[c] =
-          word_ptr<util::SlabAllocator::FreeNode>(r.u64());
-      rt->pool_.fresh_[c] = word_ptr<std::byte>(r.u64());
+      const std::uint64_t free_head = r.u64();
+      image_bounds.check(free_head, sizeof(util::SlabAllocator::FreeNode),
+                         "slab free-list head");
+      rt->pool_.free_[c] = word_ptr<util::SlabAllocator::FreeNode>(free_head);
+      const std::uint64_t bump = r.u64();
+      image_bounds.check(bump, 0, "slab bump head");
+      rt->pool_.fresh_[c] = word_ptr<std::byte>(bump);
       rt->pool_.fresh_left_[c] = r.u64();
     }
     r.raw_into(rt->pool_.stats_);
 
     std::uint64_t nsched = r.u64();
     for (std::uint64_t i = 0; i < nsched; ++i) {
-      rt->sched_.ckpt_relink_tail(word_ptr<core::ObjectHeader>(r.u64()));
+      const std::uint64_t o = r.u64();
+      image_bounds.check(o, sizeof(core::ObjectHeader),
+                         "scheduling-FIFO entry", /*null_ok=*/false);
+      rt->sched_.ckpt_relink_tail(word_ptr<core::ObjectHeader>(o));
     }
 
     load_stock(r, rt->stock_);
@@ -559,15 +623,16 @@ struct WorldIo {
     r.raw_into(s.stats_);
   }
 
+  // Peers in ascending id order, not the map's first-heard order: the
+  // bytes stay a function of the map's contents alone.
   static void save_loads(Writer& w, const remote::LoadMap& m) {
-    std::vector<core::NodeId> keys;
-    keys.reserve(m.loads_.size());
-    for (const auto& [k, v] : m.loads_) keys.push_back(k);
-    std::sort(keys.begin(), keys.end());
-    w.u64(keys.size());
-    for (core::NodeId k : keys) {
-      const remote::LoadMap::Entry& e = m.loads_.at(k);
-      w.u32(static_cast<std::uint32_t>(k));
+    std::vector<remote::LoadMap::Entry> entries = m.loads_;
+    std::sort(entries.begin(), entries.end(),
+              [](const remote::LoadMap::Entry& a,
+                 const remote::LoadMap::Entry& b) { return a.peer < b.peer; });
+    w.u64(entries.size());
+    for (const remote::LoadMap::Entry& e : entries) {
+      w.u32(static_cast<std::uint32_t>(e.peer));
       w.u32(e.load);
       w.u64(e.stamp);
     }
@@ -577,10 +642,8 @@ struct WorldIo {
     std::uint64_t count = r.u64();
     for (std::uint64_t i = 0; i < count; ++i) {
       auto peer = static_cast<core::NodeId>(r.u32());
-      remote::LoadMap::Entry e;
-      e.load = r.u32();
-      e.stamp = r.u64();
-      m.loads_[peer] = e;
+      const std::uint32_t load = r.u32();
+      m.note(peer, load, r.u64());
     }
   }
 

@@ -963,13 +963,17 @@ void NodeRuntime::maybe_shed() {
   const remote::MigrationConfig& mc = cfg_.migration;
   if (mc.interval == 0 || quanta_run_ % mc.interval != 0) return;
   // Fresh gossip samples in the topology's fixed neighbour order, so the
-  // policy sees an identical vector in every driver.
-  std::vector<std::pair<std::int32_t, std::uint32_t>> loads;
+  // policy sees identical inputs in every driver. A stack array: the check
+  // runs every `interval` quanta and allocates nothing unless it sheds.
+  std::pair<std::int32_t, std::uint32_t> loads[net::kMaxNeighbors];
+  std::size_t nloads = 0;
   for (NodeId nb : net_->topology().neighbors(id_)) {
-    if (auto l = known_load(nb)) loads.emplace_back(nb, *l);
+    if (auto l = known_load(nb)) loads[nloads++] = {nb, *l};
   }
   auto depth = static_cast<std::uint32_t>(sched_.size());
-  auto d = remote::decide_shed(mc, id_, quanta_run_, depth, loads);
+  auto d = remote::decide_shed(
+      mc, id_, quanta_run_, depth,
+      std::span<const std::pair<std::int32_t, std::uint32_t>>(loads, nloads));
   if (!d) return;
   // Candidates in run-queue FIFO order: the objects that have waited
   // longest are shipped first (canonical shed order; DESIGN.md).

@@ -54,9 +54,9 @@ void DedupWindow::advance() {
     // Pull spilled sequences that now fit the bitmap; re-loop in case they
     // extend the delivered prefix further.
     bool migrated = false;
-    while (!far_.empty() && *far_.begin() < base_ + kBits) {
-      bits_ |= std::uint64_t{1} << (*far_.begin() - base_);
-      far_.erase(far_.begin());
+    while (far_ && !far_->empty() && *far_->begin() < base_ + kBits) {
+      bits_ |= std::uint64_t{1} << (*far_->begin() - base_);
+      far_->erase(far_->begin());
       migrated = true;
     }
     if (!migrated) return;
@@ -72,7 +72,8 @@ bool DedupWindow::accept(std::uint64_t seq) {
     advance();
     return true;
   }
-  return far_.insert(seq).second;
+  if (!far_) far_ = std::make_unique<std::set<std::uint64_t>>();
+  return far_->insert(seq).second;
 }
 
 // ----------------------------------------------------------------------------

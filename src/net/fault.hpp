@@ -30,6 +30,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
@@ -177,7 +178,9 @@ class FaultPlan {
 // 64-bit bitmap for [base, base+64) plus an ordered spill set for copies
 // that arrive wildly early (heavy reorder-delay). accept() returns true
 // exactly once per sequence number; the base advances over the delivered
-// prefix so steady-state memory is one word per live channel.
+// prefix so steady-state memory is one word per live channel. The spill
+// set sits behind a pointer, allocated on the first spill, so a window is
+// 24 B and a destination's windows fit a flat per-source array.
 class DedupWindow {
  public:
   static constexpr std::uint64_t kBits = 64;
@@ -186,7 +189,11 @@ class DedupWindow {
   bool accept(std::uint64_t seq);
 
   std::uint64_t base() const { return base_; }
-  std::size_t spill_size() const { return far_.size(); }
+  std::size_t spill_size() const { return far_ ? far_->size() : 0; }
+  // False until the first accept(), true forever after (the base only
+  // grows, and a bit or a spilled seq leaves only into the base or the
+  // bitmap): exactly the windows a snapshot carries.
+  bool touched() const { return base_ != 0 || bits_ != 0 || spill_size() != 0; }
 
  private:
   friend struct abcl::ckpt::WorldIo;  // checkpoint serializer
@@ -195,8 +202,10 @@ class DedupWindow {
 
   std::uint64_t base_ = 0;  // every seq < base_ has been delivered
   std::uint64_t bits_ = 0;  // bit i set => base_ + i delivered
-  std::set<std::uint64_t> far_;  // delivered seqs >= base_ + kBits
+  // Delivered seqs >= base_ + kBits; null until the first spill.
+  std::unique_ptr<std::set<std::uint64_t>> far_;
 };
+static_assert(sizeof(DedupWindow) == 24, "a window is three words");
 
 // Fault-layer accounting. Commit-side counters are updated on the (single
 // threaded) commit path; the receiver-side pair (delivered/dup_suppressed)

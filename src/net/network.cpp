@@ -33,7 +33,7 @@ void Network::Stats::merge(const Stats& o) {
 
 Network::Network(Topology topology, const sim::CostModel* cm,
                  std::function<void(NodeId)> on_deliverable, FaultConfig faults)
-    : topology_(topology),
+    : topology_(std::move(topology)),
       cm_(cm),
       on_deliverable_(std::move(on_deliverable)),
       queues_(static_cast<std::size_t>(topology_.num_nodes())),
@@ -199,19 +199,29 @@ void Network::commit_faulty(Packet* p) {
   // already applied; >= min_packet_latency() by construction.
   const sim::Instr eff_wire = base_arrive - p->send_time;
 
-  // One delivery copy in its own slot: the committed header and payload,
-  // stamped with this copy's arrival and attempt number.
-  auto enqueue_copy = [this, p](sim::Instr arrive, std::uint32_t attempt) {
-    Packet* c = pool_.acquire(home_mag_);
-    c->handler = p->handler;
-    c->src = p->src;
-    c->dst = p->dst;
-    c->send_time = p->send_time;
+  // One delivery copy, stamped with its arrival and attempt number. The
+  // first surviving copy is the committed slot itself; each later one (a
+  // duplicate or a retransmit) gets its own slot holding the committed
+  // header and payload. Copying out of `p` after it is queued is safe: the
+  // commit path runs alone (serially, or at the window barrier), so no
+  // poll can take `p` before the loop ends.
+  bool first = true;
+  auto enqueue_copy = [this, p, &first](sim::Instr arrive,
+                                        std::uint32_t attempt) {
+    Packet* c = p;
+    if (!first) {
+      c = pool_.acquire(home_mag_);
+      c->handler = p->handler;
+      c->src = p->src;
+      c->dst = p->dst;
+      c->send_time = p->send_time;
+      c->seq = p->seq;
+      c->link_seq = p->link_seq;
+      copy_payload(*c, *p);
+    }
+    first = false;
     c->arrive_time = arrive;
-    c->seq = p->seq;
-    c->link_seq = p->link_seq;
     c->retries = static_cast<std::uint16_t>(attempt);
-    copy_payload(*c, *p);
     enqueue(c);
   };
 
@@ -257,8 +267,8 @@ void Network::commit_faulty(Packet* p) {
     }
     t += plan.backoff(attempt);
   }
-  // Every delivery copy lives in its own slot now.
-  pool_.release(home_mag_, p);
+  // The forced final attempt always delivers, so `p` is queued by now.
+  ABCL_DCHECK(!first);
 }
 
 void Network::Outbox::sort_canonical() {
@@ -326,8 +336,15 @@ void Network::flush_merge(Outbox* const* boxes, std::size_t nboxes) {
     runs[k++] = Cursor{&boxes[i]->items_, 0};
   }
   if (k == 0) return;
+  // commit() reads and stamps each slot's header where its sender left it,
+  // in merge order rather than send order; prefetching the next item's
+  // slot overlaps that miss with the current commit.
   if (k == 1) {
-    for (const Outbox::Item& it : *runs[0].items) commit(it.slot, it.cat);
+    const std::vector<Outbox::Item>& items = *runs[0].items;
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      if (i + 1 < items.size()) __builtin_prefetch(items[i + 1].slot, 1);
+      commit(items[i].slot, items[i].cat);
+    }
     return;
   }
 
@@ -368,8 +385,12 @@ void Network::flush_merge(Outbox* const* boxes, std::size_t nboxes) {
     Cursor& c = runs[winner];
     if (c.pos == c.items->size()) break;  // winner exhausted => all are
     const Outbox::Item& it = (*c.items)[c.pos++];
-    commit(it.slot, it.cat);
     winner = replay(winner);
+    const Cursor& next = runs[winner];
+    if (next.pos != next.items->size()) {
+      __builtin_prefetch((*next.items)[next.pos].slot, 1);
+    }
+    commit(it.slot, it.cat);
   }
 }
 
@@ -385,7 +406,7 @@ Packet* Network::poll(NodeId dst, sim::Instr now, bool* was_dup) {
     // the caller charges the handler cost and discards. This state is owned
     // by the worker polling `dst` — no cross-thread writes.
     DstFaultState& st = dst_fault_[idx(dst)];
-    if (st.windows[slot->src].accept(slot->link_seq)) {
+    if (dedup_windows(st)[idx(slot->src)].accept(slot->link_seq)) {
       st.delivered += 1;
     } else {
       st.dup_suppressed += 1;
@@ -393,6 +414,14 @@ Packet* Network::poll(NodeId dst, sim::Instr now, bool* was_dup) {
     }
   }
   return slot;
+}
+
+DedupWindow* Network::dedup_windows(DstFaultState& st) {
+  if (!st.windows) {
+    st.windows = std::make_unique<DedupWindow[]>(
+        static_cast<std::size_t>(topology_.num_nodes()));
+  }
+  return st.windows.get();
 }
 
 bool Network::poll(NodeId dst, sim::Instr now, Packet& out, bool* was_dup) {
@@ -410,6 +439,16 @@ FaultStats Network::fault_stats() const {
     total.dup_suppressed += st.dup_suppressed;
   }
   return total;
+}
+
+std::uint64_t Network::dedup_spilled(NodeId dst) const {
+  if (fault_plan_ == nullptr) return 0;
+  const DstFaultState& st = dst_fault_[idx(dst)];
+  std::uint64_t n = 0;
+  for (std::size_t src = 0; st.windows && src < dst_fault_.size(); ++src) {
+    n += st.windows[src].spill_size();
+  }
+  return n;
 }
 
 std::uint64_t Network::in_flight() const {

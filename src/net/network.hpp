@@ -237,6 +237,10 @@ class Network {
   // destination's receive-side counters. Call from a single thread with no
   // run in progress (the same contract as stats()).
   FaultStats fault_stats() const;
+  // Sequences held in dst's dedup spill sets: copies delivered 64 or more
+  // link sequences ahead of a gap. Zero when faults are off. Same
+  // single-thread contract as fault_stats().
+  std::uint64_t dedup_spilled(NodeId dst) const;
 
  private:
   // Checkpoint serializer (src/ckpt/world_io.cpp).
@@ -301,14 +305,18 @@ class Network {
   std::vector<PacketPool::Magazine*> mags_;
 
   // ----- fault-injection state (all empty/null when faults are off) -------
-  // Receive side of one destination: dedup windows keyed by source plus the
-  // delivery counters. Touched only by the worker that polls `dst`, so the
-  // parallel driver needs no extra synchronization.
+  // Receive side of one destination: one dedup window per source, in a
+  // flat array indexed by source node and allocated on the destination's
+  // first faulted poll, plus the delivery counters. Touched only by the
+  // worker that polls `dst`, so the parallel driver needs no extra
+  // synchronization.
   struct DstFaultState {
-    std::unordered_map<std::int32_t, DedupWindow> windows;
+    std::unique_ptr<DedupWindow[]> windows;  // null until the first poll
     std::uint64_t delivered = 0;
     std::uint64_t dup_suppressed = 0;
   };
+  // dst's window array, allocated on first use.
+  DedupWindow* dedup_windows(DstFaultState& st);
   std::unique_ptr<FaultPlan> fault_plan_;
   // Per-(src,dst) channel sequence counters; same matrix/map split as the
   // channel floors. Advanced on the commit path only.

@@ -13,21 +13,25 @@ Topology::Topology(TopologyKind kind, std::int32_t n) : kind_(kind), n_(n) {
   if (kind_ == TopologyKind::kFullyConnected || kind_ == TopologyKind::kRing) {
     x_ = n;
     y_ = 1;
-    return;
-  }
-  if (kind_ == TopologyKind::kHypercube) {
+  } else if (kind_ == TopologyKind::kHypercube) {
     ABCL_CHECK_MSG((n & (n - 1)) == 0, "hypercube needs a power-of-two size");
     x_ = n;
     y_ = 1;
-    return;
+  } else {
+    // Pick the factorization X * Y = n with X >= Y and X - Y minimal.
+    std::int32_t best_y = 1;
+    for (std::int32_t y = 1; y * y <= n; ++y) {
+      if (n % y == 0) best_y = y;
+    }
+    y_ = best_y;
+    x_ = n / best_y;
   }
-  // Pick the factorization X * Y = n with X >= Y and X - Y minimal.
-  std::int32_t best_y = 1;
-  for (std::int32_t y = 1; y * y <= n; ++y) {
-    if (n % y == 0) best_y = y;
+  nbr_begin_.reserve(static_cast<std::size_t>(n) + 1);
+  nbr_begin_.push_back(0);
+  for (NodeId id = 0; id < n; ++id) {
+    append_neighbors(id);
+    nbr_begin_.push_back(static_cast<std::uint32_t>(nbr_.size()));
   }
-  y_ = best_y;
-  x_ = n / best_y;
 }
 
 std::int32_t Topology::hops(NodeId src, NodeId dst) const {
@@ -58,22 +62,23 @@ std::int32_t Topology::hops(NodeId src, NodeId dst) const {
   ABCL_UNREACHABLE();
 }
 
-std::vector<NodeId> Topology::neighbors(NodeId id) const {
-  std::vector<NodeId> out;
+void Topology::append_neighbors(NodeId id) {
+  std::vector<NodeId>& out = nbr_;
+  const std::size_t first = out.size();
   if (kind_ == TopologyKind::kFullyConnected) {
-    for (std::int32_t i = 0; i < n_ && out.size() < 8; ++i) {
+    for (std::int32_t i = 0; i < n_ && out.size() - first < 8; ++i) {
       if (i != id) out.push_back(i);
     }
-    return out;
+    return;
   }
   if (kind_ == TopologyKind::kRing) {
     if (n_ > 1) out.push_back((id + 1) % n_);
     if (n_ > 2) out.push_back((id + n_ - 1) % n_);
-    return out;
+    return;
   }
   if (kind_ == TopologyKind::kHypercube) {
     for (std::int32_t bit = 1; bit < n_; bit <<= 1) out.push_back(id ^ bit);
-    return out;
+    return;
   }
   std::int32_t cx = coord_x(id);
   std::int32_t cy = coord_y(id);
@@ -86,8 +91,8 @@ std::vector<NodeId> Topology::neighbors(NodeId id) const {
     }
     NodeId nid = ny * x_ + nx;
     if (nid == id) return;  // wrap-around on a dimension of size 1
-    for (NodeId seen : out) {
-      if (seen == nid) return;
+    for (std::size_t i = first; i < out.size(); ++i) {
+      if (out[i] == nid) return;
     }
     out.push_back(nid);
   };
@@ -95,7 +100,6 @@ std::vector<NodeId> Topology::neighbors(NodeId id) const {
   add(cx + 1, cy);
   add(cx, cy - 1);
   add(cx, cy + 1);
-  return out;
 }
 
 std::int32_t Topology::diameter() const {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "net/topology.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 #include "util/spec_parser.hpp"
@@ -82,20 +83,22 @@ std::uint64_t shed_roll(std::uint64_t seed, std::int32_t node,
 std::optional<ShedDecision> decide_shed(
     const MigrationConfig& cfg, std::int32_t node, std::uint64_t quantum,
     std::uint32_t depth,
-    const std::vector<std::pair<std::int32_t, std::uint32_t>>&
-        neighbor_loads) {
+    std::span<const std::pair<std::int32_t, std::uint32_t>> neighbor_loads) {
   if (!cfg.enabled || depth < cfg.min_queue) return std::nullopt;
   if (neighbor_loads.empty()) return std::nullopt;
+  ABCL_CHECK_MSG(neighbor_loads.size() <= net::kMaxNeighbors,
+                 "decide_shed: more neighbour loads than any topology has");
 
   // Lower median of the fresh neighbour loads: with the torus' four
   // neighbours that is the second-smallest sample, a robust "what does my
   // neighbourhood look like" figure that one overloaded peer cannot drag
   // up past the shedder's own depth.
-  std::vector<std::uint32_t> loads;
-  loads.reserve(neighbor_loads.size());
-  for (const auto& [peer, load] : neighbor_loads) loads.push_back(load);
-  std::sort(loads.begin(), loads.end());
-  const std::uint32_t median = loads[(loads.size() - 1) / 2];
+  std::uint32_t loads[net::kMaxNeighbors];
+  const std::size_t n = neighbor_loads.size();
+  for (std::size_t i = 0; i < n; ++i) loads[i] = neighbor_loads[i].second;
+  std::uint32_t* const mid = loads + (n - 1) / 2;
+  std::nth_element(loads, mid, loads + n);
+  const std::uint32_t median = *mid;
 
   if (depth <= median ||
       depth - median <= cfg.hysteresis) {  // inside the hysteresis band
@@ -110,17 +113,26 @@ std::optional<ShedDecision> decide_shed(
   // always dump on the lowest node id (which would re-create the hot spot
   // one hop over).
   std::uint32_t best = ~std::uint32_t{0};
+  std::size_t ties = 0;
   for (const auto& [peer, load] : neighbor_loads) {
-    if (load < depth && load < best) best = load;
+    if (load >= depth || load > best) continue;
+    if (load < best) {
+      best = load;
+      ties = 0;
+    }
+    ++ties;
   }
-  if (best == ~std::uint32_t{0}) return std::nullopt;
-  std::vector<std::int32_t> ties;
-  for (const auto& [peer, load] : neighbor_loads) {
-    if (load == best) ties.push_back(peer);
-  }
+  if (ties == 0) return std::nullopt;
+  // The roll picks the pick-th tied neighbour, counted in neighbour order.
   const std::uint64_t r = shed_roll(cfg.seed, node, quantum);
+  std::size_t pick = static_cast<std::size_t>(r % ties);
   ShedDecision d;
-  d.target = ties[static_cast<std::size_t>(r % ties.size())];
+  for (const auto& [peer, load] : neighbor_loads) {
+    if (load == best && pick-- == 0) {
+      d.target = peer;
+      break;
+    }
+  }
   d.quota = quota;
   return d;
 }

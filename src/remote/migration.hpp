@@ -23,9 +23,9 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
-#include <vector>
 
 namespace abcl::remote {
 
@@ -101,16 +101,17 @@ struct ShedDecision {
 // The per-quantum shed check. `depth` is the node's run-queue depth at the
 // check; `neighbor_loads` holds (node, load) for every *fresh* gossip
 // sample, in the topology's fixed neighbour order (staleness filtering is
-// the caller's job — see LoadMap::get). Sheds when depth exceeds the lower
-// median of the neighbour loads by more than the hysteresis band; the
-// target is the least-loaded strictly-less-loaded neighbour, ties broken
-// by shed_roll. Returns nullopt when the node should keep its work.
+// the caller's job — see LoadMap::get), at most net::kMaxNeighbors of them.
+// Sheds when depth exceeds the lower median of the neighbour loads by more
+// than the hysteresis band; the target is the least-loaded
+// strictly-less-loaded neighbour, ties broken by shed_roll. Returns nullopt
+// when the node should keep its work. Allocates nothing.
 //
 // Every input is a simulated quantity, so serial and host-parallel drivers
 // reach identical decisions at identical quanta.
 std::optional<ShedDecision> decide_shed(
     const MigrationConfig& cfg, std::int32_t node, std::uint64_t quantum,
     std::uint32_t depth,
-    const std::vector<std::pair<std::int32_t, std::uint32_t>>& neighbor_loads);
+    std::span<const std::pair<std::int32_t, std::uint32_t>> neighbor_loads);
 
 }  // namespace abcl::remote

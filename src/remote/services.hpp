@@ -7,7 +7,7 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
+#include <vector>
 
 #include "core/types.hpp"
 
@@ -28,22 +28,34 @@ namespace abcl::remote {
 //    quantum count and a max age; anything unknown or stale reads as
 //    nullopt and the placement policy degrades gracefully to known peers
 //    (or self when nothing trustworthy is left).
+//
+// Gossip comes from topology neighbours only, so a node hears from a handful
+// of peers (4 on the torus): the map is a flat vector in first-heard order,
+// searched linearly, with no hashing; it allocates only when a new peer is
+// first heard from.
 class LoadMap {
  public:
   void note(core::NodeId peer, std::uint32_t load, std::uint64_t now_quanta) {
-    loads_[peer] = Entry{load, now_quanta};
+    for (Entry& e : loads_) {
+      if (e.peer == peer) {
+        e.load = load;
+        e.stamp = now_quanta;
+        return;
+      }
+    }
+    loads_.push_back(Entry{peer, load, now_quanta});
   }
 
   // The peer's load if it has been heard from within `max_age` quanta of
   // `now_quanta` (max_age 0 = no aging), nullopt otherwise.
   std::optional<std::uint32_t> get(core::NodeId peer, std::uint64_t now_quanta,
                                    std::uint64_t max_age) const {
-    auto it = loads_.find(peer);
-    if (it == loads_.end()) return std::nullopt;
-    if (max_age != 0 && now_quanta - it->second.stamp > max_age) {
-      return std::nullopt;
+    for (const Entry& e : loads_) {
+      if (e.peer != peer) continue;
+      if (max_age != 0 && now_quanta - e.stamp > max_age) return std::nullopt;
+      return e.load;
     }
-    return it->second.load;
+    return std::nullopt;
   }
 
   // Peers ever heard from (stale entries included — staleness is a
@@ -54,10 +66,11 @@ class LoadMap {
   friend struct abcl::ckpt::WorldIo;  // checkpoint serializer
 
   struct Entry {
+    core::NodeId peer = 0;
     std::uint32_t load = 0;
     std::uint64_t stamp = 0;  // receiver quanta_run at note() time
   };
-  std::unordered_map<core::NodeId, Entry> loads_;
+  std::vector<Entry> loads_;
 };
 
 }  // namespace abcl::remote

@@ -11,9 +11,10 @@ namespace abcl::util {
 namespace {
 
 // Fixed-base slot registry for reserved arenas. The window starts far above
-// any malloc/ASLR region; each arena claims one kSlotBytes slot. A restore
-// maps at an exact recorded base instead, so the auto path probes forward
-// past slots an earlier restore may still occupy.
+// any malloc/ASLR region and holds kWindowSlots slots kSlotStride apart;
+// each arena claims one. A restore maps at an exact recorded base instead,
+// so the auto path probes forward (wrapping around the window) past slots
+// an earlier restore, or a live world, may still occupy.
 //
 // TSan's mmap interceptor aborts the process on fixed maps that land
 // outside its application address ranges, and 0x5a00'0000'0000 is not in
@@ -34,20 +35,25 @@ constexpr std::uint64_t kFirstSlotBase = 0x5a00'0000'0000ull;
 #endif
 std::atomic<std::uint64_t> g_next_slot{0};
 
+// Maps the whole stride, not just kSlotBytes: the spare page past the heap
+// cap is never touched, but with it adjacent slots are contiguous mappings
+// with identical flags, which the kernel can merge. With a one-page gap
+// between each, World construction on `churn` (64 slots) took 0.42 ms
+// instead of 0.32 ms.
 void* map_reservation(std::uint64_t base) {
   void* want = reinterpret_cast<void*>(base);
   int flags = MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE;
 #ifdef MAP_FIXED_NOREPLACE
-  void* got = mmap(want, Arena::kSlotBytes, PROT_READ | PROT_WRITE,
+  void* got = mmap(want, Arena::kSlotStride, PROT_READ | PROT_WRITE,
                    flags | MAP_FIXED_NOREPLACE, -1, 0);
   return got == MAP_FAILED ? nullptr : got;
 #else
   // Portable fallback: a hinted map that must land exactly on the hint.
-  void* got = mmap(want, Arena::kSlotBytes, PROT_READ | PROT_WRITE, flags,
+  void* got = mmap(want, Arena::kSlotStride, PROT_READ | PROT_WRITE, flags,
                    -1, 0);
   if (got == MAP_FAILED) return nullptr;
   if (got != want) {
-    munmap(got, Arena::kSlotBytes);
+    munmap(got, Arena::kSlotStride);
     return nullptr;
   }
   return got;
@@ -55,6 +61,17 @@ void* map_reservation(std::uint64_t base) {
 }
 
 }  // namespace
+
+std::uint64_t Arena::slot_base(std::uint64_t slot) {
+  ABCL_DCHECK(slot < kWindowSlots);
+  return kFirstSlotBase + slot * kSlotStride;
+}
+
+bool Arena::is_slot_base(std::uint64_t base) {
+  if (base < kFirstSlotBase) return false;
+  const std::uint64_t off = base - kFirstSlotBase;
+  return off % kSlotStride == 0 && off / kSlotStride < kWindowSlots;
+}
 
 Arena::Arena(std::size_t block_bytes, std::uint64_t reserved_base)
     : block_bytes_(block_bytes) {
@@ -67,7 +84,7 @@ Arena::Arena(std::size_t block_bytes, std::uint64_t reserved_base)
     // at its recorded base without going through the counter.
     for (int attempts = 0; attempts < 4096 && got == nullptr; ++attempts) {
       std::uint64_t slot = g_next_slot.fetch_add(1, std::memory_order_relaxed);
-      got = map_reservation(kFirstSlotBase + slot * kSlotBytes);
+      got = map_reservation(slot_base(slot % kWindowSlots));
     }
     ABCL_CHECK_MSG(got != nullptr,
                    "arena: could not reserve a fixed-base checkpoint slot");
@@ -86,7 +103,7 @@ Arena::Arena(std::size_t block_bytes, std::uint64_t reserved_base)
 }
 
 Arena::~Arena() {
-  if (base_ != nullptr) munmap(base_, kSlotBytes);
+  if (base_ != nullptr) munmap(base_, kSlotStride);
 }
 
 void Arena::new_block(std::size_t at_least) {

@@ -9,7 +9,12 @@
 //    but block addresses are wherever malloc put them.
 //  - Reserved mode (checkpoint support): one fixed-base virtual reservation
 //    of kSlotBytes per arena, taken from a process-wide slot registry (or
-//    re-mapped at an exact recorded base on restore). Fixed bases are what
+//    re-mapped at an exact recorded base on restore). Slots sit kSlotStride
+//    apart, one 4-KiB page more than kSlotBytes: consecutive slots then
+//    start on different 4-KiB page colors, so node i's k-th object and
+//    node i+1's do not share an L2 set (at a 64-MiB stride every node's
+//    heap started on the same color). A reservation spans the whole
+//    stride; the heap never uses its last page. Fixed bases are what
 //    make snapshots address-faithful: a restored arena occupies the same
 //    virtual range, so every pointer embedded in the heap image — message
 //    frame links, slab freelists, MailAddrs inside opaque user state —
@@ -41,6 +46,10 @@ class Arena {
   // Virtual span of one reserved slot — the hard heap cap of a
   // checkpointable node (virtual, not committed).
   static constexpr std::size_t kSlotBytes = std::size_t{64} << 20;
+  // Distance between consecutive slot bases (see the file comment).
+  static constexpr std::size_t kSlotStride = kSlotBytes + 4096;
+  // Slots in the fixed-base window; the auto path wraps around it.
+  static constexpr std::uint64_t kWindowSlots = 16384;
   // `reserved_base` sentinel: take the next free fixed-base slot from the
   // process-wide registry.
   static constexpr std::uint64_t kReserveAuto = ~std::uint64_t{0};
@@ -67,6 +76,12 @@ class Arena {
 
   std::size_t bytes_allocated() const { return bytes_allocated_; }
   std::size_t bytes_reserved() const { return bytes_reserved_; }
+
+  // Base address of window slot `slot` (< kWindowSlots).
+  static std::uint64_t slot_base(std::uint64_t slot);
+  // True iff `base` is the base of some slot of the window: the only bases
+  // a reserved arena can have, and so the only ones restore accepts.
+  static bool is_slot_base(std::uint64_t base);
 
   // Reserved-mode introspection (checkpoint serialization).
   bool reserved() const { return base_ != nullptr; }

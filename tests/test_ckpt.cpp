@@ -26,6 +26,7 @@
 #include "fuzz/program_gen.hpp"
 #include "obs/json.hpp"
 #include "sim/parallel_machine.hpp"
+#include "util/arena.hpp"
 
 namespace {
 
@@ -544,11 +545,11 @@ TEST(CkptIntegrityDeath, ForgedQueuedPacketIsRejectedAtRestore) {
   constexpr std::size_t kHandlerBack = kDstBack + 4 + 4;
 
   // Overwrites one field of the planted packet, then re-seals the header's
-  // FNV-1a checksum (header bytes 32..39) over the payload (bytes 40..).
+  // checksum (header bytes 32..39) over the payload (bytes 40..).
   auto forge = [&](std::size_t back, std::uint32_t value) {
     std::string s = bytes;
     std::memcpy(&s[at - back], &value, sizeof value);
-    const std::uint64_t sum = ckpt::fnv1a(s.data() + 40, s.size() - 40);
+    const std::uint64_t sum = ckpt::checksum(s.data() + 40, s.size() - 40);
     std::memcpy(&s[32], &sum, sizeof sum);
     return s;
   };
@@ -599,12 +600,12 @@ MarkedSnapshot marked_snapshot() {
   return m;
 }
 
-// Overwrites one word of `bytes`, then re-seals the header's FNV-1a
-// checksum (header bytes 32..39) over the payload (bytes 40..).
+// Overwrites one word of `bytes`, then re-seals the header's checksum
+// (header bytes 32..39) over the payload (bytes 40..).
 template <class T>
 std::string forge_word(std::string s, std::size_t pos, T value) {
   std::memcpy(&s[pos], &value, sizeof value);
-  const std::uint64_t sum = ckpt::fnv1a(s.data() + 40, s.size() - 40);
+  const std::uint64_t sum = ckpt::checksum(s.data() + 40, s.size() - 40);
   std::memcpy(&s[32], &sum, sizeof sum);
   return s;
 }
@@ -639,6 +640,93 @@ TEST(CkptIntegrityDeath, ForgedHostThreadsIsRejectedAtRestore) {
       forge_word(m.bytes, threads_at, std::numeric_limits<std::int64_t>::min()),
       "checkpoint restore: host_threads word -9223372036854775808 is out of "
       "range");
+}
+
+// A forged arena base must never place an image: restore takes only slot
+// bases of the checkpoint window, and an image restored at another free
+// slot would still point into the slot it was captured in.
+TEST(CkptIntegrityDeath, ForgedArenaBaseIsRejectedAtRestore) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  std::string bytes;
+  std::uint64_t slot = 0;
+  {
+    core::Program prog;
+    fuzz::register_interp(prog);
+    const CompletionPatterns lp = register_completion_latch(prog);
+    prog.finalize();
+    World w(prog, WorldConfig{}.with_nodes(2).with_ckpt(at_config(100)));
+    MailAddr latch;
+    w.boot(0, [&](Ctx& ctx) { latch = ctx.create_local(*lp.cls, {}); });
+    // Node 0's slot: the one its latch was carved from.
+    const auto obj = reinterpret_cast<std::uint64_t>(latch.ptr);
+    slot = (obj - util::Arena::slot_base(0)) / util::Arena::kSlotStride;
+    ckpt::MemSink sink;
+    w.checkpoint(sink);
+    bytes = sink.take();
+  }
+  ASSERT_LT(slot, util::Arena::kWindowSlots);
+  const std::uint64_t base = util::Arena::slot_base(slot);
+  // Node 0's record opens with its base: the first place the word appears
+  // (the network section holds no packets, so no pointers).
+  const std::string word(reinterpret_cast<const char*>(&base), sizeof base);
+  const std::size_t at = bytes.find(word);
+  ASSERT_NE(at, std::string::npos);
+
+  expect_restore_death(forge_word(bytes, at, util::Arena::kReserveAuto),
+                       "checkpoint restore: node 0 arena base "
+                       "18446744073709551615 is not a slot base");
+  expect_restore_death(forge_word(bytes, at, base + 64),
+                       "checkpoint restore: node 0 arena base [0-9]+ is not "
+                       "a slot base");
+  const std::uint64_t free_slot =
+      util::Arena::slot_base((slot + 100) % util::Arena::kWindowSlots);
+  expect_restore_death(forge_word(bytes, at, free_slot),
+                       "checkpoint restore: node 0 live-list head [0-9]+ "
+                       "falls outside its arena image");
+}
+
+// A destination's dedup windows, spill sets included, are written in
+// source order and read back into the same flat array: capture, restore and
+// recapture give the same bytes.
+TEST(CkptWorld, SpilledDedupWindowRoundTripsByteIdentically) {
+  core::Program prog;
+  fuzz::register_interp(prog);
+  register_completion_latch(prog);
+  prog.finalize();
+  // Half the attempts lost, retransmits far behind: link seqs that made it
+  // on their first attempt land 64 or more ahead of the first lost one.
+  net::FaultConfig fc;
+  fc.enabled = true;
+  fc.drop_ppm = 500'000;
+  fc.rto = 1u << 16;
+  fc.rto_max = 1u << 16;
+  std::string first;
+  for (fc.seed = 1; fc.seed <= 16 && first.empty(); ++fc.seed) {
+    World w(prog,
+            WorldConfig{}.with_nodes(2).with_faults(fc).with_ckpt(at_config(100)));
+    net::Network& net = w.network();
+    for (int i = 0; i < 256; ++i) {
+      net::Packet p;
+      p.src = 0;
+      p.dst = 1;
+      p.send_time = static_cast<sim::Instr>(i);
+      p.push(static_cast<net::Word>(i));
+      net.send(p, net::AmCategory::kService);
+    }
+    while (net::Packet* got = net.poll(1, 1u << 15)) net.release(1, got);
+    if (net.dedup_spilled(1) == 0) continue;
+    EXPECT_GT(net.in_flight(), 0u);  // the retransmits are still queued
+    ckpt::MemSink sink;
+    w.checkpoint(sink);
+    first = sink.take();
+  }
+  ASSERT_FALSE(first.empty()) << "no seed spilled a dedup window";
+  ckpt::MemSource src(first);
+  std::unique_ptr<World> w = World::restore(prog, src);
+  EXPECT_GT(w->network().dedup_spilled(1), 0u);
+  ckpt::MemSink again;
+  w->checkpoint(again);
+  EXPECT_EQ(again.bytes(), first);
 }
 
 // --------------------------------------- snapshot-equivalence oracle -------

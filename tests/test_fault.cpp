@@ -304,6 +304,42 @@ TEST(NetworkFaults, ExactlyOnceUnderHeavyFaults) {
   EXPECT_GT(fs.spurious_retransmits, 0u);
 }
 
+TEST(NetworkFaults, ZeroRatePlanHandsTheReceiverTheSendersSlot) {
+  // The first delivery copy of a faulted packet is the slot the sender
+  // filled; only later copies (here a certain duplicate) take slots of
+  // their own, and every slot is back in the pool once polled.
+  sim::CostModel cm = sim::CostModel::ap1000();
+  for (std::uint32_t dup_ppm : {0u, kPpmOne}) {
+    SCOPED_TRACE("dup_ppm=" + std::to_string(dup_ppm));
+    FaultConfig fc;
+    fc.enabled = true;
+    fc.dup_ppm = dup_ppm;
+    net::Network net(Topology(TopologyKind::kTorus2D, 4), &cm, {}, fc);
+    Packet* sent = net.open(0, 1, 0, 0);
+    sent->push(42);
+    net.send(sent, net::AmCategory::kObjectMessage);
+    bool dup = true;
+    Packet* got = net.poll(1, sim::kInstrInf, &dup);
+    ASSERT_EQ(got, sent);
+    EXPECT_FALSE(dup);
+    EXPECT_EQ(got->at(0), 42u);
+    EXPECT_EQ(got->retries, 0u);
+    net.release(1, got);
+    Packet* copy = net.poll(1, sim::kInstrInf, &dup);
+    if (dup_ppm == 0) {
+      EXPECT_EQ(copy, nullptr);
+    } else {
+      ASSERT_NE(copy, nullptr);
+      EXPECT_TRUE(dup);
+      EXPECT_EQ(copy->at(0), 42u);
+      net.release(1, copy);
+    }
+    EXPECT_TRUE(net.idle());
+    EXPECT_EQ(net.free_slots(), net.packet_pool().slabs_allocated() *
+                                    net::PacketPool::kSlabPackets);
+  }
+}
+
 TEST(NetworkFaults, DisabledConfigLeavesStatsUntouched) {
   sim::CostModel cm = sim::CostModel::ap1000();
   net::Network net(Topology(TopologyKind::kTorus2D, 4), &cm);

@@ -121,7 +121,10 @@ TEST(ShedPolicy, DisabledOrShallowQueueNeverSheds) {
 TEST(ShedPolicy, NoFreshNeighborsMeansNoShed) {
   // Without gossip there is no safe target — a blind shed could dump on a
   // node even hotter than us.
-  EXPECT_FALSE(remote::decide_shed(policy_cfg(), 0, 64, 100, {}).has_value());
+  EXPECT_FALSE(remote::decide_shed(
+                   policy_cfg(), 0, 64, 100,
+                   std::vector<std::pair<std::int32_t, std::uint32_t>>{})
+                   .has_value());
 }
 
 TEST(ShedPolicy, HysteresisBandHolds) {
@@ -139,7 +142,9 @@ TEST(ShedPolicy, HysteresisBandHolds) {
 
 TEST(ShedPolicy, QuotaIsCappedAtMaxBatch) {
   const MigrationConfig cfg = policy_cfg();
-  auto d = remote::decide_shed(cfg, 0, 64, 100, {{1, 0}, {2, 0}});
+  auto d = remote::decide_shed(
+      cfg, 0, 64, 100,
+      std::vector<std::pair<std::int32_t, std::uint32_t>>{{1, 0}, {2, 0}});
   ASSERT_TRUE(d.has_value());
   EXPECT_EQ(d->quota, cfg.max_batch);
 }

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <queue>
 #include <set>
 #include <vector>
@@ -77,6 +78,25 @@ TEST(Arena, ZeroByteAllocationIsValid) {
   Arena a;
   void* p = a.allocate(0);
   EXPECT_NE(p, nullptr);
+}
+
+TEST(Arena, AutoSlotsStartOnDistinctPageColors) {
+  // Checkpoint slots sit one 4-KiB page more than 64 MiB apart, so 32
+  // consecutive slots start on 32 distinct page colors modulo 128 KiB: node
+  // i's k-th object and node i+1's no longer share an L2 set.
+  std::vector<std::unique_ptr<Arena>> slots;
+  std::set<std::uint64_t> colors;
+  for (int i = 0; i < 32; ++i) {
+    slots.push_back(std::make_unique<Arena>(4096, Arena::kReserveAuto));
+    const std::uint64_t base = slots.back()->base();
+    EXPECT_TRUE(Arena::is_slot_base(base));
+    EXPECT_EQ(base % 4096, 0u);
+    colors.insert(base % (std::uint64_t{128} << 10));
+  }
+  EXPECT_EQ(colors.size(), 32u);
+  EXPECT_FALSE(Arena::is_slot_base(Arena::kReserveAuto));
+  EXPECT_FALSE(Arena::is_slot_base(slots[0]->base() + 64));
+  EXPECT_FALSE(Arena::is_slot_base(0));
 }
 
 // ----------------------------------------------------------- Slab ----------
