@@ -114,10 +114,9 @@ BENCHMARK(BM_NetworkSendPollDeep);
 // ---- barrier flush ----------------------------------------------------------
 
 // The coordinator-side cost of flush_outboxes committing a window's sends
-// from 8 worker outboxes: a k-way merge over pre-sorted runs (the pre-sort
-// itself is excluded, as in production it runs inside the parallel region).
-// state.range(0) = packets per box. Fill and drain run under PauseTiming.
-void BM_FlushOutboxesMerge(benchmark::State& state) {
+// from 8 worker outboxes, box by box in append order. state.range(0) =
+// packets per box. Fill and drain run under PauseTiming.
+void BM_FlushOutboxes(benchmark::State& state) {
   const auto per_box = static_cast<int>(state.range(0));
   constexpr int kBoxes = 8;
   constexpr std::int32_t kNodes = 64;
@@ -137,14 +136,11 @@ void BM_FlushOutboxesMerge(benchmark::State& state) {
       for (int b = 0; b < kBoxes; ++b) {
         auto src = static_cast<std::int32_t>(
             (b + kBoxes * (i % (kNodes / kBoxes))) % kNodes);
-        boxes[b].set_current_key(t + static_cast<sim::Instr>((i * 7 + b * 3) %
-                                                             64));
         net::Packet* p = net.open(src, (src + 17) % kNodes, 0, t);
         p->push(42);
         net.send(p, net::AmCategory::kObjectMessage);
       }
     }
-    for (auto& b : boxes) b.sort_canonical();
     state.ResumeTiming();
     net.flush_outboxes(ptrs, kBoxes);
     state.PauseTiming();
@@ -158,7 +154,7 @@ void BM_FlushOutboxesMerge(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * per_box * kBoxes);
 }
-BENCHMARK(BM_FlushOutboxesMerge)->Arg(16)->Arg(256)->Arg(4096);
+BENCHMARK(BM_FlushOutboxes)->Arg(16)->Arg(256)->Arg(4096);
 
 // ---- end-to-end dispatch ------------------------------------------------------
 

@@ -112,23 +112,31 @@ World::World(core::Program& prog, WorldConfig cfg) : cfg_(cfg), prog_(&prog) {
 
   nodes_.reserve(static_cast<std::size_t>(cfg_.nodes));
   for (std::int32_t i = 0; i < cfg_.nodes; ++i) {
-    core::NodeRuntime::Config nc = cfg_.node;
-    nc.seed = cfg_.seed;
-    nc.migration = cfg_.migration;
-    // The shed policy is blind without load figures: when the app enabled
-    // migration but left gossip off, gossip runs at the shed interval.
-    if (nc.migration.enabled && nc.gossip_interval == 0) {
-      nc.gossip_interval = nc.migration.interval;
-    }
     // Checkpointable worlds pin every node heap at a fixed virtual base so
     // a snapshot can be restored address-faithfully (util/arena.hpp).
-    nc.reserved_arena = cfg_.ckpt.enabled;
-    auto rt = std::make_unique<core::NodeRuntime>(i, prog, *net_, cfg_.cost, nc);
-    rt->placement().set_kind(cfg_.placement);
-    nodes_.push_back(std::move(rt));
+    add_node(cfg_.ckpt.enabled, cfg_.node.arena_base);
   }
 
   build_machine();
+}
+
+core::NodeRuntime& World::add_node(bool reserved_arena,
+                                   std::uint64_t arena_base) {
+  core::NodeRuntime::Config nc = cfg_.node;
+  nc.seed = cfg_.seed;
+  nc.migration = cfg_.migration;
+  // The shed policy is blind without load figures: when the app enabled
+  // migration but left gossip off, gossip runs at the shed interval.
+  if (nc.migration.enabled && nc.gossip_interval == 0) {
+    nc.gossip_interval = nc.migration.interval;
+  }
+  nc.reserved_arena = reserved_arena;
+  nc.arena_base = arena_base;
+  const auto id = static_cast<core::NodeId>(nodes_.size());
+  nodes_.push_back(
+      std::make_unique<core::NodeRuntime>(id, *prog_, *net_, cfg_.cost, nc));
+  nodes_.back()->placement().set_kind(cfg_.placement);
+  return *nodes_.back();
 }
 
 void World::build_machine() {

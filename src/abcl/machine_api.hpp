@@ -235,6 +235,13 @@ class World {
   struct RestoreTag {};
   World(RestoreTag, core::Program& prog) : prog_(&prog) {}
 
+  // Builds the next node from cfg_ and appends it: cfg_.node plus the world
+  // seed and migration config, with gossip at the shed interval when
+  // migration is on and gossip was left off, placing by cfg_.placement.
+  // `reserved_arena` pins its heap at `arena_base` (util/arena.hpp). Shared
+  // by the constructor and restore.
+  core::NodeRuntime& add_node(bool reserved_arena, std::uint64_t arena_base);
+
   // (Re)builds the driver from cfg_.host_threads and wires the network's
   // deliverable callback to it. Shared by the constructor and restore.
   void build_machine();

@@ -129,20 +129,7 @@ struct WorldIo {
     load_network(r, *world.net_, world.prog_->am().size());
 
     world.nodes_.reserve(static_cast<std::size_t>(cfg.nodes));
-    for (std::int32_t i = 0; i < cfg.nodes; ++i) {
-      // Mirrors World's normal per-node config derivation, then pins the
-      // arena at the recorded base.
-      core::NodeRuntime::Config nc = cfg.node;
-      nc.seed = cfg.seed;
-      nc.migration = cfg.migration;
-      if (nc.migration.enabled && nc.gossip_interval == 0) {
-        nc.gossip_interval = nc.migration.interval;
-      }
-      nc.reserved_arena = true;
-      world.nodes_.push_back(load_node(r, i, *world.prog_, *world.net_,
-                                       cfg.cost, nc));
-      world.nodes_.back()->placement().set_kind(cfg.placement);
-    }
+    for (std::int32_t i = 0; i < cfg.nodes; ++i) load_node(r, i, world);
 
     world.build_machine();
   }
@@ -507,9 +494,7 @@ struct WorldIo {
     }
   };
 
-  static std::unique_ptr<core::NodeRuntime> load_node(
-      Reader& r, core::NodeId id, core::Program& prog, net::Network& net,
-      const sim::CostModel& cm, core::NodeRuntime::Config nc) {
+  static void load_node(Reader& r, core::NodeId id, World& world) {
     const std::uint64_t base = r.u64();
     // A reserved arena only ever sits on a slot base; any other word (the
     // kReserveAuto sentinel included) would place the image elsewhere.
@@ -527,48 +512,48 @@ struct WorldIo {
     const ImageBounds image_bounds{id, base, used};
     std::uint64_t ballo = r.u64();
     const void* image = r.view(used);
-    nc.arena_base = base;
-    auto rt = std::make_unique<core::NodeRuntime>(id, prog, net, cm, nc);
-    rt->arena_.restore_image(image, used, ballo);
+    // Always a reserved arena, whatever the snapshot's ckpt.enabled word
+    // says: a forged false must not put an arena image into a malloc arena.
+    core::NodeRuntime& rt = world.add_node(/*reserved_arena=*/true, base);
+    rt.arena_.restore_image(image, used, ballo);
 
-    rt->clock_ = r.u64();
+    rt.clock_ = r.u64();
     // A restored quantum starts exactly at the restored clock: the budget
     // accounting continues as if the run had never stopped.
-    rt->quantum_start_clock_ = rt->clock_;
-    rt->quanta_run_ = r.u64();
-    rt->total_created_ = r.u64();
-    rt->live_objects_ = r.u64();
+    rt.quantum_start_clock_ = rt.clock_;
+    rt.quanta_run_ = r.u64();
+    rt.total_created_ = r.u64();
+    rt.live_objects_ = r.u64();
     const std::uint64_t live_head = r.u64();
     image_bounds.check(live_head, sizeof(core::ObjectHeader), "live-list head");
-    rt->live_head_ = word_ptr<core::ObjectHeader>(live_head);
-    r.raw_into(rt->stats_);
-    r.raw_into(rt->rng_);
+    rt.live_head_ = word_ptr<core::ObjectHeader>(live_head);
+    r.raw_into(rt.stats_);
+    r.raw_into(rt.rng_);
 
     for (std::size_t c = 0; c < util::SlabAllocator::kNumClasses; ++c) {
       const std::uint64_t free_head = r.u64();
       image_bounds.check(free_head, sizeof(util::SlabAllocator::FreeNode),
                          "slab free-list head");
-      rt->pool_.free_[c] = word_ptr<util::SlabAllocator::FreeNode>(free_head);
+      rt.pool_.free_[c] = word_ptr<util::SlabAllocator::FreeNode>(free_head);
       const std::uint64_t bump = r.u64();
       image_bounds.check(bump, 0, "slab bump head");
-      rt->pool_.fresh_[c] = word_ptr<std::byte>(bump);
-      rt->pool_.fresh_left_[c] = r.u64();
+      rt.pool_.fresh_[c] = word_ptr<std::byte>(bump);
+      rt.pool_.fresh_left_[c] = r.u64();
     }
-    r.raw_into(rt->pool_.stats_);
+    r.raw_into(rt.pool_.stats_);
 
     std::uint64_t nsched = r.u64();
     for (std::uint64_t i = 0; i < nsched; ++i) {
       const std::uint64_t o = r.u64();
       image_bounds.check(o, sizeof(core::ObjectHeader),
                          "scheduling-FIFO entry", /*null_ok=*/false);
-      rt->sched_.ckpt_relink_tail(word_ptr<core::ObjectHeader>(o));
+      rt.sched_.ckpt_relink_tail(word_ptr<core::ObjectHeader>(o));
     }
 
-    load_stock(r, rt->stock_);
-    load_loads(r, rt->loads_);
-    rt->placement_.cursor_ = r.u32();
-    load_migration(r, *rt);
-    return rt;
+    load_stock(r, rt.stock_);
+    load_loads(r, rt.loads_);
+    rt.placement_.cursor_ = r.u32();
+    load_migration(r, rt);
   }
 
   // ----- node components ---------------------------------------------------

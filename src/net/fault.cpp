@@ -77,29 +77,6 @@ bool DedupWindow::accept(std::uint64_t seq) {
 }
 
 // ----------------------------------------------------------------------------
-// FaultStats
-// ----------------------------------------------------------------------------
-
-void FaultStats::merge(const FaultStats& o) {
-  // Field-coverage guard in the Network::Stats::merge style: adding a
-  // FaultStats member without merging it here breaks the totals silently.
-  static_assert(sizeof(FaultStats) == 10 * sizeof(std::uint64_t) +
-                                          sizeof(util::Log2Histogram),
-                "new FaultStats field? merge it here and in the tests");
-  attempts += o.attempts;
-  drops += o.drops;
-  blackout_drops += o.blackout_drops;
-  duplicates += o.duplicates;
-  delays += o.delays;
-  spurious_retransmits += o.spurious_retransmits;
-  forced_deliveries += o.forced_deliveries;
-  copies_enqueued += o.copies_enqueued;
-  delivered += o.delivered;
-  dup_suppressed += o.dup_suppressed;
-  retry_delay_instr.merge(o.retry_delay_instr);
-}
-
-// ----------------------------------------------------------------------------
 // Config validation / parsing
 // ----------------------------------------------------------------------------
 

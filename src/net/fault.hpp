@@ -8,13 +8,13 @@
 // duplicate, reorder-delay and per-link blackout faults, each decided by a
 // counter-based SplitMix hash of (seed, src, dst, link_seq, attempt).
 //
-// Determinism argument: every hash input is a simulated quantity assigned
-// in the network's canonical commit order (link_seq increments per
-// (src,dst) channel exactly when Network::commit runs, and commits happen
-// in the same order under the serial Machine and under flush_outboxes'
-// canonical merge), so serial and host-parallel runs make bit-identical
-// fault decisions. No host randomness, clocks or thread interleavings are
-// ever consulted.
+// Determinism argument: every hash input is a simulated quantity fixed by
+// one source's own send order (link_seq increments per (src,dst) channel
+// exactly when Network::commit runs, and every driver commits each
+// source's sends in program order, however it interleaves sources), so
+// serial and host-parallel runs make bit-identical fault decisions. The
+// accounting is sums and histograms, which no commit order changes. No
+// host randomness, clocks or thread interleavings are ever consulted.
 //
 // Reliability is resolved *analytically at commit time*: instead of
 // simulating live ack packets and timer events, commit plays out the whole
@@ -227,8 +227,6 @@ struct FaultStats {
   // Delivery lateness vs the fault-free arrival instant (bucket 0 = on
   // time); the retry/backoff overhead distribution in EXPERIMENTS.md.
   util::Log2Histogram retry_delay_instr;
-
-  void merge(const FaultStats& o);
 };
 
 }  // namespace abcl::net

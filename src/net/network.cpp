@@ -1,7 +1,5 @@
 #include "net/network.hpp"
 
-#include <algorithm>
-
 #include "util/assert.hpp"
 
 namespace abcl::net {
@@ -9,26 +7,6 @@ namespace abcl::net {
 namespace {
 constexpr std::int32_t kMatrixNodeLimit = 1024;  // 1024^2 * 8 B = 8 MiB
 constexpr int kMinWireWords = 4;                 // header-only packet
-// Merge fan-in bound = the host-thread ceiling (parse_host_threads caps at
-// 1024 workers, one outbox each); the cursors live on the flush's stack.
-constexpr int kMaxMergeRuns = 1024;
-}
-
-void Network::Stats::merge(const Stats& o) {
-  // Field-coverage guard: a new Stats member must be merged here or totals
-  // silently drop it. On LP64 the struct is 3*8 (counters) + 4*8
-  // (per_category) + 48 (RunningStat) bytes; adding a field breaks this
-  // assert and points you at the merge. tests/test_obs.cpp checks the
-  // fields themselves.
-  static_assert(sizeof(Stats) == 3 * sizeof(std::uint64_t) +
-                                     4 * sizeof(std::uint64_t) +
-                                     sizeof(util::RunningStat),
-                "new Network::Stats field? merge it here and in the tests");
-  packets += o.packets;
-  payload_words += o.payload_words;
-  wire_words += o.wire_words;
-  for (int i = 0; i < 4; ++i) per_category[i] += o.per_category[i];
-  wire_latency_instr.merge(o.wire_latency_instr);
 }
 
 Network::Network(Topology topology, const sim::CostModel* cm,
@@ -104,13 +82,12 @@ Packet* Network::open(NodeId src, NodeId dst, HandlerId handler,
 
 void Network::send(Packet* p, AmCategory category) {
   if (Outbox* ob = outboxes_[idx(p->src)]) {
-    ob->items_.push_back({p, ob->current_key_, p->src, category});
-    ob->sorted_ = false;
+    ob->items_.push_back({p, category});
     return;
   }
-  // A direct commit inside a parallel run would land ahead of the window's
-  // buffered sends and break the canonical commit order; the parallel
-  // driver installs an outbox for every source.
+  // A direct commit inside a parallel run would race the workers' polls
+  // and the barrier flush on the shared queues; the parallel driver
+  // installs an outbox for every source.
   ABCL_CHECK_MSG(outboxes_installed_ == 0,
                  "direct send from a source without an outbox while a "
                  "parallel run has outboxes installed");
@@ -147,7 +124,7 @@ void Network::commit(Packet* p, AmCategory category) {
   stats_.payload_words += p->nwords;
   stats_.wire_words += static_cast<std::uint64_t>(p->wire_words());
   stats_.per_category[static_cast<int>(category)] += 1;
-  stats_.wire_latency_instr.add(static_cast<double>(arrive - p->send_time));
+  stats_.wire_latency_instr.add(arrive - p->send_time);
 
   if (fault_plan_ != nullptr) {
     commit_faulty(p);
@@ -271,18 +248,6 @@ void Network::commit_faulty(Packet* p) {
   ABCL_DCHECK(!first);
 }
 
-void Network::Outbox::sort_canonical() {
-  if (sorted_) return;
-  // (quantum key, src) ascending; stability keeps each source's program
-  // order, since one source lives in exactly one outbox.
-  std::stable_sort(items_.begin(), items_.end(),
-                   [](const Item& a, const Item& b) {
-                     if (a.key != b.key) return a.key < b.key;
-                     return a.src < b.src;
-                   });
-  sorted_ = true;
-}
-
 void Network::set_magazine(NodeId node, PacketPool::Magazine* m) {
   ABCL_CHECK(node >= 0 && node < topology_.num_nodes());
   mags_[idx(node)] = m != nullptr ? m : &home_mag_;
@@ -298,100 +263,25 @@ void Network::set_outbox(NodeId src, Outbox* ob) {
 
 void Network::flush_outboxes(Outbox* const* boxes, std::size_t nboxes) {
   flush_active_ = true;
-  flush_merge(boxes, nboxes);
-  for (std::size_t i = 0; i < nboxes; ++i) {
-    boxes[i]->items_.clear();
-    boxes[i]->sorted_ = true;
+  // commit() reads and stamps each slot's header where its sender left it;
+  // prefetching the next item's slot overlaps that miss with the current
+  // commit.
+  for (std::size_t b = 0; b < nboxes; ++b) {
+    std::vector<Outbox::Item>& items = boxes[b]->items_;
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      if (i + 1 < items.size()) __builtin_prefetch(items[i + 1].slot, 1);
+      commit(items[i].slot, items[i].cat);
+    }
+    items.clear();
   }
   flush_active_ = false;
-  // One deduplicated rekey pass per destination, in canonical first-commit
-  // order (deterministic, though the drivers only fold these into a min).
+  // One deduplicated rekey pass per destination, in first-commit order
+  // (the drivers only fold these into a min).
   for (NodeId dst : flush_touched_) {
     flush_touched_mark_[static_cast<std::size_t>(dst)] = 0;
     if (on_deliverable_) on_deliverable_(dst);
   }
   flush_touched_.clear();
-}
-
-// N-way loser-tree merge over pre-sorted per-worker runs: O(M log N)
-// comparisons on the coordinator instead of O(M log M), with the per-run
-// sorts already paid for in parallel by the workers (sort_canonical at the
-// end of each shard's window). Equal (key, src) pairs cannot straddle two
-// runs — a source lives in exactly one outbox — so merging runs in (key,
-// src) order with ties broken by run index reproduces the canonical global
-// order exactly, program order included.
-void Network::flush_merge(Outbox* const* boxes, std::size_t nboxes) {
-  struct Cursor {
-    std::vector<Outbox::Item>* items;
-    std::size_t pos;
-  };
-  // Gather non-empty runs; sort any the caller didn't pre-sort (direct
-  // callers outside the parallel driver).
-  Cursor runs[kMaxMergeRuns];
-  int k = 0;
-  for (std::size_t i = 0; i < nboxes; ++i) {
-    if (boxes[i]->items_.empty()) continue;
-    ABCL_CHECK_MSG(k < kMaxMergeRuns, "too many outboxes in one flush");
-    boxes[i]->sort_canonical();
-    runs[k++] = Cursor{&boxes[i]->items_, 0};
-  }
-  if (k == 0) return;
-  // commit() reads and stamps each slot's header where its sender left it,
-  // in merge order rather than send order; prefetching the next item's
-  // slot overlaps that miss with the current commit.
-  if (k == 1) {
-    const std::vector<Outbox::Item>& items = *runs[0].items;
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      if (i + 1 < items.size()) __builtin_prefetch(items[i + 1].slot, 1);
-      commit(items[i].slot, items[i].cat);
-    }
-    return;
-  }
-
-  // a beats b: a's head precedes b's head in canonical order. Run index -1
-  // is the virtual "empty" slot used only while building the tree — it
-  // wins every match so real runs settle in as losers. An exhausted run
-  // loses to every live one.
-  auto wins = [&runs](int a, int b) {
-    if (a < 0) return true;
-    if (b < 0) return false;
-    const Cursor& ca = runs[a];
-    const Cursor& cb = runs[b];
-    const bool ea = ca.pos == ca.items->size();
-    const bool eb = cb.pos == cb.items->size();
-    if (ea != eb) return eb;
-    if (ea) return a < b;
-    const Outbox::Item& x = (*ca.items)[ca.pos];
-    const Outbox::Item& y = (*cb.items)[cb.pos];
-    if (x.key != y.key) return x.key < y.key;
-    if (x.src != y.src) return x.src < y.src;
-    return a < b;
-  };
-
-  // node[1..k-1] hold the loser of the match played there; the winner of
-  // every replay pops out at the root. Leaf for run r sits at k + r.
-  int node[kMaxMergeRuns];
-  for (int i = 0; i < k; ++i) node[i] = -1;
-  auto replay = [&](int s) {
-    for (int t = (k + s) / 2; t > 0; t /= 2) {
-      if (wins(node[t], s)) std::swap(node[t], s);
-    }
-    return s;
-  };
-  int winner = -1;
-  for (int r = 0; r < k; ++r) winner = replay(r);
-
-  for (;;) {
-    Cursor& c = runs[winner];
-    if (c.pos == c.items->size()) break;  // winner exhausted => all are
-    const Outbox::Item& it = (*c.items)[c.pos++];
-    winner = replay(winner);
-    const Cursor& next = runs[winner];
-    if (next.pos != next.items->size()) {
-      __builtin_prefetch((*next.items)[next.pos].slot, 1);
-    }
-    commit(it.slot, it.cat);
-  }
 }
 
 Packet* Network::poll(NodeId dst, sim::Instr now, bool* was_dup) {

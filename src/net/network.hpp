@@ -15,31 +15,34 @@
 // paper's breakdown: ~20 sender instructions + ~1.5 us wire each way +
 // ~50 receiver instructions.
 //
+// Commit order: every piece of commit state is per source or per channel
+// — the channel floors, the per-source seqs, the fault layer's link seqs —
+// or does not depend on order at all: counters, exact integer latency
+// moments (util::RunningStat), pure-hash fault decisions and destination
+// heaps with a strict (arrive, src, seq) order. So the results depend only
+// on each source's own send order, the paper's "preservation of
+// transmission order", and not on how sends of different sources
+// interleave.
+//
 // Host-parallel support: during a ParallelMachine time window each worker
 // thread redirects its nodes' sends into a private Outbox (set_outbox);
-// flush_outboxes commits them at the window barrier in the serial driver's
-// canonical order (quantum key, src, program order), so seqs, channel
-// floors, and Stats are bit-identical to a serial run. Destination queues
-// are only popped by the worker that owns the destination node and only
-// pushed by the barrier-side flush; the in-flight count is summed from the
-// queue sizes between runs, so polls update no shared counter.
-//
-// Commit-path hot loop: each worker pre-sorts its own outbox into canonical
-// (quantum key, src) order in parallel before the barrier
-// (Outbox::sort_canonical), so the coordinator-side flush only runs an
-// N-way loser-tree merge over pre-sorted runs — O(M log N) with N = worker
-// count instead of the former O(M log M) global stable_sort (retired; its
-// numbers are in EXPERIMENTS.md). Deliverability wakeups are batched:
-// instead of one on_deliverable(dst) per committed packet, flush_outboxes
-// runs a single deduplicated rekey pass per destination after all commits
-// — equivalent, because a destination's effective key only falls as
-// packets accumulate, so the post-flush key equals the min over per-packet
+// flush_outboxes commits the boxes at the window barrier, each in append
+// order. A source lives in exactly one outbox and appends in program
+// order, so seqs, channel floors and Stats are bit-identical to a serial
+// run. Destination queues are only popped by the worker that owns the
+// destination node and only pushed by the barrier-side flush; the
+// in-flight count is summed from the queue sizes between runs, so polls
+// update no shared counter. Deliverability wakeups are batched: instead of
+// one on_deliverable(dst) per committed packet, flush_outboxes runs a
+// single deduplicated rekey pass per destination after all commits —
+// equivalent, because a destination's effective key only falls as packets
+// accumulate, so the post-flush key equals the min over per-packet
 // observations.
 //
 // Buffer management: a PacketPool slot is a packet's only home from its
 // send to the end of its handler. The sender opens a slot through the
 // magazine of the thread that runs the source node and fills it in place;
-// outbox items (24 B) and destination-heap entries (32 B) reference it;
+// outbox items (16 B) and destination-heap entries (32 B) reference it;
 // poll hands the receiver the slot itself, and the poller releases it
 // through its own magazine after the handler returns. The fault layer's extra delivery
 // copies (retransmits, duplicates) are the only whole-packet copies: each
@@ -54,6 +57,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -72,8 +76,8 @@ struct WorldIo;
 
 namespace abcl::net {
 
-// No-op, kept so older callers compile: flush_outboxes always merges the
-// workers' pre-sorted runs, and nothing reads a FlushKind.
+// No-op, kept so older callers compile: flush_outboxes commits each outbox
+// in append order, and nothing reads a FlushKind.
 enum class FlushKind { kMerge };
 
 class Network {
@@ -84,43 +88,27 @@ class Network {
     std::uint64_t wire_words = 0;
     std::uint64_t per_category[4] = {};
     util::RunningStat wire_latency_instr;
-
-    // Accumulates `o` into this block (counters add, the latency stat
-    // merges); lets per-shard accumulations be combined into exact totals.
-    void merge(const Stats& o);
   };
+  // The snapshot writes Stats as raw bytes: no padding may carry host
+  // garbage into it.
+  static_assert(std::has_unique_object_representations_v<Stats>);
 
   // A per-worker send buffer for the host-parallel driver. Appends are made
-  // by exactly one worker thread; commit order is reconstructed from the
-  // quantum key stamped on each item.
+  // by exactly one worker thread, in its nodes' program order.
   class Outbox {
    public:
-    // Key of the quantum currently executing; stamped on subsequent sends.
-    void set_current_key(sim::Instr k) { current_key_ = k; }
     bool empty() const { return items_.empty(); }
     std::size_t size() const { return items_.size(); }
 
-    // Stable-sorts the buffered items into canonical (quantum key, src)
-    // order, preserving each source's program order. Workers call this in
-    // parallel at the end of their window so the barrier-side flush only
-    // has to merge; flush_outboxes sorts any box that skipped it.
-    void sort_canonical();
-
    private:
     friend class Network;
-    // A buffered send: the filled slot plus its canonical-order sort key
-    // (the issuing quantum's key and the slot's src, kept here so sorting
-    // and merging never dereference the slot).
+    // A buffered send: the filled slot and its stats category.
     struct Item {
       Packet* slot;
-      sim::Instr key;
-      std::int32_t src;
       AmCategory cat;
     };
-    static_assert(sizeof(Item) <= 24, "outbox items are slot references");
+    static_assert(sizeof(Item) <= 16, "outbox items are slot references");
     std::vector<Item> items_;
-    sim::Instr current_key_ = 0;
-    bool sorted_ = true;  // empty is trivially sorted
   };
 
   // on_deliverable(dst) fires whenever a packet is enqueued toward dst; the
@@ -148,7 +136,8 @@ class Network {
   // arrive_time and seq in the slot and enqueues it toward its dst — or,
   // when an outbox is installed for its src, buffers it for flush_outboxes.
   // While any outbox is installed (a parallel run), every source must have
-  // one: a direct commit would jump the canonical order, so it aborts.
+  // one: a direct commit from a worker thread would race the barrier-side
+  // flush and the workers' polls on the shared queues, so it aborts.
   void send(Packet* slot, AmCategory category);
 
   // Test and micro-bench wrapper: copies `p`'s header and payload into a
@@ -159,12 +148,9 @@ class Network {
   // direct path). Only the parallel driver installs these, around a run.
   void set_outbox(NodeId src, Outbox* ob);
 
-  // Commits every buffered send in canonical order — ascending (quantum
-  // key, src), preserving each source's program order — which is exactly
-  // the order the serial driver would have issued them. Boxes already in
-  // canonical order (sort_canonical) are k-way merged; unsorted boxes are
-  // sorted here first. Fires on_deliverable at most once per destination,
-  // after all commits.
+  // Commits every buffered send, box by box in append order, which keeps
+  // each source's program order (a source appends to one box only). Fires
+  // on_deliverable at most once per destination, after all commits.
   void flush_outboxes(Outbox* const* boxes, std::size_t nboxes);
 
   // Pops the next packet for `dst` with arrive_time <= now and returns its
@@ -277,7 +263,6 @@ class Network {
   // Common tail of commit: enqueue the stamped slot toward its dst, and
   // record/fire the deliverability wakeup.
   void enqueue(Packet* p);
-  void flush_merge(Outbox* const* boxes, std::size_t nboxes);
 
   Topology topology_;
   const sim::CostModel* cm_;
@@ -292,7 +277,7 @@ class Network {
   std::vector<Outbox*> outboxes_;     // per-src redirect; nullptr = direct
   std::int32_t outboxes_installed_ = 0;  // non-null entries of outboxes_
   // Batched-wakeup scratch: destinations touched by the current flush, in
-  // first-commit (canonical) order, deduplicated via the mark vector.
+  // first-commit order, deduplicated via the mark vector.
   bool flush_active_ = false;
   std::vector<NodeId> flush_touched_;
   std::vector<std::uint8_t> flush_touched_mark_;

@@ -7,7 +7,7 @@
 // and the optional run report — into one stable JSON document.
 //
 // Determinism contract: every quantity is simulated (instruction counts,
-// packet counts, Welford moments over simulated latencies), key order and
+// packet counts, exact moments of simulated latencies), key order and
 // number formatting are fixed, and nothing host-dependent (thread count,
 // wall time, pointers) is included. A serial Machine run and a
 // ParallelMachine run of the same program therefore produce byte-identical
@@ -29,9 +29,7 @@ namespace abcl::obs {
 // v2 adds the "pooling" flag plus per-node and total "alloc" blocks (slab
 // allocator counters — all simulated-deterministic). "pooling" is the
 // constant true: every heap is slab-pooled, and the field stays so v2
-// documents keep their bytes. v1 documents remain comparable as regression
-// baselines: compare_json_files detects a v1-baseline/v2-candidate pair and
-// checks the shared counter prefix (see obs/regression.hpp).
+// documents keep their bytes.
 inline constexpr const char* kMetricsSchema = "abclsim-metrics-v2";
 
 // Serializes `world` (and, if non-null, the report of its last run). Safe

@@ -47,7 +47,6 @@ std::string fmt_number(const JsonValue& v) {
 struct Walker {
   double tol_pct;
   const std::vector<std::string>* ignored;
-  bool allow_candidate_extra;
   CompareResult* out;
 
   bool is_ignored(const std::string& key) const {
@@ -117,14 +116,12 @@ struct Walker {
           }
           walk(sub, bv, *cv);
         }
-        if (!allow_candidate_extra) {
-          for (const auto& [key, cv] : c.object) {
-            (void)cv;
-            if (is_ignored(key)) continue;
-            if (b.find(key) == nullptr) {
-              drift(path.empty() ? key : path + "." + key,
-                    "not present in baseline");
-            }
+        for (const auto& [key, cv] : c.object) {
+          (void)cv;
+          if (is_ignored(key)) continue;
+          if (b.find(key) == nullptr) {
+            drift(path.empty() ? key : path + "." + key,
+                  "not present in baseline");
           }
         }
         return;
@@ -144,18 +141,10 @@ std::string CompareResult::to_string() const {
 }
 
 CompareResult compare_json(const JsonValue& baseline, const JsonValue& candidate,
-                           const CompareOptions& opts) {
-  CompareResult res;
-  Walker{opts.tol_pct, &opts.ignored_keys, opts.allow_candidate_extra_keys, &res}
-      .walk("", baseline, candidate);
-  return res;
-}
-
-CompareResult compare_json(const JsonValue& baseline, const JsonValue& candidate,
                            double tol_pct,
                            const std::vector<std::string>& ignored_keys) {
   CompareResult res;
-  Walker{tol_pct, &ignored_keys, false, &res}.walk("", baseline, candidate);
+  Walker{tol_pct, &ignored_keys, &res}.walk("", baseline, candidate);
   return res;
 }
 
@@ -185,23 +174,6 @@ CompareResult compare_json_files(const std::string& baseline_path,
   if (!c) {
     res.drifts.push_back({candidate_path, "parse error: " + err});
     return res;
-  }
-  // v1-baseline acceptance (see header): relax to the shared counter
-  // prefix when an old committed metrics baseline meets a current-schema
-  // candidate.
-  const JsonValue* bs = b->find("schema");
-  const JsonValue* cs = c->find("schema");
-  if (bs != nullptr && cs != nullptr &&
-      bs->kind == JsonValue::Kind::kString &&
-      cs->kind == JsonValue::Kind::kString &&
-      bs->string == "abclsim-metrics-v1" && cs->string == "abclsim-metrics-v2") {
-    CompareOptions opts;
-    opts.tol_pct = tol_pct;
-    opts.ignored_keys = ignored_keys;
-    opts.ignored_keys.push_back("schema");
-    opts.ignored_keys.push_back("heap_bytes");
-    opts.allow_candidate_extra_keys = true;
-    return compare_json(*b, *c, opts);
   }
   return compare_json(*b, *c, tol_pct, ignored_keys);
 }

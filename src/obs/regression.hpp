@@ -11,7 +11,11 @@
 // (solutions, sim_time, quanta, packet counts) are deterministic, so any
 // drift beyond the tolerance means either a real regression or an
 // intentional cost-model change that must update the baseline in the same
-// PR.
+// commit. Every value in a metrics snapshot, floats included, is a pure
+// function of simulated state, so snapshots are compared at tolerance 0;
+// bench trajectories keep a small tolerance for their formatted floats.
+// Keys are checked in both directions: one that vanishes from the
+// candidate or appears in it is a drift.
 #pragma once
 
 #include <string>
@@ -38,36 +42,14 @@ struct CompareResult {
 // those features on). The one canonical list — see regression.cpp.
 extern const std::vector<std::string> kDefaultIgnoredKeys;
 
-struct CompareOptions {
-  double tol_pct = 0.5;
-  std::vector<std::string> ignored_keys = kDefaultIgnoredKeys;
-  // Forward-compat mode for schema-bumped candidates against an older
-  // committed baseline: keys the candidate adds are tolerated (the shared
-  // counter prefix is still checked exactly); keys missing from the
-  // candidate remain drifts. Strict both-ways checking stays the default —
-  // a key silently vanishing OR appearing is normally a bug.
-  bool allow_candidate_extra_keys = false;
-};
-
-CompareResult compare_json(const JsonValue& baseline, const JsonValue& candidate,
-                           const CompareOptions& opts);
-
 CompareResult compare_json(const JsonValue& baseline, const JsonValue& candidate,
                            double tol_pct,
                            const std::vector<std::string>& ignored_keys =
                                kDefaultIgnoredKeys);
 
-// File-level convenience: parses both files and compares. Parse or I/O
-// failures are reported as drifts so callers can treat any non-ok result
-// uniformly.
-//
-// Baseline-version compat: when the baseline is an "abclsim-metrics-v1"
-// snapshot and the candidate is the current metrics schema, the comparison
-// automatically relaxes to the shared counter prefix — candidate-only keys
-// (the v2 alloc blocks, "pooling") are tolerated and "schema"/"heap_bytes"
-// are ignored (v2's slab-granular arena growth changed heap_bytes). This
-// keeps committed v1 BENCH_*.json baselines green until they are
-// refreshed; every other schema pairing is compared strictly.
+// File-level convenience: parses both files and compares them with
+// compare_json. Parse or I/O failures are reported as drifts so callers
+// can treat any non-ok result uniformly.
 CompareResult compare_json_files(const std::string& baseline_path,
                                  const std::string& candidate_path,
                                  double tol_pct,

@@ -45,7 +45,6 @@ void ParallelMachine::run_shard(std::size_t me) {
     Instr key;
     while ((key = effective_key(n)) < limit) {
       if (n.clock() < key) n.advance_clock(key);
-      w.outbox.set_current_key(key);
       w.traces.set_current_key(key);
       n.step();
       ++w.quanta;
@@ -58,9 +57,6 @@ void ParallelMachine::run_shard(std::size_t me) {
     ready_.push(e.node, key);
   }
   w.active = active;
-  // Pre-sort this worker's run inside the parallel region so the barrier
-  // flush only has to merge.
-  w.outbox.sort_canonical();
 }
 
 void ParallelMachine::worker_main(std::size_t me) {
@@ -92,8 +88,8 @@ void ParallelMachine::worker_main(std::size_t me) {
 
 void ParallelMachine::flush_commits() {
   if (net_ == nullptr) return;
-  // Commit every buffered send in canonical (quantum key, src) order —
-  // the exact order the serial driver would have issued them.
+  // Commit every buffered send; each source's sends sit in one outbox in
+  // program order, which is all the commit state depends on.
   if (outbox_ptrs_.empty()) {
     for (auto& w : workers_) outbox_ptrs_.push_back(&w.outbox);
   }

@@ -9,17 +9,18 @@
 // executes all of them concurrently.
 //
 // Determinism: workers never touch the shared network state. Sends are
-// buffered into per-worker outboxes, stamped with the issuing quantum's
-// key, and committed at the window barrier in canonical order — ascending
-// (quantum key, src), preserving per-node program order. Every key the next
-// window runs is >= this window's horizon: a node that ran stopped at a key
-// >= horizon, one that did not was already there, and a flushed arrival
-// lands at >= its sender's key + lookahead >= horizon. So consecutive
-// flushes commit in the serial driver's global order, and the two globally
-// order-sensitive observables need no reordering across windows: the
-// network's Welford wire-latency stat is updated at commit, and each
-// barrier replays the window's buffered trace events sorted by (key, node).
-// The results are bit-identical to a serial run at any thread count.
+// buffered into per-worker outboxes and committed at the window barrier,
+// box by box in append order. A node's sends sit in one outbox in program
+// order, and the network's commit state depends on nothing else (see
+// net/network.hpp): channel floors and seqs are per source, every other
+// commit-side result is independent of how sources interleave. The one
+// globally ordered observable is the trace stream: every key the next
+// window runs is >= this window's horizon (a node that ran stopped at a
+// key >= horizon, one that did not was already there, and a flushed
+// arrival lands at >= its sender's key + lookahead >= horizon), so each
+// barrier replays the window's buffered trace events sorted by (key, node)
+// as the serial stream's next segment. The results are bit-identical to a
+// serial run at any thread count.
 //
 // Shard: node i belongs to worker i mod T for the whole run, so each source
 // lives in exactly one outbox and one trace buffer. Any fixed assignment

@@ -4,25 +4,6 @@
 
 namespace abcl::util {
 
-void RunningStat::merge(const RunningStat& o) {
-  if (o.n_ == 0) return;
-  if (n_ == 0) {
-    *this = o;
-    return;
-  }
-  std::uint64_t n = n_ + o.n_;
-  double d = o.mean_ - mean_;
-  double mean = mean_ + d * static_cast<double>(o.n_) / static_cast<double>(n);
-  m2_ = m2_ + o.m2_ +
-        d * d * static_cast<double>(n_) * static_cast<double>(o.n_) /
-            static_cast<double>(n);
-  mean_ = mean;
-  n_ = n;
-  if (o.min_ < min_) min_ = o.min_;
-  if (o.max_ > max_) max_ = o.max_;
-  sum_ += o.sum_;
-}
-
 std::uint64_t Log2Histogram::percentile(double p) const {
   if (count_ == 0) return 0;
   // Clamp p into [0,1] before the uint64_t cast: a negative product (or

@@ -1,44 +1,64 @@
-// Lightweight counters, online mean/variance, and log2 histograms used by
+// Lightweight counters, exact running moments, and log2 histograms used by
 // the runtime's per-node statistics blocks and by the benchmark harnesses.
 #pragma once
 
-#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 namespace abcl::util {
 
-// Welford online accumulator; numerically stable, O(1) per sample.
+// Exact moments of a stream of integer samples: count, sum, min, max and
+// the sum of squares, all in integers. The state is a function of the
+// sample multiset alone, never of the order the samples arrived in, so
+// drivers that commit the same samples in different orders end with
+// bitwise-equal state. mean() and variance() are derived when read.
+//
+// The sum of squares is 128 bits wide, kept as two plain words so the
+// class adds no 16-byte alignment (and no padding) to the raw-serialized
+// blocks that hold it.
 class RunningStat {
  public:
-  void add(double x) {
+  void add(std::uint64_t x) {
+    if (n_ == 0 || x < min_) min_ = x;
+    if (n_ == 0 || x > max_) max_ = x;
     ++n_;
-    double d = x - mean_;
-    mean_ += d / static_cast<double>(n_);
-    m2_ += d * (x - mean_);
-    if (x < min_ || n_ == 1) min_ = x;
-    if (x > max_ || n_ == 1) max_ = x;
     sum_ += x;
+    const unsigned __int128 sq =
+        static_cast<unsigned __int128>(x) * x + sum_sq();
+    sq_lo_ = static_cast<std::uint64_t>(sq);
+    sq_hi_ = static_cast<std::uint64_t>(sq >> 64);
   }
 
   std::uint64_t count() const { return n_; }
-  double sum() const { return sum_; }
-  double mean() const { return n_ ? mean_ : 0.0; }
-  double variance() const { return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0; }
-  double stddev() const { return std::sqrt(variance()); }
-  double min() const { return n_ ? min_ : 0.0; }
-  double max() const { return n_ ? max_ : 0.0; }
-
-  void merge(const RunningStat& o);
+  std::uint64_t sum() const { return sum_; }
+  std::uint64_t min() const { return min_; }
+  std::uint64_t max() const { return max_; }
+  double mean() const {
+    return n_ ? static_cast<double>(sum_) / static_cast<double>(n_) : 0.0;
+  }
+  // Sample variance. n * sum(x^2) - sum(x)^2 is n^2 times the population
+  // variance: exact in wrapping 128-bit arithmetic while that value fits,
+  // so the only roundings are the final conversions and the division.
+  double variance() const {
+    if (n_ < 2) return 0.0;
+    const unsigned __int128 s = sum_;
+    const unsigned __int128 d = n_ * sum_sq() - s * s;
+    return static_cast<double>(d) /
+           (static_cast<double>(n_) * static_cast<double>(n_ - 1));
+  }
 
  private:
+  unsigned __int128 sum_sq() const {
+    return static_cast<unsigned __int128>(sq_hi_) << 64 | sq_lo_;
+  }
+
   std::uint64_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  double sum_ = 0.0;
+  std::uint64_t sum_ = 0;
+  std::uint64_t min_ = 0;
+  std::uint64_t max_ = 0;
+  std::uint64_t sq_lo_ = 0;  // sum of squares, low and high words
+  std::uint64_t sq_hi_ = 0;
 };
 
 // Power-of-two bucketed histogram for latency-style distributions.

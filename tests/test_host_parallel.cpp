@@ -38,8 +38,8 @@ struct Fingerprint {
 
   std::uint64_t packets = 0, payload_words = 0, wire_words = 0;
   std::uint64_t per_category[4] = {};
-  std::uint64_t lat_n = 0;
-  double lat_mean = 0, lat_var = 0, lat_min = 0, lat_max = 0;
+  std::uint64_t lat_n = 0, lat_sum = 0, lat_min = 0, lat_max = 0;
+  double lat_mean = 0, lat_var = 0;
 
   std::uint64_t local_sends = 0, remote_sends = 0, sched_dispatches = 0;
   std::uint64_t stock_hits = 0, blocks_await = 0, created = 0;
@@ -63,6 +63,7 @@ void capture(World& world, const sim::Tracer& tracer, Fingerprint& fp) {
   fp.wire_words = ns.wire_words;
   for (int c = 0; c < 4; ++c) fp.per_category[c] = ns.per_category[c];
   fp.lat_n = ns.wire_latency_instr.count();
+  fp.lat_sum = ns.wire_latency_instr.sum();
   fp.lat_mean = ns.wire_latency_instr.mean();
   fp.lat_var = ns.wire_latency_instr.variance();
   fp.lat_min = ns.wire_latency_instr.min();

@@ -2,6 +2,7 @@
 // latency pricing, and loss-freedom under random traffic (property tests).
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
 #include <tuple>
 #include <vector>
@@ -196,6 +197,80 @@ TEST(Network, ChannelFifoEvenWithReorderedSendTimes) {
   EXPECT_EQ(out.at(0), 2u);
 }
 
+// Above 1,024 nodes the channel floors and the fault layer's link seqs live
+// in hash maps keyed by (src, dst) instead of flat matrices; 1,025 nodes
+// takes that path. The state must stay per channel: (a, b) and (b, a), and
+// channels that share a source or a destination, never share it.
+TEST(Network, ChannelMapsAboveTheMatrixLimitStayPerChannel) {
+  constexpr int kNodes = 1025;
+  sim::CostModel cm = sim::CostModel::ap1000();
+  const Topology topo(TopologyKind::kTorus2D, kNodes);
+  const std::pair<int, int> channels[] = {
+      {1024, 3}, {3, 1024}, {1023, 3}, {1024, 1023}, {0, 1024}};
+  util::Xoshiro256 rng(7);
+  std::vector<Packet> sends;
+  for (net::Word i = 0; i < 400; ++i) {
+    auto [src, dst] = channels[rng.below(5)];
+    // Send times out of order, so the per-channel clamp engages.
+    sends.push_back(make_pkt(src, dst, rng.below(2000), i));
+  }
+  // Reference: each channel's floor and link seq, in send order.
+  std::map<std::pair<int, int>, sim::Instr> floor;
+  std::map<std::pair<int, int>, std::uint64_t> next_link_seq;
+  std::vector<sim::Instr> want_arrive;
+  std::vector<std::uint64_t> want_link_seq;
+  int clamped = 0;
+  for (const Packet& p : sends) {
+    const auto hops = static_cast<sim::Instr>(topo.hops(p.src, p.dst));
+    sim::Instr a = p.send_time + cm.wire_latency + hops * cm.per_hop +
+                   static_cast<sim::Instr>(p.wire_words()) * cm.per_word;
+    sim::Instr& f = floor[{p.src, p.dst}];
+    if (a < f) {
+      a = f;
+      ++clamped;
+    }
+    f = a;
+    want_arrive.push_back(a);
+    want_link_seq.push_back(next_link_seq[{p.src, p.dst}]++);
+  }
+  ASSERT_GT(clamped, 0);
+
+  // Faults off, then a zero-rate plan: every packet takes the fault layer's
+  // commit and dedup path but is delivered once, on its first attempt.
+  for (bool faulted : {false, true}) {
+    SCOPED_TRACE(faulted ? "zero-rate fault plan" : "faults off");
+    net::FaultConfig fc;
+    fc.enabled = faulted;
+    net::Network net(topo, &cm, {}, fc);
+    for (const Packet& p : sends) net.send(p, net::AmCategory::kObjectMessage);
+    std::vector<int> seen(sends.size(), 0);
+    for (int dst : {3, 1023, 1024}) {
+      Packet out;
+      bool dup = true;
+      while (net.poll(dst, sim::kInstrInf, out, &dup)) {
+        EXPECT_FALSE(dup);
+        const auto i = static_cast<std::size_t>(out.at(0));
+        ASSERT_LT(i, sends.size());
+        ++seen[i];
+        EXPECT_EQ(out.arrive_time, want_arrive[i]) << "packet " << i;
+        if (faulted) {
+          EXPECT_EQ(out.link_seq, want_link_seq[i]) << "packet " << i;
+        }
+      }
+    }
+    for (std::size_t i = 0; i < sends.size(); ++i) {
+      EXPECT_EQ(seen[i], 1) << "packet " << i;
+    }
+    EXPECT_TRUE(net.idle());
+    if (faulted) {
+      const net::FaultStats fs = net.fault_stats();
+      EXPECT_EQ(fs.copies_enqueued, sends.size());
+      EXPECT_EQ(fs.delivered, sends.size());
+      EXPECT_EQ(fs.dup_suppressed, 0u);
+    }
+  }
+}
+
 TEST(Network, MinPacketLatencyCachedAndClampedToOne) {
   // ap1000: the floor is wire_latency plus the 4 mandatory header words.
   sim::CostModel cm = sim::CostModel::ap1000();
@@ -349,7 +424,6 @@ TEST(Network, OutboxBuffersUntilFlush) {
   auto net = make_net(4, &cm);
   net::Network::Outbox ob;
   net.set_outbox(0, &ob);
-  ob.set_current_key(0);
   net.send(make_pkt(0, 1, 0), net::AmCategory::kObjectMessage);
   EXPECT_EQ(ob.size(), 1u);
   EXPECT_EQ(net.in_flight(), 0u);
@@ -380,7 +454,6 @@ TEST(Network, PollHandsOutTheSlotTheSenderFilled) {
 
   net::Network::Outbox ob;
   net.set_outbox(0, &ob);
-  ob.set_current_key(5);
   Packet* buffered = net.open(0, 2, 0, 5);
   buffered->push(9);
   net.send(buffered, net::AmCategory::kObjectMessage);
@@ -396,8 +469,9 @@ TEST(Network, PollHandsOutTheSlotTheSenderFilled) {
 }
 
 // While a parallel run has outboxes installed, a source without one must
-// not commit directly: its packet would land ahead of the window's buffered
-// sends. Uninstalling every outbox restores the direct path.
+// not commit directly: the commit would push into destination queues that
+// the workers poll and the barrier flush pushes into, from a worker thread.
+// Uninstalling every outbox restores the direct path.
 TEST(NetworkDeath, DirectSendWhileOutboxesInstalledAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   sim::CostModel cm = sim::CostModel::ap1000();
@@ -413,82 +487,60 @@ TEST(NetworkDeath, DirectSendWhileOutboxesInstalledAborts) {
   EXPECT_EQ(net.in_flight(), 1u);
 }
 
-TEST(Network, FlushCommitsInCanonicalKeySrcOrderAcrossOutboxes) {
-  // Two outboxes holding interleaved quantum keys: after the flush, seqs and
-  // channel floors must equal those of a direct-send network that issued the
-  // same packets in ascending (key, src) order.
+// Commit order across sources is free: each source's sends keep their
+// program order in its one outbox, and no commit state depends on how
+// sources interleave. Flushing the boxes in either order matches a
+// direct-send network in seqs, arrivals and the exact stats block.
+TEST(Network, FlushIsIndependentOfOutboxOrder) {
   sim::CostModel cm = sim::CostModel::ap1000();
-  auto buffered = make_net(4, &cm);
+  // Two sends per channel; the second one on each channel leaves earlier
+  // and is clamped to the first one's arrival. On a 2x2 torus the four
+  // wire latencies are 22, 25 on 0->2 and 23, 406 on 1->2: a Welford
+  // accumulator rounds the variance of (22, 25, 23, 406) and of
+  // (23, 406, 22, 25) differently.
+  const Packet sends[] = {make_pkt(0, 2, 1000, 1), make_pkt(0, 2, 997, 2),
+                          make_pkt(1, 2, 1000, 3), make_pkt(1, 2, 617, 4)};
+  auto send_all = [&sends](net::Network& net) {
+    for (const Packet& p : sends) net.send(p, net::AmCategory::kObjectMessage);
+  };
+  using Delivery = std::tuple<int, std::uint64_t, sim::Instr, net::Word>;
+  auto drain = [](net::Network& net) {
+    std::vector<Delivery> got;
+    Packet out;
+    while (net.poll(2, sim::kInstrInf, out)) {
+      got.emplace_back(out.src, out.seq, out.arrive_time, out.at(0));
+    }
+    return got;
+  };
+
   auto direct = make_net(4, &cm);
+  send_all(direct);
+  const net::Network::Stats want_stats = direct.stats();
+  const std::vector<Delivery> want = drain(direct);
+  ASSERT_EQ(want.size(), 4u);
+  const util::RunningStat& lat = want_stats.wire_latency_instr;
+  ASSERT_EQ(lat.min(), 22u);
+  ASSERT_EQ(lat.max(), 406u);
+  ASSERT_EQ(lat.sum(), 22u + 25u + 23u + 406u);
+  EXPECT_EQ(lat.mean(), 119.0);
+  EXPECT_EQ(lat.variance(), 36610.0);
 
-  net::Network::Outbox ob0, ob1;
-  buffered.set_outbox(0, &ob0);
-  buffered.set_outbox(1, &ob1);
-  // Worker 0 runs node 0's quanta at keys 50 then 70; worker 1 runs node
-  // 1's quantum at key 60. Host issue order is scrambled on purpose.
-  ob0.set_current_key(50);
-  buffered.send(make_pkt(0, 2, 50, 1), net::AmCategory::kObjectMessage);
-  ob0.set_current_key(70);
-  buffered.send(make_pkt(0, 2, 70, 3), net::AmCategory::kObjectMessage);
-  ob1.set_current_key(60);
-  buffered.send(make_pkt(1, 2, 60, 2), net::AmCategory::kObjectMessage);
-  net::Network::Outbox* boxes[] = {&ob1, &ob0};  // order must not matter
-  buffered.flush_outboxes(boxes, 2);
-
-  direct.send(make_pkt(0, 2, 50, 1), net::AmCategory::kObjectMessage);
-  direct.send(make_pkt(1, 2, 60, 2), net::AmCategory::kObjectMessage);
-  direct.send(make_pkt(0, 2, 70, 3), net::AmCategory::kObjectMessage);
-
-  Packet a, b;
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(buffered.poll(2, sim::kInstrInf, a));
-    ASSERT_TRUE(direct.poll(2, sim::kInstrInf, b));
-    EXPECT_EQ(a.src, b.src);
-    EXPECT_EQ(a.seq, b.seq);
-    EXPECT_EQ(a.arrive_time, b.arrive_time);
-    EXPECT_EQ(a.at(0), b.at(0));
+  for (bool swapped : {false, true}) {
+    SCOPED_TRACE(swapped ? "boxes {ob1, ob0}" : "boxes {ob0, ob1}");
+    auto buffered = make_net(4, &cm);
+    net::Network::Outbox ob0, ob1;
+    buffered.set_outbox(0, &ob0);
+    buffered.set_outbox(1, &ob1);
+    send_all(buffered);
+    net::Network::Outbox* boxes[] = {swapped ? &ob1 : &ob0,
+                                     swapped ? &ob0 : &ob1};
+    buffered.flush_outboxes(boxes, 2);
+    buffered.set_outbox(0, nullptr);
+    buffered.set_outbox(1, nullptr);
+    EXPECT_EQ(std::memcmp(&buffered.stats(), &want_stats, sizeof want_stats),
+              0);
+    EXPECT_EQ(drain(buffered), want);
   }
-  EXPECT_EQ(buffered.stats().packets, direct.stats().packets);
-  EXPECT_EQ(buffered.stats().wire_latency_instr.mean(),
-            direct.stats().wire_latency_instr.mean());
-  EXPECT_EQ(buffered.stats().wire_latency_instr.variance(),
-            direct.stats().wire_latency_instr.variance());
-}
-
-TEST(NetworkStats, MergeMatchesCombinedAccumulation) {
-  sim::CostModel cm = sim::CostModel::ap1000();
-  auto whole = make_net(8, &cm);
-  auto part_a = make_net(8, &cm);
-  auto part_b = make_net(8, &cm);
-  util::Xoshiro256 rng(99);
-  for (int i = 0; i < 200; ++i) {
-    int src = static_cast<int>(rng.below(8));
-    int dst = static_cast<int>(rng.below(8));
-    // Widely spaced send times: the per-channel FIFO clamp never engages, so
-    // each packet's latency is independent of which network carried it.
-    auto t = static_cast<sim::Instr>(i) * 1000;
-    auto cat = static_cast<net::AmCategory>(rng.below(4));
-    whole.send(make_pkt(src, dst, t), cat);
-    (i % 2 == 0 ? part_a : part_b).send(make_pkt(src, dst, t), cat);
-  }
-  net::Network::Stats merged = part_a.stats();
-  merged.merge(part_b.stats());
-  EXPECT_EQ(merged.packets, whole.stats().packets);
-  EXPECT_EQ(merged.payload_words, whole.stats().payload_words);
-  EXPECT_EQ(merged.wire_words, whole.stats().wire_words);
-  for (int c = 0; c < 4; ++c) {
-    EXPECT_EQ(merged.per_category[c], whole.stats().per_category[c]);
-  }
-  EXPECT_EQ(merged.wire_latency_instr.count(),
-            whole.stats().wire_latency_instr.count());
-  // Welford merge is algebraically exact; floating point makes it only
-  // near-exact vs a straight-line accumulation.
-  EXPECT_NEAR(merged.wire_latency_instr.mean(),
-              whole.stats().wire_latency_instr.mean(), 1e-9);
-  EXPECT_NEAR(merged.wire_latency_instr.variance(),
-              whole.stats().wire_latency_instr.variance(), 1e-6);
-  EXPECT_EQ(merged.wire_latency_instr.min(), whole.stats().wire_latency_instr.min());
-  EXPECT_EQ(merged.wire_latency_instr.max(), whole.stats().wire_latency_instr.max());
 }
 
 }  // namespace

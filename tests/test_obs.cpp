@@ -418,36 +418,6 @@ TEST(MergeCoverage, NodeStatsMergesEveryField) {
   EXPECT_EQ(m.sched_depth.count(), 2u);
 }
 
-TEST(MergeCoverage, NetworkStatsMergesEveryField) {
-  // Same negative guard for the network-side merge (see network.cpp).
-  static_assert(3 * sizeof(std::uint64_t) +
-                        sizeof(net::Network::Stats::per_category) +
-                        sizeof(net::Network::Stats::wire_latency_instr) ==
-                    sizeof(net::Network::Stats),
-                "Network::Stats gained a field this coverage list misses");
-  net::Network::Stats a;
-  a.packets = 1;
-  a.payload_words = 2;
-  a.wire_words = 3;
-  for (int i = 0; i < 4; ++i) a.per_category[i] = 10 + i;
-  a.wire_latency_instr.add(5.0);
-  a.wire_latency_instr.add(15.0);
-
-  net::Network::Stats m;
-  m.merge(a);
-  m.merge(a);
-  EXPECT_EQ(m.packets, 2u);
-  EXPECT_EQ(m.payload_words, 4u);
-  EXPECT_EQ(m.wire_words, 6u);
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(m.per_category[i], 2u * (10 + static_cast<unsigned>(i)));
-  }
-  EXPECT_EQ(m.wire_latency_instr.count(), 4u);
-  EXPECT_DOUBLE_EQ(m.wire_latency_instr.mean(), 10.0);
-  EXPECT_DOUBLE_EQ(m.wire_latency_instr.min(), 5.0);
-  EXPECT_DOUBLE_EQ(m.wire_latency_instr.max(), 15.0);
-}
-
 // ---------------------------------------------------------------------------
 // File round-trip (the bench/CI path)
 // ---------------------------------------------------------------------------
@@ -462,55 +432,6 @@ TEST(Regression, FileCompareRoundTrip) {
   ASSERT_TRUE(obs::write_file(cand, R"({"quanta": 150, "wall_ms": 5.0})"));
   EXPECT_FALSE(obs::compare_json_files(base, cand, 10.0).ok());
   EXPECT_FALSE(obs::compare_json_files(dir + "/absent.json", cand, 0.0).ok());
-}
-
-TEST(Regression, AcceptsV1MetricsBaselineAgainstV2Candidate) {
-  // A committed v1 metrics baseline must stay green against the v2 schema:
-  // the shared counter prefix is compared exactly, the v2-only additions
-  // (alloc blocks, "pooling") are tolerated, and "schema"/"heap_bytes" are
-  // ignored for this pairing only.
-  std::string dir = ::testing::TempDir();
-  std::string base = dir + "/obs_v1_base.json";
-  std::string cand = dir + "/obs_v2_cand.json";
-  ASSERT_TRUE(obs::write_file(base, R"({
-    "schema": "abclsim-metrics-v1", "nodes": 4,
-    "totals": {"remote_recv": 10, "heap_bytes": 4096}})"));
-  ASSERT_TRUE(obs::write_file(cand, R"({
-    "schema": "abclsim-metrics-v2", "nodes": 4, "pooling": true,
-    "totals": {"remote_recv": 10, "heap_bytes": 65536,
-               "alloc": {"allocs": 7, "frees": 7}}})"));
-  EXPECT_TRUE(obs::compare_json_files(base, cand, 0.0).ok());
-  // Shared counters are still gated: drift in the prefix fails.
-  ASSERT_TRUE(obs::write_file(cand, R"({
-    "schema": "abclsim-metrics-v2", "nodes": 4, "pooling": true,
-    "totals": {"remote_recv": 11, "heap_bytes": 65536,
-               "alloc": {"allocs": 7, "frees": 7}}})"));
-  EXPECT_FALSE(obs::compare_json_files(base, cand, 0.0).ok());
-  // So is a key the candidate dropped.
-  ASSERT_TRUE(obs::write_file(cand, R"({
-    "schema": "abclsim-metrics-v2", "pooling": true,
-    "totals": {"remote_recv": 10, "heap_bytes": 65536}})"));
-  EXPECT_FALSE(obs::compare_json_files(base, cand, 0.0).ok());
-}
-
-TEST(Regression, ExtraCandidateKeysStayStrictOutsideV1Compat) {
-  // The relaxation is scoped to the v1-baseline/v2-candidate pairing; a
-  // same-schema pair (every BENCH_*.json comparison) is still strict about
-  // keys appearing out of nowhere.
-  std::string dir = ::testing::TempDir();
-  std::string base = dir + "/obs_strict_base.json";
-  std::string cand = dir + "/obs_strict_cand.json";
-  ASSERT_TRUE(obs::write_file(base, R"({"quanta": 100})"));
-  ASSERT_TRUE(obs::write_file(cand, R"({"quanta": 100, "extra": 1})"));
-  EXPECT_FALSE(obs::compare_json_files(base, cand, 0.0).ok());
-  // The opt-in knob exists for callers that want the relaxed mode directly.
-  obs::CompareOptions opts;
-  opts.tol_pct = 0.0;
-  opts.allow_candidate_extra_keys = true;
-  EXPECT_TRUE(obs::compare_json(*obs::parse_json(R"({"quanta": 100})"),
-                                *obs::parse_json(R"({"quanta": 100, "x": 1})"),
-                                opts)
-                  .ok());
 }
 
 }  // namespace

@@ -424,38 +424,51 @@ TEST(Rng, Uniform01InRange) {
 
 TEST(RunningStat, MeanVarianceMinMax) {
   RunningStat s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
+  for (std::uint64_t x : {2, 4, 4, 4, 5, 5, 7, 9}) s.add(x);
   EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);
-  EXPECT_EQ(s.min(), 2.0);
-  EXPECT_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
+  EXPECT_EQ(s.mean(), 5.0);
+  EXPECT_EQ(s.variance(), 32.0 / 7.0);
+  EXPECT_EQ(s.min(), 2u);
+  EXPECT_EQ(s.max(), 9u);
+  EXPECT_EQ(s.sum(), 40u);
 }
 
-TEST(RunningStat, MergeMatchesCombined) {
-  RunningStat a, b, all;
-  for (int i = 0; i < 50; ++i) {
-    double x = i * 0.37;
-    (i % 2 ? a : b).add(x);
-    all.add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-  EXPECT_EQ(a.min(), all.min());
-  EXPECT_EQ(a.max(), all.max());
+TEST(RunningStat, EmptyAndSingleSample) {
+  RunningStat s;
+  EXPECT_EQ(s.count(), 0u);
+  EXPECT_EQ(s.mean(), 0.0);
+  EXPECT_EQ(s.variance(), 0.0);
+  EXPECT_EQ(s.min(), 0u);
+  EXPECT_EQ(s.max(), 0u);
+  s.add(7);
+  EXPECT_EQ(s.mean(), 7.0);
+  EXPECT_EQ(s.variance(), 0.0);
+  EXPECT_EQ(s.min(), 7u);
+  EXPECT_EQ(s.max(), 7u);
 }
 
-TEST(RunningStat, MergeWithEmpty) {
-  RunningStat a, b;
-  a.add(3.0);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 1u);
-  b.merge(a);
-  EXPECT_EQ(b.count(), 1u);
-  EXPECT_EQ(b.mean(), 3.0);
+// The state is a function of the sample multiset alone, so two orders of
+// the same samples leave bitwise-equal state. A Welford update rounds these
+// two orders differently (variance 36610.00000000001 against
+// 36609.99999999999).
+TEST(RunningStat, StateIsIndependentOfSampleOrder) {
+  RunningStat ab, ba;
+  for (std::uint64_t x : {22, 25, 23, 406}) ab.add(x);
+  for (std::uint64_t x : {23, 406, 22, 25}) ba.add(x);
+  EXPECT_EQ(std::memcmp(&ab, &ba, sizeof ab), 0);
+  EXPECT_EQ(ab.mean(), 119.0);
+  EXPECT_EQ(ab.variance(), 36610.0);
+}
+
+// Squares of samples above 2^32 overflow one 64-bit word; the sum of
+// squares carries into its second word.
+TEST(RunningStat, SumOfSquaresCarriesPast64Bits) {
+  RunningStat s;
+  const std::uint64_t a = std::uint64_t{1} << 40;
+  s.add(a);
+  s.add(a + 2);
+  EXPECT_EQ(s.mean(), static_cast<double>(a + 1));
+  EXPECT_EQ(s.variance(), 2.0);
 }
 
 TEST(Log2Histogram, BucketsAndPercentile) {
