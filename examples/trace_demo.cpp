@@ -48,8 +48,10 @@ int main(int argc, char** argv) {
               world.mean_utilization() * 100.0);
   world.utilization_table().print();
 
+  // One merge of the per-node rings serves both the export and the timeline.
+  const auto events = tracer.snapshot();
   if (trace_path != nullptr) {
-    if (obs::write_file(trace_path, obs::chrome_trace_json(tracer))) {
+    if (obs::write_file(trace_path, obs::chrome_trace_json(events))) {
       std::printf("\nwrote %s (load it at https://ui.perfetto.dev)\n",
                   trace_path);
     } else {
@@ -60,7 +62,6 @@ int main(int argc, char** argv) {
 
   // Coarse activity timeline: one row per node, 64 buckets over the run;
   // darker glyphs = more quanta started in that interval.
-  auto events = tracer.snapshot();
   sim::Instr end = world.max_clock();
   if (end == 0 || events.empty()) return 0;
   constexpr int kBuckets = 64;

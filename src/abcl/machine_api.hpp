@@ -185,7 +185,8 @@ class World {
   // every other node's stock (warm start for creation-heavy workloads).
   void seed_stocks(const core::ClassInfo& cls, int depth);
 
-  // Attaches an execution tracer to every node (nullptr detaches).
+  // Attaches an execution tracer to every node (nullptr detaches), sizing
+  // one lane per node (sim/trace.hpp) before any run.
   void attach_tracer(sim::Tracer* tracer);
 
   // Serializes the whole world into `sink` (see ckpt/snapshot.hpp for the

@@ -269,11 +269,11 @@ class NodeRuntime final : public sim::NodeExec {
   void boot(const std::function<void(NodeRuntime&)>& fn);
 
   // Optional execution tracing (one branch per hot-path event when unset).
-  void set_tracer(sim::Tracer* t) { tracer_ = t; }
-  sim::Tracer* swap_tracer(sim::Tracer* t) override {
-    sim::Tracer* old = tracer_;
+  // Attaching sizes this node's lane first, so under either driver the
+  // lane is written only by the thread that runs this node.
+  void set_tracer(sim::Tracer* t) {
+    if (t != nullptr) t->size_lanes(static_cast<std::size_t>(id_) + 1);
     tracer_ = t;
-    return old;
   }
   void trace(sim::TraceEv ev, std::uint64_t payload = 0) {
     if (tracer_ != nullptr) tracer_->record(clock_, id_, ev, payload);

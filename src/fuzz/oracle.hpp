@@ -6,9 +6,10 @@
 //
 //  1. Differential: run the Spec under the serial Machine and under
 //     ParallelMachine at 1/2/8 workers; the metrics_json snapshot must be
-//     byte-identical and the trace fingerprint (an order-sensitive hash of
-//     every trace event) must match exactly, along with sim time, quanta,
-//     per-node flow counters, network totals and the created-object count.
+//     byte-identical and the trace fingerprint (each node's events hashed
+//     in record order, the lanes folded in node order) must match exactly,
+//     along with sim time, quanta, per-node flow counters, network totals
+//     and the created-object count.
 //
 //  2. Invariants (any single run): the completion latch reports every boot
 //     chain done; message conservation (steps run == steps sent + boots,
@@ -36,39 +37,61 @@
 
 namespace abcl::fuzz {
 
-// Order-sensitive fingerprint of the whole trace stream. Works identically
-// under ParallelMachine because per-worker buffers are replayed into the
-// attached tracer in canonical order at window barriers.
+// Order-sensitive fingerprint of the trace stream, one hash lane per node.
+// Each node folds its events into its own lane in record order, so under
+// either driver a lane is written only by the thread that runs its node
+// (attaching sizes the lanes, see sim/trace.hpp); hash() folds the lanes in
+// node order.
 class HashTracer final : public sim::Tracer {
  public:
-  HashTracer() : sim::Tracer(1) {}
+  static constexpr std::uint64_t kSeed = 0x9e3779b97f4a7c15ull;
+  // Cache-line aligned: nodes on different host threads hash into
+  // neighbouring lanes.
+  struct alignas(64) Lane {
+    std::uint64_t h = kSeed;
+    std::uint64_t n = 0;
+  };
+
+  void size_lanes(std::size_t nodes) override {
+    if (lanes_.size() < nodes) lanes_.resize(nodes);
+  }
 
   void record(sim::Instr t, sim::NodeId node, sim::TraceEv kind,
               std::uint64_t payload) override {
-    std::uint64_t x = h_;
+    const auto i = static_cast<std::size_t>(node);
+    if (i >= lanes_.size()) lanes_.resize(i + 1);
+    Lane& l = lanes_[i];
+    std::uint64_t x = l.h;
     x = mix(x ^ static_cast<std::uint64_t>(t));
     x = mix(x ^ (static_cast<std::uint64_t>(static_cast<std::uint32_t>(node))
                  << 8) ^
             static_cast<std::uint64_t>(kind));
     x = mix(x ^ payload);
-    h_ = x;
-    ++n_;
+    l.h = x;
+    ++l.n;
   }
 
-  std::uint64_t hash() const { return h_; }
-  std::uint64_t events() const { return n_; }
-
-  // Crash-recovery support: the fingerprint state is tiny, so a harness can
-  // save it alongside a world checkpoint and roll back to it, discarding
-  // the events of a crashed (to-be-replayed) segment.
-  struct State {
-    std::uint64_t h = 0, n = 0;
-  };
-  State state() const { return {h_, n_}; }
-  void restore_state(const State& s) {
-    h_ = s.h;
-    n_ = s.n;
+  // Lanes that recorded nothing do not contribute.
+  std::uint64_t hash() const {
+    std::uint64_t x = kSeed;
+    for (const Lane& l : lanes_) {
+      if (l.n != 0) x = mix(x ^ l.h);
+    }
+    return x;
   }
+  std::uint64_t events() const {
+    std::uint64_t n = 0;
+    for (const Lane& l : lanes_) n += l.n;
+    return n;
+  }
+
+  // Crash-recovery support: the fingerprint state is one small lane per
+  // node, so a harness can save it alongside a world checkpoint and roll
+  // back to it, discarding the events of a crashed (to-be-replayed)
+  // segment.
+  using State = std::vector<Lane>;
+  State state() const { return lanes_; }
+  void restore_state(const State& s) { lanes_ = s; }
 
  private:
   static std::uint64_t mix(std::uint64_t z) {
@@ -77,8 +100,7 @@ class HashTracer final : public sim::Tracer {
     return z ^ (z >> 31);
   }
 
-  std::uint64_t h_ = 0x9e3779b97f4a7c15ull;
-  std::uint64_t n_ = 0;
+  std::vector<Lane> lanes_;
 };
 
 // Everything observable about one run of a Spec.

@@ -33,19 +33,13 @@ void Machine::push_node(NodeId id) {
 
 void Machine::notify_work(NodeId dst) { push_node(dst); }
 
-Machine::RunReport Machine::run(Instr max_time) { return run_impl(max_time, ~0ull); }
-
-Machine::RunReport Machine::run_quanta(std::uint64_t max_quanta) {
-  return run_impl(kInstrInf, max_quanta);
-}
-
-Machine::RunReport Machine::run_impl(Instr max_time, std::uint64_t max_quanta) {
+Machine::RunReport Machine::run(Instr max_time) {
   // Seed: all nodes with work.
   for (std::size_t i = 0; i < nodes_.size(); ++i) push_node(static_cast<NodeId>(i));
 
   std::uint64_t ran = 0;
   ReadySet::Entry e{};
-  while (ran < max_quanta && ready_.pop_below(0, kInstrInf, &e)) {
+  while (ready_.pop_below(0, kInstrInf, &e)) {
     NodeExec& n = *nodes_[static_cast<std::size_t>(e.node)];
     Instr key = effective_key(n);
     if (key == kInstrInf) continue;  // became idle since insertion
@@ -64,7 +58,7 @@ Machine::RunReport Machine::run_impl(Instr max_time, std::uint64_t max_quanta) {
   }
 
   RunReport rep;
-  rep.quanta = (quanta_ += ran, ran);
+  rep.quanta = ran;
   for (NodeExec* n : nodes_) {
     if (n->clock() > rep.end_time) rep.end_time = n->clock();
   }

@@ -60,9 +60,9 @@ class NodeExec {
   // Run one quantum. Precondition: runnable().
   virtual void step() = 0;
 
-  // Replace the node's attached tracer, returning the previous one. The
-  // host-parallel driver uses this to interpose per-worker trace buffers.
-  // Default: no tracing support.
+  // No-op, kept so older callers compile: each node records into its own
+  // lane of the attached tracer (trace.hpp), so no driver swaps tracers,
+  // and nothing calls this.
   virtual Tracer* swap_tracer(Tracer*) { return nullptr; }
 };
 
@@ -199,15 +199,10 @@ class Machine : public Driver {
   void notify_work(NodeId dst) override;
   RunReport run(Instr max_time = kInstrInf) override;
 
-  // Single-step variant for tests: runs at most `max_quanta` quanta.
-  RunReport run_quanta(std::uint64_t max_quanta);
-
  private:
   void push_node(NodeId id);
-  RunReport run_impl(Instr max_time, std::uint64_t max_quanta);
 
   ReadySet ready_;  // one shard
-  std::uint64_t quanta_ = 0;
 };
 
 }  // namespace abcl::sim

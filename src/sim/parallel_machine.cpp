@@ -45,7 +45,6 @@ void ParallelMachine::run_shard(std::size_t me) {
     Instr key;
     while ((key = effective_key(n)) < limit) {
       if (n.clock() < key) n.advance_clock(key);
-      w.traces.set_current_key(key);
       n.step();
       ++w.quanta;
     }
@@ -96,54 +95,20 @@ void ParallelMachine::flush_commits() {
   net_->flush_outboxes(outbox_ptrs_.data(), outbox_ptrs_.size());
 }
 
-void ParallelMachine::replay_traces() {
-  for (auto& w : workers_) {
-    trace_merge_.insert(trace_merge_.end(), w.traces.items_.begin(),
-                        w.traces.items_.end());
-    w.traces.items_.clear();
-  }
-  if (trace_merge_.empty()) return;
-  // Serial execution order is ascending (quantum key, node); each node's
-  // events live in one worker's buffer in program order, which the stable
-  // sort preserves. Every key of this window is below every key of the
-  // next (see file header), so the sorted window is the serial stream's
-  // next segment.
-  std::stable_sort(trace_merge_.begin(), trace_merge_.end(),
-                   [](const WindowTraceBuffer::Tagged& a,
-                      const WindowTraceBuffer::Tagged& b) {
-                     if (a.key != b.key) return a.key < b.key;
-                     return a.ev.node < b.ev.node;
-                   });
-  for (const auto& t : trace_merge_) {
-    Tracer* dst = saved_tracers_[static_cast<std::size_t>(t.ev.node)];
-    if (dst != nullptr) dst->record(t.ev.t, t.ev.node, t.ev.kind, t.ev.payload);
-  }
-  trace_merge_.clear();
-}
-
-void ParallelMachine::install_node(NodeId id) {
-  Worker& w = workers_[ready_.owner(id)];
-  if (saved_tracers_[static_cast<std::size_t>(id)] != nullptr) {
-    nodes_[static_cast<std::size_t>(id)]->swap_tracer(&w.traces);
-  }
-  if (net_ != nullptr) {
-    net_->set_outbox(id, &w.outbox);
-    net_->set_magazine(id, &w.magazine);
-  }
-}
-
 void ParallelMachine::notify_work(NodeId dst) {
   ready_.push(dst, effective_key(*nodes_[static_cast<std::size_t>(dst)]));
 }
 
 Driver::RunReport ParallelMachine::run(Instr max_time) {
-  // Interpose per-worker outboxes and trace buffers. Nodes without a tracer
-  // keep none (recording into a buffer nobody replays would cost time).
-  saved_tracers_.assign(nodes_.size(), nullptr);
+  // Interpose the owning worker's outbox and magazine on each node's sends.
   for (auto& w : workers_) w.quanta = 0;
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    saved_tracers_[i] = nodes_[i]->swap_tracer(nullptr);
-    install_node(static_cast<NodeId>(i));
+  if (net_ != nullptr) {
+    for (std::size_t i = 0; i < nodes_.size(); ++i) {
+      const auto id = static_cast<NodeId>(i);
+      Worker& w = workers_[ready_.owner(id)];
+      net_->set_outbox(id, &w.outbox);
+      net_->set_magazine(id, &w.magazine);
+    }
   }
 
   const bool threaded = workers_.size() > 1;
@@ -203,7 +168,6 @@ Driver::RunReport ParallelMachine::run(Instr max_time) {
       min_key = std::min(min_key, ready_.top(me));
       occupancy_sum_ += workers_[me].active;
     }
-    replay_traces();
     ++windows_;
   }
 
@@ -216,25 +180,19 @@ Driver::RunReport ParallelMachine::run(Instr max_time) {
     threads_.clear();
   }
 
-  // Restore tracers, the direct send path and the home magazine. Worker
-  // threads are joined (or never existed), so draining their magazines back
-  // to the depot from this thread is race-free.
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    if (Tracer* orig = saved_tracers_[i]) nodes_[i]->swap_tracer(orig);
-    if (net_ != nullptr) {
+  // Restore the direct send path and the home magazine. Worker threads are
+  // joined (or never existed), so draining their magazines back to the
+  // depot from this thread is race-free.
+  if (net_ != nullptr) {
+    for (std::size_t i = 0; i < nodes_.size(); ++i) {
       net_->set_outbox(static_cast<NodeId>(i), nullptr);
       net_->set_magazine(static_cast<NodeId>(i), nullptr);
     }
-  }
-  if (net_ != nullptr) {
     for (auto& w : workers_) net_->packet_pool().flush(w.magazine);
   }
 
   RunReport rep;
-  for (auto& w : workers_) {
-    rep.quanta += w.quanta;
-  }
-  quanta_ += rep.quanta;
+  for (auto& w : workers_) rep.quanta += w.quanta;
   for (NodeExec* n : nodes_) {
     if (n->clock() > rep.end_time) rep.end_time = n->clock();
   }

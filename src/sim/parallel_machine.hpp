@@ -13,19 +13,15 @@
 // box by box in append order. A node's sends sit in one outbox in program
 // order, and the network's commit state depends on nothing else (see
 // net/network.hpp): channel floors and seqs are per source, every other
-// commit-side result is independent of how sources interleave. The one
-// globally ordered observable is the trace stream: every key the next
-// window runs is >= this window's horizon (a node that ran stopped at a
-// key >= horizon, one that did not was already there, and a flushed
-// arrival lands at >= its sender's key + lookahead >= horizon), so each
-// barrier replays the window's buffered trace events sorted by (key, node)
-// as the serial stream's next segment. The results are bit-identical to a
-// serial run at any thread count.
+// commit-side result is independent of how sources interleave. Traces
+// need no order either: each node records into its own lane of the
+// attached tracer (sim/trace.hpp), and readers merge the lanes. The
+// results are bit-identical to a serial run at any thread count.
 //
 // Shard: node i belongs to worker i mod T for the whole run, so each source
-// lives in exactly one outbox and one trace buffer. Any fixed assignment
-// preserves determinism; round-robin balances the common case where load
-// correlates with id ranges.
+// lives in exactly one outbox. Any fixed assignment preserves determinism;
+// round-robin balances the common case where load correlates with id
+// ranges.
 //
 // Active sets: each worker drives one shard of a sim::ReadySet
 // (machine.hpp), the key-ordered set of its nodes that have work. A window
@@ -39,9 +35,9 @@
 // entry, so no driver state outlives a run() and snapshots carry none.
 //
 // Thread-safety partition during a window: a worker touches only its own
-// nodes' state, those nodes' destination queues (poll side), its own outbox,
-// trace buffer, packet-pool magazine and ready-set shard, plus its nodes'
-// slots in the ready set's key array (disjoint indices), and the packet
+// nodes' state and trace lanes, those nodes' destination queues (poll
+// side), its own outbox, packet-pool magazine and ready-set shard, plus its
+// nodes' slots in the ready set's key array (disjoint indices), and the packet
 // slots it acquired for its nodes' sends or polled for their handlers. The
 // one shared mutable structure is the packet pool's depot, which a worker
 // only reaches through its magazine's underflow and overflow paths
@@ -71,7 +67,6 @@
 
 #include "net/network.hpp"
 #include "sim/machine.hpp"
-#include "sim/trace.hpp"
 
 namespace abcl::sim {
 
@@ -110,34 +105,12 @@ class ParallelMachine : public Driver {
   std::uint64_t occupancy_sum() const { return occupancy_sum_; }
 
  private:
-  // Tracer interposer: tags each event with the key of the quantum that
-  // produced it so the barrier replay can reconstruct serial order.
-  class WindowTraceBuffer final : public Tracer {
-   public:
-    WindowTraceBuffer() : Tracer(1) {}
-    void set_current_key(Instr k) { key_ = k; }
-    void record(Instr t, NodeId node, TraceEv kind,
-                std::uint64_t payload) override {
-      items_.push_back({key_, Event{t, node, kind, payload}});
-    }
-
-    struct Tagged {
-      Instr key;
-      Event ev;
-    };
-    std::vector<Tagged> items_;
-
-   private:
-    Instr key_ = 0;
-  };
-
   struct Worker {
     net::Network::Outbox outbox;
     // Thread-local cache of free packet slots: this shard's sends acquire
     // from it and its polls release into it after the handler returns,
     // touching the shared depot only on underflow or overflow.
     net::PacketPool::Magazine magazine;
-    WindowTraceBuffer traces;
     std::uint64_t quanta = 0;
     // Nodes of this shard that executed >= 1 quantum in the last window.
     std::uint64_t active = 0;
@@ -147,8 +120,6 @@ class ParallelMachine : public Driver {
   void run_shard(std::size_t me);
   void worker_main(std::size_t me);
   void flush_commits();
-  void replay_traces();
-  void install_node(NodeId id);
 
   net::Network* net_;
   Instr lookahead_;
@@ -174,14 +145,9 @@ class ParallelMachine : public Driver {
   std::condition_variable epoch_cv_;  // workers park here between windows
   std::condition_variable done_cv_;   // coordinator parks here at barriers
 
-  // Replay scratch + original tracers saved across a run() while buffers
-  // are interposed (index = node id; nullptr = node had no tracer).
   std::vector<net::Network::Outbox*> outbox_ptrs_;
-  std::vector<WindowTraceBuffer::Tagged> trace_merge_;
-  std::vector<Tracer*> saved_tracers_;
   std::uint64_t windows_ = 0;
   std::uint64_t occupancy_sum_ = 0;
-  std::uint64_t quanta_ = 0;
 };
 
 }  // namespace abcl::sim

@@ -1,19 +1,27 @@
-// Bounded execution tracing.
+// Bounded execution tracing, one lane per node.
 //
-// A Tracer records timestamped per-node events into a fixed-capacity ring
-// (oldest events overwritten), cheap enough to leave attached during full
-// runs: one branch when disabled, one store when enabled. Each event carries
-// a payload word whose meaning depends on the kind (scheduling-queue length,
+// A Tracer records timestamped per-node events, cheap enough to leave
+// attached during full runs: one branch when disabled, one store when
+// enabled. Each node records into its own lane, a ring bounded at
+// capacity() events that grows only as its node records; once full, the
+// node's oldest events are overwritten. Each event carries a payload word
+// whose meaning depends on the kind (scheduling-queue length,
 // pattern/handler id, class id, block-reason code) so trace consumers — the
 // text timeline in `trace_demo` and the Chrome/Perfetto exporter in
 // `obs/chrome_trace` — can reconstruct what the node was doing, not just
 // that it did something. The World exposes attach/snapshot helpers.
 //
-// Every payload is a simulated quantity (never a host pointer or host
-// time), so traces are bit-identical between the serial Machine and the
-// ParallelMachine at any thread count.
+// Lanes are the tracer's thread-safety partition: a node records only into
+// its own lane, and attaching the tracer to a node (World::attach_tracer,
+// NodeRuntime::set_tracer) sizes that node's lane before any run, so under
+// either driver each lane is written only by the thread that runs its node. Readers merge: snapshot() orders events by (t, node, per-node
+// record order). Every payload is a simulated quantity (never a host
+// pointer or host time), so traces are bit-identical between the serial
+// Machine and the ParallelMachine at any thread count.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -63,52 +71,82 @@ class Tracer {
     std::uint64_t payload = 0;  // kind-specific; see TraceEv comments
   };
 
-  // Capacity is clamped to >= 1: a zero-capacity ring would make record()'s
-  // index reduction a modulo-by-zero.
+  // `capacity` bounds each node's lane. It is clamped to >= 1, so the
+  // newest event of every node that recorded survives.
   explicit Tracer(std::size_t capacity = 1u << 16)
-      : ring_(capacity == 0 ? 1 : capacity) {}
+      : capacity_(capacity == 0 ? 1 : capacity) {}
   virtual ~Tracer() = default;
 
-  // Virtual so the host-parallel driver can interpose a per-worker buffer
-  // that replays into the real tracer in canonical order at window barriers.
-  virtual void record(Instr t, NodeId node, TraceEv kind,
-                      std::uint64_t payload = 0) {
-    Event& e = ring_[head_];
-    e.t = t;
-    e.node = node;
-    e.kind = kind;
-    e.payload = payload;
-    head_ = (head_ + 1) % ring_.size();
-    if (count_ < ring_.size()) ++count_;
-    ++total_;
+  // Ensures a lane for every node id below `nodes`, keeping every recorded
+  // event. record() grows the lanes on demand too, but growing is not
+  // thread-safe: a driver that runs nodes on several threads needs them
+  // sized first, which attaching the tracer to a node does.
+  virtual void size_lanes(std::size_t nodes) {
+    if (lanes_.size() < nodes) lanes_.resize(nodes);
   }
 
-  std::size_t capacity() const { return ring_.size(); }
-  std::size_t size() const { return count_; }
-  std::uint64_t total_recorded() const { return total_; }
+  // Virtual so the fuzz oracle's HashTracer can fold events instead of
+  // storing them.
+  virtual void record(Instr t, NodeId node, TraceEv kind,
+                      std::uint64_t payload = 0) {
+    const auto i = static_cast<std::size_t>(node);
+    if (i >= lanes_.size()) lanes_.resize(i + 1);
+    Lane& l = lanes_[i];
+    if (l.ring.size() < capacity_) {
+      l.ring.push_back(Event{t, node, kind, payload});
+    } else {
+      l.ring[l.head] = Event{t, node, kind, payload};
+      if (++l.head == capacity_) l.head = 0;
+    }
+    ++l.total;
+  }
 
-  // Events in chronological record order (oldest first).
+  // Per-node bound.
+  std::size_t capacity() const { return capacity_; }
+  // Events held, over all lanes.
+  std::size_t size() const {
+    std::size_t n = 0;
+    for (const Lane& l : lanes_) n += l.ring.size();
+    return n;
+  }
+  std::uint64_t total_recorded() const {
+    std::uint64_t n = 0;
+    for (const Lane& l : lanes_) n += l.total;
+    return n;
+  }
+
+  // Held events in (t, node, per-node record order). A node's clock never
+  // runs back, so each lane is already in t order: the lanes are
+  // concatenated oldest-first in node order and stable-sorted by t.
   std::vector<Event> snapshot() const {
     std::vector<Event> out;
-    out.reserve(count_);
-    std::size_t start = (head_ + ring_.size() - count_) % ring_.size();
-    for (std::size_t i = 0; i < count_; ++i) {
-      out.push_back(ring_[(start + i) % ring_.size()]);
+    out.reserve(size());
+    for (const Lane& l : lanes_) {
+      const auto head = l.ring.begin() + static_cast<std::ptrdiff_t>(l.head);
+      out.insert(out.end(), head, l.ring.end());
+      out.insert(out.end(), l.ring.begin(), head);
     }
+    std::stable_sort(out.begin(), out.end(),
+                     [](const Event& a, const Event& b) { return a.t < b.t; });
     return out;
   }
 
+  // Drops every event; the lanes stay sized.
   void clear() {
-    head_ = 0;
-    count_ = 0;
-    total_ = 0;
+    for (Lane& l : lanes_) l = Lane{};
   }
 
  private:
-  std::vector<Event> ring_;
-  std::size_t head_ = 0;
-  std::size_t count_ = 0;
-  std::uint64_t total_ = 0;
+  // Cache-line aligned: nodes on different host threads record into
+  // neighbouring lanes.
+  struct alignas(64) Lane {
+    std::vector<Event> ring;  // grows to capacity_, then wraps
+    std::size_t head = 0;     // oldest event once the ring is full
+    std::uint64_t total = 0;
+  };
+
+  std::size_t capacity_;
+  std::vector<Lane> lanes_;
 };
 
 }  // namespace abcl::sim

@@ -200,6 +200,33 @@ TEST(Oracle, TraceFingerprintIsSensitive) {
   EXPECT_NE(ra.metrics_json, rb.metrics_json);
 }
 
+// Each node hashes into its own lane, so the fingerprint keeps every
+// node's record order but not how the nodes' events interleave, which no
+// driver fixes. The crash drill's state round trip restores all lanes.
+TEST(Oracle, TraceFingerprintIsOrderedPerNode) {
+  using sim::TraceEv;
+  fuzz::HashTracer a, b, c;
+  a.record(1, 0, TraceEv::kQuantum, 1);
+  a.record(1, 1, TraceEv::kQuantum, 2);
+  a.record(2, 0, TraceEv::kSendRemote, 3);
+  b.record(1, 1, TraceEv::kQuantum, 2);  // nodes interleaved differently
+  b.record(1, 0, TraceEv::kQuantum, 1);
+  b.record(2, 0, TraceEv::kSendRemote, 3);
+  c.record(2, 0, TraceEv::kSendRemote, 3);  // node 0's order swapped
+  c.record(1, 0, TraceEv::kQuantum, 1);
+  c.record(1, 1, TraceEv::kQuantum, 2);
+  EXPECT_EQ(a.hash(), b.hash());
+  EXPECT_NE(a.hash(), c.hash());
+  EXPECT_EQ(a.events(), 3u);
+
+  const fuzz::HashTracer::State saved = a.state();
+  a.record(3, 1, TraceEv::kBlock, 4);
+  EXPECT_NE(a.hash(), b.hash());
+  a.restore_state(saved);
+  EXPECT_EQ(a.hash(), b.hash());
+  EXPECT_EQ(a.events(), 3u);
+}
+
 // The tier-1 fuzz gate (see file comment).
 TEST(Corpus, DifferentialOracleHoldsForEverySeed) {
   for (std::uint64_t seed : kCorpus) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <memory>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "fuzz/program_gen.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/metrics.hpp"
+#include "sim/parallel_machine.hpp"
 #include "sim/trace.hpp"
 
 namespace {
@@ -53,7 +55,8 @@ struct Fingerprint {
 };
 
 void capture(World& world, const sim::Tracer& tracer, Fingerprint& fp) {
-  for (const auto& ev : tracer.snapshot()) {
+  const auto events = tracer.snapshot();
+  for (const auto& ev : events) {
     fp.trace.emplace_back(ev.t, ev.node, static_cast<int>(ev.kind), ev.payload);
   }
   fp.trace_total = tracer.total_recorded();
@@ -76,7 +79,7 @@ void capture(World& world, const sim::Tracer& tracer, Fingerprint& fp) {
   fp.blocks_await = s.blocks_await;
   fp.created = world.total_created_objects();
   fp.metrics_json = obs::metrics_json(world);
-  fp.chrome_json = obs::chrome_trace_json(tracer);
+  fp.chrome_json = obs::chrome_trace_json(events);
 }
 
 Fingerprint run_nqueens_fp(int host_threads, int nodes, int n) {
@@ -231,6 +234,79 @@ TEST(FaultCrossDriver, SeededFaultScheduleIsBitIdentical) {
   }
   EXPECT_NE(run_nqueens_faulty_fp(kSerial, 16, 8, 7).metrics_json,
             run_nqueens_faulty_fp(kSerial, 16, 8, 1234).metrics_json);
+}
+
+// Forwards the driver-facing calls and nothing else, as a timing wrapper
+// does; swap_tracer keeps NodeExec's default.
+class ForwardingNode final : public sim::NodeExec {
+ public:
+  explicit ForwardingNode(sim::NodeExec& inner) : inner_(inner) {}
+  sim::NodeId node_id() const override { return inner_.node_id(); }
+  sim::Instr clock() const override { return inner_.clock(); }
+  bool runnable() const override { return inner_.runnable(); }
+  sim::Instr next_wake() const override { return inner_.next_wake(); }
+  void advance_clock(sim::Instr t) override { inner_.advance_clock(t); }
+  void step() override { inner_.step(); }
+
+ private:
+  sim::NodeExec& inner_;
+};
+
+// Traced N=8 N-queens on 16 nodes: run by the world's own serial driver,
+// or, with `wrapped`, by a 2-thread ParallelMachine built over forwarding
+// wrappers, the way perfbench's traced legs build theirs.
+Fingerprint run_nqueens_wrapped_fp(bool wrapped) {
+  core::Program prog;
+  auto np = apps::register_nqueens(prog);
+  prog.finalize();
+  World world(prog, WorldConfig().with_nodes(16).with_host_threads(kSerial));
+  sim::Tracer tracer(1u << 20);
+  world.attach_tracer(&tracer);
+  const apps::NQueensParams p = apps::NQueensParams::paper_calibrated(8);
+  MailAddr latch;
+  world.boot(0, [&](Ctx& ctx) {
+    latch = ctx.create_local(*np.latch.cls, {});
+    ctx.send_past(latch, np.latch.expect, {1});
+    const Word work = (static_cast<Word>(p.charge_base) << 16) |
+                      static_cast<Word>(p.charge_per_col);
+    Word args[9] = {latch.word_node(), latch.word_ptr(), np.latch.done,
+                    np.done,           static_cast<Word>(p.n) << 8,
+                    0,                 0,
+                    0,                 work};
+    MailAddr root = ctx.create_local(*np.node_cls, args, 9);
+    ctx.send_past(root, np.go, nullptr, 0);
+  });
+  if (wrapped) {
+    std::vector<std::unique_ptr<ForwardingNode>> owned;
+    std::vector<sim::NodeExec*> execs;
+    for (NodeId i = 0; i < world.num_nodes(); ++i) {
+      owned.push_back(std::make_unique<ForwardingNode>(world.node(i)));
+      execs.push_back(owned.back().get());
+    }
+    sim::ParallelMachine driver(std::move(execs), &world.network(), 2);
+    world.network().set_on_deliverable(
+        [&driver](NodeId dst) { driver.notify_work(dst); });
+    driver.run();
+    world.network().set_on_deliverable(
+        [m = &world.machine()](NodeId dst) { m->notify_work(dst); });
+  } else {
+    world.run();
+  }
+  Fingerprint fp;
+  fp.value = latch_state(latch).done() ? latch_state(latch).total : -1;
+  capture(world, tracer, fp);
+  return fp;
+}
+
+// Regression: a ParallelMachine built over wrappers that do not forward
+// swap_tracer could not interpose its per-worker trace buffers, so both
+// workers recorded straight into the one shared ring: a data race, and an
+// event order that changed from run to run. With one lane per node, the
+// wrapped run gives the serial world's snapshot() and Chrome JSON.
+TEST(TraceCrossDriver, ForwardingWrappersKeepTheSerialTrace) {
+  const Fingerprint serial = run_nqueens_wrapped_fp(false);
+  EXPECT_EQ(serial.value, 92);
+  expect_identical(serial, run_nqueens_wrapped_fp(true), 2);
 }
 
 // The magazine layer under the real 8-thread driver is exercised by every

@@ -210,22 +210,16 @@ TEST(Machine, NotifyWorkWakesIdleNodeMidRun) {
   EXPECT_EQ(f.raw[1]->steps_run, 1);
 }
 
-TEST(Machine, RunQuantaBounds) {
-  MachineFixture f(1);
-  f.raw[0]->pending_local_ = 100;
-  auto rep = f.machine->run_quanta(10);
-  EXPECT_EQ(rep.quanta, 10u);
-  EXPECT_EQ(f.raw[0]->steps_run, 10);
-  auto rep2 = f.machine->run();
-  EXPECT_EQ(rep2.quanta, 90u);
-}
-
 TEST(Machine, MaxTimeStopsEarly) {
   MachineFixture f(1);
   f.raw[0]->pending_local_ = 100;  // each step costs 10
   auto rep = f.machine->run(/*max_time=*/55);
   // Steps at clocks 0,10,20,30,40,50 run; clock 60 exceeds the bound.
   EXPECT_EQ(rep.quanta, 6u);
+  // A later run() resumes where the bound stopped it.
+  auto rep2 = f.machine->run();
+  EXPECT_EQ(rep2.quanta, 94u);
+  EXPECT_EQ(f.raw[0]->steps_run, 100);
 }
 
 TEST(Machine, EndTimeIsMaxClock) {

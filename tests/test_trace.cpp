@@ -1,5 +1,7 @@
-// Tracer ring buffer and the World's utilization reporting.
+// Tracer lanes and the World's utilization reporting.
 #include <gtest/gtest.h>
+
+#include <limits>
 
 #include "apps/counters.hpp"
 #include "apps/fib.hpp"
@@ -53,22 +55,70 @@ TEST(Tracer, ZeroCapacityIsClampedToOne) {
   EXPECT_EQ(ev[0].payload, 2u);
 }
 
-// After the ring wraps, snapshot() must still return the surviving suffix in
-// record order, with each event's payload travelling with it.
+// The bound is per node: a hot node's lane wraps and keeps its newest
+// events, a quiet node keeps all of its own, and each payload travels with
+// its event through the wrap and the merge.
 TEST(Tracer, WrapAroundKeepsOrderAndPayloads) {
   sim::Tracer t(4);
   for (int i = 0; i < 11; ++i) {
-    t.record(static_cast<sim::Instr>(100 + i), i % 3, sim::TraceEv::kCreate,
+    t.record(static_cast<sim::Instr>(100 + 2 * i), 0, sim::TraceEv::kCreate,
              static_cast<std::uint64_t>(1000 + i));
   }
+  t.record(101, 1, sim::TraceEv::kBlock, 7);
+  t.record(117, 1, sim::TraceEv::kResume, 8);
+  EXPECT_EQ(t.size(), 6u);
+  EXPECT_EQ(t.total_recorded(), 13u);
+  // Node 0 keeps its events 7..10 (t = 114..120); node 1 keeps both of
+  // its events, merged in by time.
+  struct Want {
+    sim::Instr t;
+    sim::NodeId node;
+    std::uint64_t payload;
+  };
+  const Want want[] = {{101, 1, 7},  {114, 0, 1007}, {116, 0, 1008},
+                       {117, 1, 8},  {118, 0, 1009}, {120, 0, 1010}};
   auto ev = t.snapshot();
-  ASSERT_EQ(ev.size(), 4u);
-  for (std::size_t i = 0; i < 4; ++i) {
-    int logical = 7 + static_cast<int>(i);  // events 7..10 survive
-    EXPECT_EQ(ev[i].t, static_cast<sim::Instr>(100 + logical));
-    EXPECT_EQ(ev[i].node, logical % 3);
-    EXPECT_EQ(ev[i].payload, static_cast<std::uint64_t>(1000 + logical));
+  ASSERT_EQ(ev.size(), 6u);
+  for (std::size_t i = 0; i < ev.size(); ++i) {
+    EXPECT_EQ(ev[i].t, want[i].t) << "event " << i;
+    EXPECT_EQ(ev[i].node, want[i].node) << "event " << i;
+    EXPECT_EQ(ev[i].payload, want[i].payload) << "event " << i;
   }
+}
+
+// Events at one instant come out in node order, and one node's events at
+// one instant in the order it recorded them, whatever order the nodes
+// recorded in.
+TEST(Tracer, EqualTimesMergeInNodeThenRecordOrder) {
+  sim::Tracer t(8);
+  t.record(5, 2, sim::TraceEv::kSendRemote, 1);
+  t.record(5, 0, sim::TraceEv::kQuantum, 2);
+  t.record(5, 2, sim::TraceEv::kRecvRemote, 3);
+  t.record(3, 1, sim::TraceEv::kCreate, 4);
+  t.record(5, 0, sim::TraceEv::kBlock, 5);
+  auto ev = t.snapshot();
+  ASSERT_EQ(ev.size(), 5u);
+  const std::uint64_t order[] = {4, 2, 5, 1, 3};  // payloads, merged
+  for (std::size_t i = 0; i < ev.size(); ++i) {
+    EXPECT_EQ(ev[i].payload, order[i]) << "event " << i;
+  }
+  EXPECT_EQ(ev[0].t, 3u);
+  EXPECT_EQ(ev[1].node, 0);
+  EXPECT_EQ(ev[3].node, 2);
+}
+
+// The bound is a limit, not a reservation: a lane holds only what its node
+// recorded. A per-node capacity no host could preallocate, over 512 lanes,
+// still costs nothing until events arrive.
+TEST(Tracer, LanesGrowOnlyAsTheyRecord) {
+  sim::Tracer t(std::numeric_limits<std::size_t>::max());
+  t.size_lanes(512);
+  EXPECT_EQ(t.size(), 0u);
+  for (int i = 0; i < 100; ++i) {
+    t.record(static_cast<sim::Instr>(i), 3, sim::TraceEv::kQuantum);
+    EXPECT_EQ(t.size(), static_cast<std::size_t>(i + 1));
+  }
+  EXPECT_EQ(t.snapshot().size(), 100u);
 }
 
 TEST(Tracer, ClearResets) {
