@@ -78,9 +78,10 @@ int main(int argc, char** argv) {
   }
   const char* glyphs = " .:-=+*#%@";
   std::printf("\nquantum-activity timeline (%.2f ms across, %d buckets; "
-              "last %zu of %llu events)\n",
+              "%zu of %llu events kept, each node's newest %zu at most)\n",
               r.sim_ms, kBuckets, events.size(),
-              static_cast<unsigned long long>(tracer.total_recorded()));
+              static_cast<unsigned long long>(tracer.total_recorded()),
+              tracer.capacity());
   for (int nid = 0; nid < nodes; ++nid) {
     std::printf("node %2d |", nid);
     for (int b = 0; b < kBuckets; ++b) {

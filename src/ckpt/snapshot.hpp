@@ -33,7 +33,7 @@ namespace abcl::ckpt {
 
 // "ABCLCKPT" little-endian; bump kVersion on any layout change.
 inline constexpr std::uint64_t kMagic = 0x54504b434c434241ull;
-inline constexpr std::uint32_t kVersion = 9;
+inline constexpr std::uint32_t kVersion = 10;
 
 // ---------------------------------------------------------------------------
 // Byte transport

@@ -17,7 +17,7 @@
 //       on which pool slot a packet sat in; on restore they re-acquire
 //       fresh slots, and their payload words — which may embed arena
 //       pointers — stay valid because of (a)), channel floors/seqs and the
-//       fault layer's dedup windows.
+//       fault layer's link seqs and delivery counters.
 //
 // Canonical order: every unordered container is written sorted by its key,
 // so two checkpoints of identical simulated states are byte-identical.
@@ -30,7 +30,6 @@
 #include <cstring>
 #include <limits>
 #include <memory>
-#include <set>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -153,10 +152,9 @@ struct WorldIo {
       field(c.opt.elide_mq_check);
       field(c.opt.elide_poll);
     } else if constexpr (std::is_same_v<T, core::NodeRuntime::Config>) {
-      static_assert(sizeof(T) == 88, "new Config field? list it here");
+      static_assert(sizeof(T) == 80, "new Config field? list it here");
       field(c.policy);
       field(c.max_call_depth);
-      field(c.max_packets_per_quantum);
       field(c.reduction_budget);
       field(c.chunk_stock_target);
       field(c.disable_replenish);
@@ -253,28 +251,9 @@ struct WorldIo {
     if (n.fault_plan_ != nullptr) {
       w.raw(n.fault_commit_);
       save_channel_words(w, n.use_matrix_, n.link_seq_matrix_, n.link_seq_map_);
-      // Each destination's touched windows (DedupWindow::touched), in
-      // ascending source order.
-      const std::size_t nodes = n.dst_fault_.size();
       for (const net::Network::DstFaultState& st : n.dst_fault_) {
         w.u64(st.delivered);
         w.u64(st.dup_suppressed);
-        std::uint64_t touched = 0;
-        for (std::size_t src = 0; st.windows && src < nodes; ++src) {
-          touched += st.windows[src].touched() ? 1 : 0;
-        }
-        w.u64(touched);
-        for (std::size_t src = 0; touched != 0 && src < nodes; ++src) {
-          const net::DedupWindow& win = st.windows[src];
-          if (!win.touched()) continue;
-          w.u32(static_cast<std::uint32_t>(src));
-          w.u64(win.base_);
-          w.u64(win.bits_);
-          w.u64(win.spill_size());
-          if (win.far_) {
-            for (std::uint64_t s : *win.far_) w.u64(s);  // std::set: sorted
-          }
-        }
       }
     }
   }
@@ -297,27 +276,9 @@ struct WorldIo {
     if (n.fault_plan_ != nullptr) {
       r.raw_into(n.fault_commit_);
       load_channel_words(r, n.use_matrix_, n.link_seq_matrix_, n.link_seq_map_);
-      const std::size_t nodes = n.dst_fault_.size();
       for (net::Network::DstFaultState& st : n.dst_fault_) {
         st.delivered = r.u64();
         st.dup_suppressed = r.u64();
-        std::uint64_t nwin = r.u64();
-        for (std::uint64_t i = 0; i < nwin; ++i) {
-          const std::uint32_t src = r.u32();
-          ABCL_CHECK_MSG(src < nodes,
-                         ("checkpoint restore: dedup window for source node " +
-                          std::to_string(src) + " outside the " +
-                          std::to_string(nodes) + "-node world")
-                             .c_str());
-          net::DedupWindow& win = n.dedup_windows(st)[src];
-          win.base_ = r.u64();
-          win.bits_ = r.u64();
-          std::uint64_t nfar = r.u64();
-          if (nfar != 0) {
-            win.far_ = std::make_unique<std::set<std::uint64_t>>();
-          }
-          for (std::uint64_t j = 0; j < nfar; ++j) win.far_->insert(r.u64());
-        }
       }
     }
   }
@@ -326,7 +287,8 @@ struct WorldIo {
   // a pool slot keeps stale bytes past nwords (and padding), which depend
   // on slot reuse and so on host interleaving under the parallel driver.
   // Layout: u32 handler, u32 src, u32 dst, u64 send_time, u64 arrive_time,
-  // u64 seq, u64 link_seq, u32 retries, u32 nwords, nwords x u64 payload.
+  // u64 seq, u64 dup mark (0 or 1), u32 retries, u32 nwords, nwords x u64
+  // payload.
   static void save_packet(Writer& w, const net::Packet& p) {
     w.u32(p.handler);
     w.u32(static_cast<std::uint32_t>(p.src));
@@ -334,7 +296,7 @@ struct WorldIo {
     w.u64(p.send_time);
     w.u64(p.arrive_time);
     w.u64(p.seq);
-    w.u64(p.link_seq);
+    w.u64(p.dup ? 1 : 0);
     w.u32(p.retries);
     w.u32(p.nwords);
     for (int i = 0; i < p.nwords; ++i) w.u64(p.payload[i]);
@@ -359,7 +321,7 @@ struct WorldIo {
     p.send_time = r.u64();
     p.arrive_time = r.u64();
     p.seq = r.u64();
-    p.link_seq = r.u64();
+    const std::uint64_t dup = r.u64();
     const std::uint32_t retries = r.u32();
     const std::uint32_t nwords = r.u32();
     ABCL_CHECK_MSG(nwords <= net::kMaxPacketWords,
@@ -378,10 +340,14 @@ struct WorldIo {
                        .c_str());
     ABCL_CHECK_MSG(to >= 0 && static_cast<std::size_t>(to) == dst,
                    bad("is addressed to node " + std::to_string(to)).c_str());
+    ABCL_CHECK_MSG(dup <= 1, bad("has dup mark " + std::to_string(dup) +
+                                 " (expected 0 or 1)")
+                                 .c_str());
     p.handler = static_cast<net::HandlerId>(handler);
     p.src = src;
     p.dst = to;
     p.retries = static_cast<std::uint16_t>(retries);
+    p.dup = dup != 0;
     p.nwords = static_cast<std::uint8_t>(nwords);
     for (std::uint32_t i = 0; i < nwords; ++i) p.payload[i] = r.u64();
   }

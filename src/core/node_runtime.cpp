@@ -7,6 +7,9 @@ namespace abcl::core {
 
 namespace {
 
+// Packets a quantum polls at most before it runs its scheduler.
+constexpr int kMaxPacketsPerQuantum = 32;
+
 std::uint8_t object_size_class(const ClassInfo& cls) {
   return static_cast<std::uint8_t>(
       util::SlabAllocator::size_class(object_alloc_bytes(cls.state_bytes)));
@@ -66,17 +69,17 @@ void NodeRuntime::step() {
   // Each handler runs on the pool slot the packet landed in; the slot goes
   // back to the pool once the handler returns.
   bool dup = false;
-  for (int handled = 0; handled < cfg_.max_packets_per_quantum; ++handled) {
+  for (int handled = 0; handled < kMaxPacketsPerQuantum; ++handled) {
     net::Packet* slot = net_->poll(id_, quantum_start_clock_, &dup);
     if (slot == nullptr) break;
     const net::Packet& pkt = *slot;
     charge(cm_->recv_handler);
     if (dup) {
-      // A retransmitted or network-duplicated copy the dedup window already
-      // saw: the receiver still burns handler instructions recognizing it
-      // (the real cost of at-least-once delivery) but must not dispatch —
-      // and it contributes nothing to the delivery stats, which count
-      // logical messages.
+      // A retransmitted or network-duplicated copy, marked at commit: the
+      // receiver still burns handler instructions recognizing it (the real
+      // cost of at-least-once delivery) but must not dispatch — and it
+      // contributes nothing to the delivery stats, which count logical
+      // messages.
       trace(sim::TraceEv::kFaultDup, pkt.handler);
     } else {
       stats_.remote_recv += 1;

@@ -54,7 +54,6 @@ class NodeRuntime final : public sim::NodeExec {
   struct Config {
     SchedPolicy policy = SchedPolicy::kStack;
     int max_call_depth = 48;        // direct-call cascade bound (preemption)
-    int max_packets_per_quantum = 32;
     // Instructions a quantum may charge before should_yield() turns true
     // (long internal loops check it via ABCL_YIELD — Section 4.3's
     // preemption of long loops / deep recursions).

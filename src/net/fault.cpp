@@ -42,41 +42,6 @@ std::uint64_t FaultPlan::roll(std::uint64_t tag, std::int32_t src,
 }
 
 // ----------------------------------------------------------------------------
-// DedupWindow
-// ----------------------------------------------------------------------------
-
-void DedupWindow::advance() {
-  for (;;) {
-    while (bits_ & 1) {
-      bits_ >>= 1;
-      ++base_;
-    }
-    // Pull spilled sequences that now fit the bitmap; re-loop in case they
-    // extend the delivered prefix further.
-    bool migrated = false;
-    while (far_ && !far_->empty() && *far_->begin() < base_ + kBits) {
-      bits_ |= std::uint64_t{1} << (*far_->begin() - base_);
-      far_->erase(far_->begin());
-      migrated = true;
-    }
-    if (!migrated) return;
-  }
-}
-
-bool DedupWindow::accept(std::uint64_t seq) {
-  if (seq < base_) return false;  // inside the delivered prefix: duplicate
-  if (seq < base_ + kBits) {
-    const std::uint64_t bit = std::uint64_t{1} << (seq - base_);
-    if (bits_ & bit) return false;
-    bits_ |= bit;
-    advance();
-    return true;
-  }
-  if (!far_) far_ = std::make_unique<std::set<std::uint64_t>>();
-  return far_->insert(seq).second;
-}
-
-// ----------------------------------------------------------------------------
 // Config validation / parsing
 // ----------------------------------------------------------------------------
 

@@ -22,25 +22,20 @@
 // transmits at send_time + sum of backoffs, is lost to a drop or blackout
 // hash, or else enqueues a real delivery copy (plus a duplicate copy when
 // the dup hash fires); a lost virtual ack makes the sender retransmit
-// spuriously, which the receiver's DedupWindow later suppresses. The
-// resulting delivery schedule is exactly what a message-level simulation
-// of the protocol would produce, at none of the event cost, and every copy
-// still arrives >= send_time + Network::min_packet_latency(), so the PDES
-// lookahead stays valid.
+// spuriously. Every copy after the first is marked Packet::dup at commit,
+// and the receiver discards marked copies. The resulting delivery schedule
+// is exactly what a message-level simulation of the protocol would
+// produce, at none of the event cost, and every copy still arrives >=
+// send_time + Network::min_packet_latency(), so the PDES lookahead stays
+// valid.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
-#include <set>
 #include <string>
 
 #include "sim/time.hpp"
 #include "util/stats.hpp"
-
-namespace abcl::ckpt {
-struct WorldIo;
-}
 
 namespace abcl::net {
 
@@ -172,40 +167,6 @@ class FaultPlan {
   FaultConfig cfg_;
   sim::Instr rto_;
 };
-
-// Receiver-side duplicate suppression for one (dst <- src) channel. Tracks
-// which link_seqs have been delivered: a contiguous prefix [0, base) plus a
-// 64-bit bitmap for [base, base+64) plus an ordered spill set for copies
-// that arrive wildly early (heavy reorder-delay). accept() returns true
-// exactly once per sequence number; the base advances over the delivered
-// prefix so steady-state memory is one word per live channel. The spill
-// set sits behind a pointer, allocated on the first spill, so a window is
-// 24 B and a destination's windows fit a flat per-source array.
-class DedupWindow {
- public:
-  static constexpr std::uint64_t kBits = 64;
-
-  // Records delivery of `seq`; true iff this is its first delivery.
-  bool accept(std::uint64_t seq);
-
-  std::uint64_t base() const { return base_; }
-  std::size_t spill_size() const { return far_ ? far_->size() : 0; }
-  // False until the first accept(), true forever after (the base only
-  // grows, and a bit or a spilled seq leaves only into the base or the
-  // bitmap): exactly the windows a snapshot carries.
-  bool touched() const { return base_ != 0 || bits_ != 0 || spill_size() != 0; }
-
- private:
-  friend struct abcl::ckpt::WorldIo;  // checkpoint serializer
-
-  void advance();
-
-  std::uint64_t base_ = 0;  // every seq < base_ has been delivered
-  std::uint64_t bits_ = 0;  // bit i set => base_ + i delivered
-  // Delivered seqs >= base_ + kBits; null until the first spill.
-  std::unique_ptr<std::set<std::uint64_t>> far_;
-};
-static_assert(sizeof(DedupWindow) == 24, "a window is three words");
 
 // Fault-layer accounting. Commit-side counters are updated on the (single
 // threaded) commit path; the receiver-side pair (delivered/dup_suppressed)

@@ -74,8 +74,8 @@ Packet* Network::open(NodeId src, NodeId dst, HandlerId handler,
   p->src = src;
   p->dst = dst;
   p->send_time = send_time;
-  p->link_seq = 0;
   p->retries = 0;
+  p->dup = false;
   p->nwords = 0;
   return p;
 }
@@ -157,11 +157,12 @@ void Network::enqueue(Packet* p) {
 // accumulated backoff; each attempt is lost to the drop hash or a link
 // blackout, or else enqueues a real delivery copy (plus a duplicate copy
 // when that hash fires). A lost virtual ack keeps the loop going — a
-// spurious retransmit the receiver's dedup window will suppress. Every
-// copy's arrival is >= send_time + min_packet_latency() (the effective
-// wire below already clamps there), so the PDES lookahead stays valid, and
-// copies get strictly increasing arrivals so the (arrive, src, seq)
-// delivery order stays a strict total order.
+// spurious retransmit. Every copy's arrival is >= send_time +
+// min_packet_latency() (the effective wire below already clamps there), so
+// the PDES lookahead stays valid, and copies get strictly increasing
+// arrivals. All copies share (src, seq), so the first copy enqueued is the
+// first one its destination polls: it alone is delivered, and every later
+// copy is marked Packet::dup here for the receiver to discard.
 void Network::commit_faulty(Packet* p) {
   const FaultPlan& plan = *fault_plan_;
   const FaultConfig& fc = plan.config();
@@ -170,18 +171,18 @@ void Network::commit_faulty(Packet* p) {
   const NodeId dst = p->dst;
 
   const std::uint64_t lseq = link_seq(src, dst)++;
-  p->link_seq = lseq;
   const sim::Instr base_arrive = p->arrive_time;
   // Effective wire time including the per-channel FIFO clamp the caller
   // already applied; >= min_packet_latency() by construction.
   const sim::Instr eff_wire = base_arrive - p->send_time;
 
   // One delivery copy, stamped with its arrival and attempt number. The
-  // first surviving copy is the committed slot itself; each later one (a
-  // duplicate or a retransmit) gets its own slot holding the committed
-  // header and payload. Copying out of `p` after it is queued is safe: the
-  // commit path runs alone (serially, or at the window barrier), so no
-  // poll can take `p` before the loop ends.
+  // first surviving copy is the committed slot itself, unmarked since
+  // open(); each later one (a duplicate or a retransmit) gets its own slot
+  // holding the committed header and payload, marked dup. Copying out of
+  // `p` after it is queued is safe: the commit path runs alone (serially,
+  // or at the window barrier), so no poll can take `p` before the loop
+  // ends.
   bool first = true;
   auto enqueue_copy = [this, p, &first](sim::Instr arrive,
                                         std::uint32_t attempt) {
@@ -193,7 +194,7 @@ void Network::commit_faulty(Packet* p) {
       c->dst = p->dst;
       c->send_time = p->send_time;
       c->seq = p->seq;
-      c->link_seq = p->link_seq;
+      c->dup = true;
       copy_payload(*c, *p);
     }
     first = false;
@@ -291,27 +292,20 @@ Packet* Network::poll(NodeId dst, sim::Instr now, bool* was_dup) {
   q.pop();
   if (was_dup != nullptr) *was_dup = false;
   if (fault_plan_ != nullptr) {
-    // Receiver-side dedup: only the first copy of each (src, link_seq) is
-    // dispatched; retransmits and network duplicates are reported back so
-    // the caller charges the handler cost and discards. This state is owned
-    // by the worker polling `dst` — no cross-thread writes.
+    // Only each packet's first copy is dispatched; the commit marked the
+    // retransmits and network duplicates, which are reported back so the
+    // caller charges the handler cost and discards. The counters are owned
+    // by the worker polling `dst`; the window barrier orders the commit's
+    // mark before this read, as it does arrive_time.
     DstFaultState& st = dst_fault_[idx(dst)];
-    if (dedup_windows(st)[idx(slot->src)].accept(slot->link_seq)) {
-      st.delivered += 1;
-    } else {
+    if (slot->dup) {
       st.dup_suppressed += 1;
       if (was_dup != nullptr) *was_dup = true;
+    } else {
+      st.delivered += 1;
     }
   }
   return slot;
-}
-
-DedupWindow* Network::dedup_windows(DstFaultState& st) {
-  if (!st.windows) {
-    st.windows = std::make_unique<DedupWindow[]>(
-        static_cast<std::size_t>(topology_.num_nodes()));
-  }
-  return st.windows.get();
 }
 
 bool Network::poll(NodeId dst, sim::Instr now, Packet& out, bool* was_dup) {
@@ -329,16 +323,6 @@ FaultStats Network::fault_stats() const {
     total.dup_suppressed += st.dup_suppressed;
   }
   return total;
-}
-
-std::uint64_t Network::dedup_spilled(NodeId dst) const {
-  if (fault_plan_ == nullptr) return 0;
-  const DstFaultState& st = dst_fault_[idx(dst)];
-  std::uint64_t n = 0;
-  for (std::size_t src = 0; st.windows && src < dst_fault_.size(); ++src) {
-    n += st.windows[src].spill_size();
-  }
-  return n;
 }
 
 std::uint64_t Network::in_flight() const {

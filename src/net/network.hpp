@@ -128,8 +128,8 @@ class Network {
 
   // Opens a packet from `src` to `dst`: acquires a pool slot through the
   // magazine installed for `src` and writes every header field a receiver
-  // reads (no payload words, no retries, no channel sequence). The caller
-  // pushes the payload into the slot and hands it to send().
+  // reads (no payload words, no retries, no dup mark). The caller pushes
+  // the payload into the slot and hands it to send().
   Packet* open(NodeId src, NodeId dst, HandlerId handler, sim::Instr send_time);
 
   // Sends a slot open() returned (category recorded for stats). Computes
@@ -158,10 +158,10 @@ class Network {
   // and hands it back with release(dst, slot) when its handler returns; no
   // send reuses the slot before that. Out-of-order across channels never
   // happens because the per-destination heap orders by arrival. With a
-  // fault plan installed, `*was_dup` (when non-null) reports whether the
-  // popped copy is a duplicate the receiver must discard — the caller still
-  // pays its handler cost but must not dispatch it. Always false when
-  // faults are off.
+  // fault plan installed, `*was_dup` (when non-null) reports the copy's
+  // commit-time mark (Packet::dup): a duplicate or retransmit the receiver
+  // must discard — the caller still pays its handler cost but must not
+  // dispatch it. Always false when faults are off.
   Packet* poll(NodeId dst, sim::Instr now, bool* was_dup = nullptr);
 
   // Returns a slot poll(dst, ...) handed out, through dst's magazine.
@@ -223,10 +223,6 @@ class Network {
   // destination's receive-side counters. Call from a single thread with no
   // run in progress (the same contract as stats()).
   FaultStats fault_stats() const;
-  // Sequences held in dst's dedup spill sets: copies delivered 64 or more
-  // link sequences ahead of a gap. Zero when faults are off. Same
-  // single-thread contract as fault_stats().
-  std::uint64_t dedup_spilled(NodeId dst) const;
 
  private:
   // Checkpoint serializer (src/ckpt/world_io.cpp).
@@ -257,8 +253,8 @@ class Network {
   std::uint64_t& link_seq(NodeId src, NodeId dst);
   void commit(Packet* p, AmCategory category);
   // Plays out the whole retry protocol for one committed packet (see
-  // net/fault.hpp); enqueues a copy of `p` in its own slot for every
-  // surviving delivery, then releases `p`.
+  // net/fault.hpp): enqueues `p` itself as the first surviving delivery
+  // copy and every later copy in a slot of its own, marked Packet::dup.
   void commit_faulty(Packet* p);
   // Common tail of commit: enqueue the stamped slot toward its dst, and
   // record/fire the deliverability wakeup.
@@ -290,21 +286,17 @@ class Network {
   std::vector<PacketPool::Magazine*> mags_;
 
   // ----- fault-injection state (all empty/null when faults are off) -------
-  // Receive side of one destination: one dedup window per source, in a
-  // flat array indexed by source node and allocated on the destination's
-  // first faulted poll, plus the delivery counters. Touched only by the
-  // worker that polls `dst`, so the parallel driver needs no extra
+  // Receive side of one destination: the delivery counters. Touched only
+  // by the worker that polls `dst`, so the parallel driver needs no extra
   // synchronization.
   struct DstFaultState {
-    std::unique_ptr<DedupWindow[]> windows;  // null until the first poll
     std::uint64_t delivered = 0;
     std::uint64_t dup_suppressed = 0;
   };
-  // dst's window array, allocated on first use.
-  DedupWindow* dedup_windows(DstFaultState& st);
   std::unique_ptr<FaultPlan> fault_plan_;
-  // Per-(src,dst) channel sequence counters; same matrix/map split as the
-  // channel floors. Advanced on the commit path only.
+  // Per-(src,dst) channel sequence counters, the fault hashes' sequence
+  // input; same matrix/map split as the channel floors. Advanced on the
+  // commit path only.
   std::vector<std::uint64_t> link_seq_matrix_;
   std::unordered_map<std::uint64_t, std::uint64_t> link_seq_map_;
   FaultStats fault_commit_;           // commit-side counters

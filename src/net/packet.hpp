@@ -35,15 +35,14 @@ struct Packet {
   // (arrive_time, src, seq) order — a function of simulated quantities only,
   // never of the host driver's execution interleaving.
   std::uint64_t seq = 0;
-  // Per-(src,dst) channel sequence, assigned at commit only when a fault
-  // plan is installed (0 otherwise). The receiver's dedup window compacts
-  // over this counter — unlike `seq` (global per src) it has no per-channel
-  // gaps, so the delivered prefix actually advances. Not priced on the
-  // wire: the paper's 4 header words already carry routing/sequencing.
-  std::uint64_t link_seq = 0;
   // Which transmission attempt of the retry protocol this copy is (0 =
   // first try). Receiver-side observability only (kFaultRetry trace).
   std::uint16_t retries = 0;
+  // Set at commit on every delivery copy of a faulted packet after its
+  // first (network duplicates and retransmits): the receiver pays the
+  // handler cost and discards it. False on every other packet. Not priced
+  // on the wire: the paper's 4 header words already carry sequencing.
+  bool dup = false;
   std::uint8_t nwords = 0;
   Word payload[kMaxPacketWords] = {};
 

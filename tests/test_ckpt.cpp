@@ -537,10 +537,11 @@ TEST(CkptIntegrityDeath, ForgedQueuedPacketIsRejectedAtRestore) {
   ASSERT_NE(at, std::string::npos);
   ASSERT_EQ(bytes.find(marker, at + 1), std::string::npos);
   // A queued packet is written field by field: u32 handler, u32 src,
-  // u32 dst, u64 send_time, u64 arrive_time, u64 seq, u64 link_seq,
+  // u32 dst, u64 send_time, u64 arrive_time, u64 seq, u64 dup mark,
   // u32 retries, u32 nwords, then the payload, whose first word is the
   // marker. Offsets below are back from the marker.
   constexpr std::size_t kNwordsBack = 4;
+  constexpr std::size_t kDupBack = 4 + 4 + 8;
   constexpr std::size_t kDstBack = 4 + 4 + 4 * 8 + 4;
   constexpr std::size_t kHandlerBack = kDstBack + 4 + 4;
 
@@ -562,10 +563,15 @@ TEST(CkptIntegrityDeath, ForgedQueuedPacketIsRejectedAtRestore) {
   ASSERT_EQ(field(kNwordsBack), 1u);
   ASSERT_EQ(field(kDstBack), 1u);
   ASSERT_EQ(field(kDstBack + 4), 0u);  // src
+  ASSERT_EQ(field(kDupBack), 0u);      // the mark's low half
+  ASSERT_EQ(field(kDupBack - 4), 0u);  // and its high half
   expect_restore_death(forge(kNwordsBack, net::kMaxPacketWords + 1),
                        "carries 25 payload words");
   expect_restore_death(forge(kHandlerBack, 0xFFFF), "names handler 65535");
   expect_restore_death(forge(kDstBack, 0), "is addressed to node 0");
+  expect_restore_death(forge(kDupBack, 2),
+                       "checkpoint restore: packet queued toward node 1 has "
+                       "dup mark 2");
 }
 
 // The same re-sealed forgery against the config words restore validates.
@@ -685,48 +691,59 @@ TEST(CkptIntegrityDeath, ForgedArenaBaseIsRejectedAtRestore) {
                        "falls outside its arena image");
 }
 
-// A destination's dedup windows, spill sets included, are written in
-// source order and read back into the same flat array: capture, restore and
-// recapture give the same bytes.
-TEST(CkptWorld, SpilledDedupWindowRoundTripsByteIdentically) {
+// A faulted packet's later copies carry their dup mark through a snapshot:
+// captured after the delivered copy was polled, while its duplicate is
+// still queued, the restored duplicate polls as one, and capture, restore
+// and recapture give the same bytes.
+TEST(CkptWorld, QueuedDuplicateKeepsItsMarkAcrossRestore) {
   core::Program prog;
   fuzz::register_interp(prog);
   register_completion_latch(prog);
   prog.finalize();
-  // Half the attempts lost, retransmits far behind: link seqs that made it
-  // on their first attempt land 64 or more ahead of the first lost one.
   net::FaultConfig fc;
   fc.enabled = true;
-  fc.drop_ppm = 500'000;
-  fc.rto = 1u << 16;
-  fc.rto_max = 1u << 16;
+  fc.dup_ppm = net::kPpmOne;  // every delivered copy is duplicated
   std::string first;
-  for (fc.seed = 1; fc.seed <= 16 && first.empty(); ++fc.seed) {
+  {
     World w(prog,
             WorldConfig{}.with_nodes(2).with_faults(fc).with_ckpt(at_config(100)));
     net::Network& net = w.network();
-    for (int i = 0; i < 256; ++i) {
-      net::Packet p;
-      p.src = 0;
-      p.dst = 1;
-      p.send_time = static_cast<sim::Instr>(i);
-      p.push(static_cast<net::Word>(i));
-      net.send(p, net::AmCategory::kService);
-    }
-    while (net::Packet* got = net.poll(1, 1u << 15)) net.release(1, got);
-    if (net.dedup_spilled(1) == 0) continue;
-    EXPECT_GT(net.in_flight(), 0u);  // the retransmits are still queued
+    net::Packet p;
+    p.src = 0;
+    p.dst = 1;
+    p.push(42);
+    net.send(p, net::AmCategory::kService);
+    ASSERT_EQ(net.in_flight(), 2u);
+    bool dup = true;
+    net::Packet* got = net.poll(1, net.next_arrival(1), &dup);
+    ASSERT_NE(got, nullptr);
+    EXPECT_FALSE(dup);
+    net.release(1, got);
+    ASSERT_EQ(net.in_flight(), 1u);  // the duplicate, one instr behind
     ckpt::MemSink sink;
     w.checkpoint(sink);
     first = sink.take();
   }
-  ASSERT_FALSE(first.empty()) << "no seed spilled a dedup window";
   ckpt::MemSource src(first);
   std::unique_ptr<World> w = World::restore(prog, src);
-  EXPECT_GT(w->network().dedup_spilled(1), 0u);
   ckpt::MemSink again;
   w->checkpoint(again);
   EXPECT_EQ(again.bytes(), first);
+
+  net::Network& net = w->network();
+  const net::FaultStats before = net.fault_stats();
+  EXPECT_EQ(before.delivered, 1u);
+  EXPECT_EQ(before.dup_suppressed, 0u);
+  bool dup = false;
+  net::Packet* got = net.poll(1, sim::kInstrInf, &dup);
+  ASSERT_NE(got, nullptr);
+  EXPECT_TRUE(dup);
+  EXPECT_EQ(got->at(0), 42u);
+  net.release(1, got);
+  const net::FaultStats after = net.fault_stats();
+  EXPECT_EQ(after.delivered, before.delivered);
+  EXPECT_EQ(after.dup_suppressed, before.dup_suppressed + 1);
+  EXPECT_TRUE(net.idle());
 }
 
 // --------------------------------------- snapshot-equivalence oracle -------

@@ -1,6 +1,6 @@
 // Deterministic fault injection: spec parsing, the pure decision functions,
-// receiver-side dedup, and the network-level exactly-once guarantee the
-// delivery-hardening protocol provides on top of a lossy wire.
+// and the network-level exactly-once guarantee the delivery-hardening
+// protocol provides on top of a lossy wire.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -19,7 +19,6 @@
 namespace {
 
 using namespace abcl;
-using net::DedupWindow;
 using net::FaultConfig;
 using net::FaultPlan;
 using net::kPpmOne;
@@ -174,59 +173,6 @@ TEST(FaultPlanTest, AutoRtoIsFourTimesMinLatencyCapped) {
   EXPECT_EQ(FaultPlan(cfg, 25).rto(), 50u);  // auto rto clamps to the cap
 }
 
-// -------------------------------------------------------- dedup window -----
-
-TEST(Dedup, AcceptsEachSequenceExactlyOnceInOrder) {
-  DedupWindow w;
-  for (std::uint64_t s = 0; s < 300; ++s) {
-    EXPECT_TRUE(w.accept(s)) << s;
-    EXPECT_FALSE(w.accept(s)) << s;
-  }
-  EXPECT_EQ(w.base(), 300u);
-  EXPECT_EQ(w.spill_size(), 0u);
-}
-
-TEST(Dedup, OutOfOrderWithinBitmapAdvancesOnGapFill) {
-  DedupWindow w;
-  EXPECT_TRUE(w.accept(1));
-  EXPECT_TRUE(w.accept(3));
-  EXPECT_EQ(w.base(), 0u);  // 0 still missing
-  EXPECT_TRUE(w.accept(0));
-  EXPECT_EQ(w.base(), 2u);  // prefix {0,1} compacted
-  EXPECT_TRUE(w.accept(2));
-  EXPECT_EQ(w.base(), 4u);
-  EXPECT_FALSE(w.accept(1));  // now below base: still a duplicate
-}
-
-TEST(Dedup, BitmapWraparoundAcrossTheWindowEdge) {
-  // Deliver 0..199 skipping 63 (the last bit of the initial window). Every
-  // seq >= 64 must spill; filling 63 must drain the whole spill in one
-  // advance, exercising the migrate-then-recompact loop.
-  DedupWindow w;
-  for (std::uint64_t s = 0; s < 200; ++s) {
-    if (s == 63) continue;
-    EXPECT_TRUE(w.accept(s)) << s;
-  }
-  EXPECT_EQ(w.base(), 63u);
-  EXPECT_GT(w.spill_size(), 0u);
-  EXPECT_TRUE(w.accept(63));
-  EXPECT_EQ(w.base(), 200u);
-  EXPECT_EQ(w.spill_size(), 0u);
-  for (std::uint64_t s = 0; s < 200; ++s) EXPECT_FALSE(w.accept(s)) << s;
-  EXPECT_TRUE(w.accept(200));
-}
-
-TEST(Dedup, FarAheadSpillIsStillExactlyOnce) {
-  DedupWindow w;
-  EXPECT_TRUE(w.accept(1000));  // way beyond base + 64
-  EXPECT_FALSE(w.accept(1000));
-  EXPECT_EQ(w.spill_size(), 1u);
-  for (std::uint64_t s = 0; s < 1000; ++s) EXPECT_TRUE(w.accept(s)) << s;
-  EXPECT_EQ(w.base(), 1001u);  // spill entry folded into the prefix
-  EXPECT_EQ(w.spill_size(), 0u);
-  EXPECT_FALSE(w.accept(1000));
-}
-
 // --------------------------------------------- network-level guarantee -----
 
 Packet make_pkt(int src, int dst, sim::Instr t, net::Word tag) {
@@ -279,6 +225,10 @@ TEST(NetworkFaults, ExactlyOnceUnderHeavyFaults) {
       // lookahead depends on this bound.
       EXPECT_GE(out.arrive_time, sent[key] + min_lat);
       if (dup) {
+        // The mark sits on every copy but the first one polled: a copy
+        // marked dup never precedes its packet's delivered copy.
+        EXPECT_EQ(first_deliveries.count(key), 1u)
+            << "a copy was polled before its delivered copy";
         ++dups_seen;
       } else {
         first_deliveries[key] += 1;

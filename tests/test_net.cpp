@@ -235,27 +235,43 @@ TEST(Network, ChannelMapsAboveTheMatrixLimitStayPerChannel) {
   }
   ASSERT_GT(clamped, 0);
 
-  // Faults off, then a zero-rate plan: every packet takes the fault layer's
-  // commit and dedup path but is delivered once, on its first attempt.
+  // Faults off, then a drop-heavy plan. The link seq is a fault-hash input:
+  // each delivered copy's attempt number must be the first attempt the
+  // drop hash lets through for the reference per-channel link seq, and it
+  // arrives that attempt's backoffs after the fault-free arrival.
   for (bool faulted : {false, true}) {
-    SCOPED_TRACE(faulted ? "zero-rate fault plan" : "faults off");
+    SCOPED_TRACE(faulted ? "drop-heavy fault plan" : "faults off");
     net::FaultConfig fc;
     fc.enabled = faulted;
+    fc.drop_ppm = 500'000;
     net::Network net(topo, &cm, {}, fc);
     for (const Packet& p : sends) net.send(p, net::AmCategory::kObjectMessage);
     std::vector<int> seen(sends.size(), 0);
+    std::uint64_t retried = 0;
     for (int dst : {3, 1023, 1024}) {
       Packet out;
       bool dup = true;
       while (net.poll(dst, sim::kInstrInf, out, &dup)) {
-        EXPECT_FALSE(dup);
         const auto i = static_cast<std::size_t>(out.at(0));
         ASSERT_LT(i, sends.size());
-        ++seen[i];
-        EXPECT_EQ(out.arrive_time, want_arrive[i]) << "packet " << i;
-        if (faulted) {
-          EXPECT_EQ(out.link_seq, want_link_seq[i]) << "packet " << i;
+        if (dup) {
+          EXPECT_TRUE(faulted);
+          EXPECT_EQ(seen[i], 1) << "packet " << i;
+          continue;
         }
+        ++seen[i];
+        sim::Instr arrive = want_arrive[i];
+        if (faulted) {
+          const net::FaultPlan& plan = net.fault_plan();
+          std::uint32_t attempt = 0;
+          while (attempt + 1 < net::FaultPlan::kMaxAttempts &&
+                 plan.drop(out.src, out.dst, want_link_seq[i], attempt)) {
+            arrive += plan.backoff(attempt++);
+          }
+          EXPECT_EQ(out.retries, attempt) << "packet " << i;
+          retried += attempt != 0 ? 1 : 0;
+        }
+        EXPECT_EQ(out.arrive_time, arrive) << "packet " << i;
       }
     }
     for (std::size_t i = 0; i < sends.size(); ++i) {
@@ -263,10 +279,10 @@ TEST(Network, ChannelMapsAboveTheMatrixLimitStayPerChannel) {
     }
     EXPECT_TRUE(net.idle());
     if (faulted) {
+      EXPECT_GT(retried, sends.size() / 4);  // the drops really fired
       const net::FaultStats fs = net.fault_stats();
-      EXPECT_EQ(fs.copies_enqueued, sends.size());
       EXPECT_EQ(fs.delivered, sends.size());
-      EXPECT_EQ(fs.dup_suppressed, 0u);
+      EXPECT_EQ(fs.delivered + fs.dup_suppressed, fs.copies_enqueued);
     }
   }
 }
