@@ -22,8 +22,8 @@
 // the snapshot-equivalence oracle (check_spec_checkpoint): each spec is run
 // uninterrupted, then checkpointed mid-run, destroyed, restored (including
 // cross-driver) and crash-recovered, and every variant must be
-// byte-identical to the baseline. CI's checkpoint-matrix job runs
-// `--sweep N --ckpt` plain and under the faults+migration overlays.
+// byte-identical to the baseline. CI's Release job runs `--sweep N --ckpt`
+// plain and under the faults+migration overlays.
 //
 // Exit status: 0 = all checks passed, 1 = oracle failure, 2 = usage/I/O
 // error. CI runs `--sweep` as the extended fuzz job; developers replay

@@ -12,6 +12,8 @@
 // ids are validated against the restoring Program via a fingerprint; code
 // pointers (vftps, entry functions) are process pointers and require the
 // same finalized Program, exactly like live migration's resume_entry words.
+// Restore checks every object header's vftp against the Program's tables;
+// spilled frames' resume entries are taken as they are.
 //
 // Integrity contract ("never a partial world"): Reader drains the whole
 // stream and verifies magic, version, fingerprint, length and checksum
@@ -20,11 +22,14 @@
 // not leave a half-built World behind.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <optional>
 #include <string>
 #include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "sim/time.hpp"
 #include "util/assert.hpp"
@@ -116,12 +121,62 @@ std::uint64_t fnv1a(const void* p, std::size_t n,
 // any one word still changes the sum, at an eighth of the byte-wise cost.
 std::uint64_t checksum(const void* p, std::size_t n);
 
+// Archive interface. Writer and Reader have the same members, and each
+// takes a field by reference at the wire width the format gives it: the
+// Writer writes the field, the Reader reads into it. One `template <class
+// Ar>` function per snapshot section (ckpt/world_io.cpp) therefore spells
+// the layout once for capture and restore; `Ar::kLoading` guards what only
+// restore does (build, check). u32/u64/i64 convert integer and enum fields
+// to and from their wire word and carry pointers as address words. A field
+// narrower than its wire word whose value restore must check goes through
+// a local word of the wire width, checked before it is narrowed.
+namespace wire {
+
+template <class W, class T>
+W to_word(const T& v) {
+  if constexpr (std::is_pointer_v<T>) {
+    return static_cast<W>(reinterpret_cast<std::uintptr_t>(v));
+  } else {
+    return static_cast<W>(v);
+  }
+}
+
+template <class T, class W>
+T from_word(W w) {
+  if constexpr (std::is_pointer_v<T>) {
+    return reinterpret_cast<T>(static_cast<std::uintptr_t>(w));
+  } else {
+    return static_cast<T>(w);
+  }
+}
+
+// The default `keep` of Writer::map: every entry.
+struct Always {
+  template <class V>
+  bool operator()(const V&) const {
+    return true;
+  }
+};
+
+}  // namespace wire
+
 class Writer {
  public:
-  void u32(std::uint32_t v) { raw(v); }
-  void u64(std::uint64_t v) { raw(v); }
-  void i64(std::int64_t v) { raw(v); }
-  void b(bool v) { raw(static_cast<std::uint8_t>(v ? 1 : 0)); }
+  static constexpr bool kLoading = false;
+
+  template <class T>
+  void u32(const T& v) {
+    raw(wire::to_word<std::uint32_t>(v));
+  }
+  template <class T>
+  void u64(const T& v) {
+    raw(wire::to_word<std::uint64_t>(v));
+  }
+  template <class T>
+  void i64(const T& v) {
+    raw(wire::to_word<std::int64_t>(v));
+  }
+  void b(const bool& v) { raw(static_cast<std::uint8_t>(v ? 1 : 0)); }
   template <class T>
   void raw(const T& v) {
     static_assert(std::is_trivially_copyable_v<T>);
@@ -130,9 +185,42 @@ class Writer {
   void bytes(const void* p, std::size_t n) {
     buf_.append(static_cast<const char*>(p), n);
   }
+  // The n bytes at p (the Reader points p at them in its payload instead
+  // of copying: arena images are the one genuinely large section).
+  void image(const void* const& p, std::size_t n) { bytes(p, n); }
   void str(const std::string& s) {
     u64(s.size());
     bytes(s.data(), s.size());
+  }
+
+  // A counted sequence: the element count as a u64, then f(element) for
+  // each element in order.
+  template <class C, class F>
+  void seq(const C& c, F&& f) {
+    u64(c.size());
+    for (const auto& e : c) f(e);
+  }
+
+  // A keyed map in ascending key order, so the bytes are a function of the
+  // map's contents alone: the count of entries `keep` accepts, then per
+  // entry its key as a u64 and f(key, value). Keys are unique words
+  // (integers or pointers).
+  template <class M, class F, class Keep = wire::Always>
+  void map(const M& m, F&& f, Keep keep = {}) {
+    std::vector<std::pair<std::uint64_t, const typename M::value_type*>> kv;
+    kv.reserve(m.size());
+    for (const auto& e : m) {
+      if (keep(e.second)) {
+        kv.emplace_back(wire::to_word<std::uint64_t>(e.first), &e);
+      }
+    }
+    std::sort(kv.begin(), kv.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    u64(kv.size());
+    for (const auto& [k, e] : kv) {
+      u64(k);
+      f(e->first, e->second);
+    }
   }
 
   // Emits header (magic, version, fingerprint, payload length, checksum)
@@ -145,51 +233,75 @@ class Writer {
 
 class Reader {
  public:
+  static constexpr bool kLoading = true;
+
   // Drains `src` and verifies the full frame up front (see file comment).
   Reader(Source& src, std::uint64_t program_fingerprint);
 
-  std::uint32_t u32() { return raw<std::uint32_t>(); }
-  std::uint64_t u64() { return raw<std::uint64_t>(); }
-  std::int64_t i64() { return raw<std::int64_t>(); }
-  bool b() { return raw<std::uint8_t>() != 0; }
   template <class T>
-  T raw() {
-    static_assert(std::is_trivially_copyable_v<T>);
-    T v;
-    bytes(&v, sizeof v);
-    return v;
+  void u32(T& v) {
+    v = wire::from_word<T>(word<std::uint32_t>());
   }
-  // Bytewise restore into the exact object save() serialized from. Structs
-  // with padding (has_unique_object_representations_v == false) MUST be
-  // loaded this way, not via `x = r.raw<T>()`: assigning a
+  template <class T>
+  void u64(T& v) {
+    v = wire::from_word<T>(word<std::uint64_t>());
+  }
+  template <class T>
+  void i64(T& v) {
+    v = wire::from_word<T>(word<std::int64_t>());
+  }
+  void b(bool& v) { v = word<std::uint8_t>() != 0; }
+  // Bytewise restore into the exact object the Writer serialized from.
+  // Structs with padding (has_unique_object_representations_v == false)
+  // MUST be loaded this way, not by assigning a temporary: assigning a
   // trivially-copyable temporary is not guaranteed to copy padding bytes,
   // and a recapture of the restored world would then differ from the
   // original snapshot in indeterminate padding (seen as ASan's 0xbe fill).
   template <class T>
-  void raw_into(T& dst) {
+  void raw(T& v) {
     static_assert(std::is_trivially_copyable_v<T>);
-    bytes(&dst, sizeof dst);
+    bytes(&v, sizeof v);
   }
   void bytes(void* p, std::size_t n) {
     std::memcpy(p, view(n), n);
   }
-  // Zero-copy window into the payload (arena images).
-  const void* view(std::size_t n) {
-    ABCL_CHECK_MSG(payload_.size() - pos_ >= n,
-                   "checkpoint restore: truncated stream (payload section "
-                   "shorter than its own framing)");
-    const void* p = payload_.data() + pos_;
-    pos_ += n;
-    return p;
+  // Points p at the next n payload bytes (zero-copy; see Writer::image).
+  void image(const void*& p, std::size_t n) { p = view(n); }
+  void str(std::string& s) {
+    const std::uint64_t n = count();
+    s.assign(static_cast<const char*>(view(n)), n);
   }
-  std::string str() {
-    std::uint64_t n = u64();
-    ABCL_CHECK_MSG(n <= payload_.size() - pos_,
-                   "checkpoint restore: truncated stream (payload section "
-                   "shorter than its own framing)");
-    std::string s(static_cast<const char*>(view(n)), n);
-    return s;
+
+  // Reads the count, then f(element) for each of that many elements
+  // appended to c.
+  template <class C, class F>
+  void seq(C& c, F&& f) {
+    const std::uint64_t n = count();
+    c.reserve(c.size() + n);
+    for (std::uint64_t i = 0; i < n; ++i) f(c.emplace_back());
   }
+
+  // Reads the count, then per entry its key and f(key, m[key]). Keys must
+  // ascend strictly, as the Writer wrote them: a repeated or reordered key
+  // is not a snapshot the Writer made. `keep` only filters what is written.
+  template <class M, class F, class Keep = wire::Always>
+  void map(M& m, F&& f, Keep = {}) {
+    using K = typename M::key_type;
+    const std::uint64_t n = count();
+    std::uint64_t prev = 0;
+    for (std::uint64_t i = 0; i < n; ++i) {
+      const std::uint64_t k = word<std::uint64_t>();
+      ABCL_CHECK_MSG(i == 0 || k > prev,
+                     ("checkpoint restore: map key " + std::to_string(k) +
+                      " does not ascend past " + std::to_string(prev) +
+                      " (layout mismatch)")
+                         .c_str());
+      prev = k;
+      const K key = wire::from_word<K>(k);
+      f(key, m[key]);
+    }
+  }
+
   // Every byte must be consumed: trailing garbage means reader and writer
   // disagree about the layout.
   void expect_end() const {
@@ -199,6 +311,31 @@ class Reader {
   }
 
  private:
+  template <class W>
+  W word() {
+    W v{};
+    bytes(&v, sizeof v);
+    return v;
+  }
+  // A count of elements that each take at least one payload byte: a
+  // forged count fails here instead of reserving its size.
+  std::uint64_t count() {
+    const std::uint64_t n = word<std::uint64_t>();
+    ABCL_CHECK_MSG(n <= payload_.size() - pos_,
+                   "checkpoint restore: truncated stream (payload section "
+                   "shorter than its own framing)");
+    return n;
+  }
+  // Zero-copy window into the payload.
+  const void* view(std::size_t n) {
+    ABCL_CHECK_MSG(payload_.size() - pos_ >= n,
+                   "checkpoint restore: truncated stream (payload section "
+                   "shorter than its own framing)");
+    const void* p = payload_.data() + pos_;
+    pos_ += n;
+    return p;
+  }
+
   std::string payload_;
   std::size_t pos_ = 0;
 };

@@ -19,20 +19,28 @@
 //       pointers — stay valid because of (a)), channel floors/seqs and the
 //       fault layer's link seqs and delivery counters.
 //
+// Each section is one `template <class Ar>` function below, which
+// World::checkpoint runs with a ckpt::Writer and World::restore with a
+// ckpt::Reader (ckpt/snapshot.hpp): the field list exists once, so capture
+// and restore cannot drift apart. Only restore's building (the Network,
+// each NodeRuntime, fresh packet slots, the FIFO relink) and the checks on
+// either side are written per direction.
+//
 // Canonical order: every unordered container is written sorted by its key,
 // so two checkpoints of identical simulated states are byte-identical.
 // Code pointers (vftps, entry functions, resume entries) are process
 // pointers; the restoring Program is validated via a fingerprint over its
 // handler registry, exactly the contract live migration already relies on
-// when it ships resume entries as raw words.
+// when it ships resume entries as raw words. Restore also checks each
+// object header's vftp (check_live_list); resume entries stay unchecked.
 #include <algorithm>
 #include <cstddef>
-#include <cstring>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
 #include <type_traits>
-#include <utility>
+#include <unordered_map>
 #include <vector>
 
 #include "abcl/machine_api.hpp"
@@ -75,78 +83,63 @@ struct WorldIo {
 
   // ----- whole world -------------------------------------------------------
 
-  static void save(Writer& w, const World& world) {
-    const WorldConfig& cfg = world.cfg_;
-    w.u32(static_cast<std::uint32_t>(cfg.nodes));
-    w.u32(static_cast<std::uint32_t>(cfg.topology));
-    auto put = [&w](const void* p, std::size_t n) { w.bytes(p, n); };
-    config_fields(cfg.cost, put);
-    config_fields(cfg.node, put);
-    w.u32(static_cast<std::uint32_t>(cfg.placement));
-    w.u64(cfg.seed);
-    w.i64(cfg.host_threads);
-    config_fields(cfg.faults, put);
-    config_fields(cfg.migration, put);
-    w.b(cfg.ckpt.enabled);
-    w.u64(cfg.ckpt.at);
-    w.str(cfg.ckpt.path);
-    w.u64(world.quanta_total_);
+  // The config words, the network, then every node. W is World, const when
+  // capturing; World::restore finishes a restored world (driver, resume
+  // bookkeeping).
+  template <class Ar, class W>
+  static void world(Ar& ar, W& world) {
+    auto& cfg = world.cfg_;
+    ar.u32(cfg.nodes);
+    if constexpr (Ar::kLoading) {
+      ABCL_CHECK_MSG(cfg.nodes >= 1,
+                     "checkpoint restore: snapshot carries no nodes");
+    }
+    enum_word(ar, cfg.topology, net::TopologyKind::kHypercube, "topology");
+    config_fields(ar, cfg.cost);
+    config_fields(ar, cfg.node);
+    enum_word(ar, cfg.placement, remote::PlacementKind::kLeastLoaded,
+              "placement");
+    ar.u64(cfg.seed);
+    // WorldConfig::host_threads' meaning (< 0 serial, 0 consult the
+    // environment, >= 1 workers) with the ABCLSIM_HOST_THREADS ceiling: a
+    // forged width must not spin up that many worker threads.
+    wide<std::int64_t>(ar, cfg.host_threads, [](std::int64_t v) {
+      ABCL_CHECK_MSG(v >= std::numeric_limits<int>::min() && v <= 1024,
+                     ("checkpoint restore: host_threads word " +
+                      std::to_string(v) + " is out of range (max 1024)")
+                         .c_str());
+    });
+    config_fields(ar, cfg.faults);
+    config_fields(ar, cfg.migration);
+    ar.b(cfg.ckpt.enabled);
+    ar.u64(cfg.ckpt.at);
+    ar.str(cfg.ckpt.path);
+    ar.u64(world.quanta_total_);
 
-    save_network(w, *world.net_);
-    for (const auto& n : world.nodes_) save_node(w, *n);
-  }
-
-  static void load(Reader& r, World& world, int host_threads_override) {
-    WorldConfig& cfg = world.cfg_;
-    cfg.nodes = static_cast<std::int32_t>(r.u32());
-    ABCL_CHECK_MSG(cfg.nodes >= 1,
-                   "checkpoint restore: snapshot carries no nodes");
-    cfg.topology = enum_word(r, net::TopologyKind::kHypercube, "topology");
-    auto get = [&r](void* p, std::size_t n) { r.bytes(p, n); };
-    config_fields(cfg.cost, get);
-    config_fields(cfg.node, get);
-    cfg.placement =
-        enum_word(r, remote::PlacementKind::kLeastLoaded, "placement");
-    cfg.seed = r.u64();
-    cfg.host_threads = host_threads_word(r);
-    config_fields(cfg.faults, get);
-    config_fields(cfg.migration, get);
-    cfg.ckpt.enabled = r.b();
-    cfg.ckpt.at = r.u64();
-    cfg.ckpt.path = r.str();
-    if (host_threads_override != 0) cfg.host_threads = host_threads_override;
-    world.quanta_total_ = r.u64();
-    world.resumed_quanta_ = world.quanta_total_;
-    // The snapshot's own boundary already fired; a restored world resumes
-    // straight to its caller's horizon instead of re-stopping at cfg.ckpt.at
-    // (which is in its past).
-    world.ckpt_taken_ = true;
-
-    world.net_ = std::make_unique<net::Network>(
-        net::Topology(cfg.topology, cfg.nodes), &cfg.cost,
+    if constexpr (Ar::kLoading) {
+      world.net_ = std::make_unique<net::Network>(
+          net::Topology(cfg.topology, cfg.nodes), &cfg.cost,
           std::function<void(core::NodeId)>{}, cfg.faults);
-    load_network(r, *world.net_, world.prog_->am().size());
-
-    world.nodes_.reserve(static_cast<std::size_t>(cfg.nodes));
-    for (std::int32_t i = 0; i < cfg.nodes; ++i) load_node(r, i, world);
-
-    world.build_machine();
+    }
+    network(ar, *world.net_, world.prog_->am().size());
+    for (core::NodeId id = 0; id < cfg.nodes; ++id) node(ar, world, id);
+    if constexpr (Ar::kLoading) check_stocked_chunks(world);
   }
 
   // Config structs are written member by member: their padding bytes hold
   // whatever the stack held where the config was built, and snapshot bytes
-  // must be a function of simulated state alone. `f(p, n)` saves or loads
-  // the n bytes at p; C is the config type, const when saving. The size
-  // guards catch a member added without being listed here.
-  template <class C, class F>
-  static void config_fields(C& c, F&& f) {
-    auto field = [&f](auto& m) { f(&m, sizeof m); };
+  // must be a function of simulated state alone. C is the config type,
+  // const when saving. The size guards catch a member added without being
+  // listed here.
+  template <class Ar, class C>
+  static void config_fields(Ar& ar, C& c) {
+    auto field = [&ar](auto& m) { ar.raw(m); };
     using T = std::remove_const_t<C>;
     if constexpr (std::is_same_v<T, sim::CostModel>) {
       static_assert(sizeof(T) == 232, "new CostModel field? list it here");
       // Every member ahead of `opt` is an 8-byte word: no padding there.
       static_assert(offsetof(T, opt) == 28 * 8);
-      f(&c, offsetof(T, opt));
+      ar.bytes(&c, offsetof(T, opt));
       field(c.opt.elide_locality_check);
       field(c.opt.elide_vftp_switch);
       field(c.opt.elide_mq_check);
@@ -160,7 +153,7 @@ struct WorldIo {
       field(c.disable_replenish);
       field(c.gossip_interval);
       field(c.seed);
-      config_fields(c.migration, f);
+      config_fields(ar, c.migration);
       field(c.reserved_arena);
       field(c.arena_base);
     } else if constexpr (std::is_same_v<T, net::FaultConfig>) {
@@ -187,98 +180,82 @@ struct WorldIo {
     }
   }
 
-  // A config enum word, checked against the enum's last enumerator: the
-  // checksum proves integrity, not authorship, and an out-of-range word
-  // names no enumerator for the code that later switches on it.
-  template <class E>
-  static E enum_word(Reader& r, E last, const char* what) {
-    const std::uint32_t v = r.u32();
-    ABCL_CHECK_MSG(v <= static_cast<std::uint32_t>(last),
-                   ("checkpoint restore: " + std::string(what) + " word " +
-                    std::to_string(v) + " is out of range (max " +
-                    std::to_string(static_cast<std::uint32_t>(last)) + ")")
-                       .c_str());
-    return static_cast<E>(v);
+  // A field carried in a wire word W wider than the field: the checksum
+  // proves integrity, not authorship, so restore runs `check` (which dies
+  // with a diagnostic) on the whole word before narrowing it.
+  template <class W, class Ar, class T, class Check>
+  static void wide(Ar& ar, T& field, Check&& check) {
+    W w{};
+    if constexpr (!Ar::kLoading) w = static_cast<W>(field);
+    ar.raw(w);
+    if constexpr (Ar::kLoading) {
+      check(w);
+      field = static_cast<T>(w);
+    }
   }
 
-  // The host_threads word, with WorldConfig::host_threads' meaning (< 0
-  // serial, 0 consult the environment, >= 1 workers) and the
-  // ABCLSIM_HOST_THREADS ceiling: a forged width must not spin up that many
-  // worker threads.
-  static int host_threads_word(Reader& r) {
-    const std::int64_t v = r.i64();
-    ABCL_CHECK_MSG(v >= std::numeric_limits<int>::min() && v <= 1024,
-                   ("checkpoint restore: host_threads word " +
-                    std::to_string(v) + " is out of range (max 1024)")
-                       .c_str());
-    return static_cast<int>(v);
+  // A config enum in a u32 word, checked against the enum's last
+  // enumerator: an out-of-range word names no enumerator for the code that
+  // later switches on it.
+  template <class Ar, class E>
+  static void enum_word(Ar& ar, E& e, std::remove_const_t<E> last,
+                        const char* what) {
+    wide<std::uint32_t>(ar, e, [&](std::uint32_t v) {
+      ABCL_CHECK_MSG(v <= static_cast<std::uint32_t>(last),
+                     ("checkpoint restore: " + std::string(what) + " word " +
+                      std::to_string(v) + " is out of range (max " +
+                      std::to_string(static_cast<std::uint32_t>(last)) + ")")
+                         .c_str());
+    });
   }
 
   // ----- network -----------------------------------------------------------
 
-  static void save_network(Writer& w, const net::Network& n) {
-    // Boundary invariants: no worker redirects installed, no flush running.
-    ABCL_CHECK_MSG(!n.flush_active_,
-                   "checkpoint: capture attempted mid-flush");
-    ABCL_CHECK_MSG(n.outboxes_installed_ == 0,
-                   "checkpoint: capture attempted with worker outboxes "
-                   "installed (mid-run)");
+  template <class Ar>
+  static void network(Ar& ar, net::Network& n, std::size_t handlers) {
+    if constexpr (!Ar::kLoading) {
+      // Boundary invariants: no worker redirects installed, no flush running.
+      ABCL_CHECK_MSG(!n.flush_active_,
+                     "checkpoint: capture attempted mid-flush");
+      ABCL_CHECK_MSG(n.outboxes_installed_ == 0,
+                     "checkpoint: capture attempted with worker outboxes "
+                     "installed (mid-run)");
+    }
+    ar.raw(n.stats_);
+    for (std::uint64_t& s : n.src_seq_) ar.u64(s);
+    channel_words(ar, n.use_matrix_, n.channel_matrix_, n.channel_map_);
 
-    w.raw(n.stats_);
-    for (std::uint64_t s : n.src_seq_) w.u64(s);
-    save_channel_words(w, n.use_matrix_, n.channel_matrix_, n.channel_map_);
-
-    // Per-destination queues in canonical (arrive, src, seq) order. The
-    // 24-byte queue entries are reconstructed from the packets themselves
-    // (commit stamps arrive_time and seq into the slot).
+    // Per-destination queues in canonical (arrive, src, seq) order. Restore
+    // reads each packet into a fresh slot and rebuilds its queue entry from
+    // it (commit stamps arrive_time and seq into the slot).
+    const std::size_t nodes = n.queues_.size();
     std::vector<net::Network::QueuedPacket> entries;
-    for (const auto& q : n.queues_) {
+    for (std::size_t dst = 0; dst < nodes; ++dst) {
       entries.clear();
-      q.for_each([&entries](const net::Network::QueuedPacket& e) {
-        entries.push_back(e);
+      if constexpr (!Ar::kLoading) {
+        n.queues_[dst].for_each(
+            [&entries](const net::Network::QueuedPacket& e) {
+              entries.push_back(e);
+            });
+        std::sort(entries.begin(), entries.end(),
+                  net::Network::PacketOrder{});
+      }
+      ar.seq(entries, [&](auto& e) {
+        if constexpr (Ar::kLoading) e.slot = n.pool_.acquire(n.home_mag_);
+        packet(ar, *e.slot, dst, nodes, handlers);
+        if constexpr (Ar::kLoading) {
+          n.queues_[dst].push(net::Network::QueuedPacket{
+              e.slot->arrive_time, e.slot->src, e.slot->seq, e.slot});
+        }
       });
-      std::sort(entries.begin(), entries.end(),
-                [](const net::Network::QueuedPacket& a,
-                   const net::Network::QueuedPacket& b) {
-                  return net::Network::PacketOrder{}(a, b);
-                });
-      w.u64(entries.size());
-      for (const net::Network::QueuedPacket& e : entries) {
-        save_packet(w, *e.slot);
-      }
     }
 
     if (n.fault_plan_ != nullptr) {
-      w.raw(n.fault_commit_);
-      save_channel_words(w, n.use_matrix_, n.link_seq_matrix_, n.link_seq_map_);
-      for (const net::Network::DstFaultState& st : n.dst_fault_) {
-        w.u64(st.delivered);
-        w.u64(st.dup_suppressed);
-      }
-    }
-  }
-
-  static void load_network(Reader& r, net::Network& n, std::size_t handlers) {
-    r.raw_into(n.stats_);
-    for (std::uint64_t& s : n.src_seq_) s = r.u64();
-    load_channel_words(r, n.use_matrix_, n.channel_matrix_, n.channel_map_);
-
-    for (std::size_t dst = 0; dst < n.queues_.size(); ++dst) {
-      std::uint64_t count = r.u64();
-      for (std::uint64_t i = 0; i < count; ++i) {
-        net::Packet* slot = n.pool_.acquire(n.home_mag_);
-        load_packet(r, *slot, dst, n.queues_.size(), handlers);
-        n.queues_[dst].push(net::Network::QueuedPacket{
-            slot->arrive_time, slot->src, slot->seq, slot});
-      }
-    }
-
-    if (n.fault_plan_ != nullptr) {
-      r.raw_into(n.fault_commit_);
-      load_channel_words(r, n.use_matrix_, n.link_seq_matrix_, n.link_seq_map_);
+      ar.raw(n.fault_commit_);
+      channel_words(ar, n.use_matrix_, n.link_seq_matrix_, n.link_seq_map_);
       for (net::Network::DstFaultState& st : n.dst_fault_) {
-        st.delivered = r.u64();
-        st.dup_suppressed = r.u64();
+        ar.u64(st.delivered);
+        ar.u64(st.dup_suppressed);
       }
     }
   }
@@ -289,159 +266,84 @@ struct WorldIo {
   // Layout: u32 handler, u32 src, u32 dst, u64 send_time, u64 arrive_time,
   // u64 seq, u64 dup mark (0 or 1), u32 retries, u32 nwords, nwords x u64
   // payload.
-  static void save_packet(Writer& w, const net::Packet& p) {
-    w.u32(p.handler);
-    w.u32(static_cast<std::uint32_t>(p.src));
-    w.u32(static_cast<std::uint32_t>(p.dst));
-    w.u64(p.send_time);
-    w.u64(p.arrive_time);
-    w.u64(p.seq);
-    w.u64(p.dup ? 1 : 0);
-    w.u32(p.retries);
-    w.u32(p.nwords);
-    for (int i = 0; i < p.nwords; ++i) w.u64(p.payload[i]);
-  }
-
-  // Reads one packet into a fresh slot, writing every field a receiver
-  // reads. A restored packet is dispatched verbatim, and Packet::at and
-  // AmRegistry::entry bound their index only in debug builds. The checksum
-  // proves integrity, not authorship: a crafted snapshot can re-seal it, so
-  // every field that indexes host memory is checked here — the payload
-  // length before any payload word is read — where a diagnostic can still
-  // name the packet.
-  static void load_packet(Reader& r, net::Packet& p, std::size_t dst,
-                          std::size_t nodes, std::size_t handlers) {
+  //
+  // Restore fills a fresh slot, writing every field a receiver reads. A
+  // restored packet is dispatched verbatim, and Packet::at and
+  // AmRegistry::entry bound their index only in debug builds, so every
+  // field that indexes host memory is checked here — the payload length
+  // before any payload word is read — where a diagnostic can still name the
+  // packet.
+  template <class Ar>
+  static void packet(Ar& ar, net::Packet& p, std::size_t dst,
+                     std::size_t nodes, std::size_t handlers) {
     auto bad = [dst](const std::string& why) {
       return "checkpoint restore: packet queued toward node " +
              std::to_string(dst) + " " + why;
     };
-    const std::uint32_t handler = r.u32();
-    const auto src = static_cast<std::int32_t>(r.u32());
-    const auto to = static_cast<std::int32_t>(r.u32());
-    p.send_time = r.u64();
-    p.arrive_time = r.u64();
-    p.seq = r.u64();
-    const std::uint64_t dup = r.u64();
-    const std::uint32_t retries = r.u32();
-    const std::uint32_t nwords = r.u32();
-    ABCL_CHECK_MSG(nwords <= net::kMaxPacketWords,
-                   bad("carries " + std::to_string(nwords) +
-                       " payload words (max " +
-                       std::to_string(net::kMaxPacketWords) + ")")
-                       .c_str());
-    ABCL_CHECK_MSG(handler < handlers,
-                   bad("names handler " + std::to_string(handler) +
-                       ", but the Program registers " +
-                       std::to_string(handlers))
-                       .c_str());
-    ABCL_CHECK_MSG(src >= 0 && static_cast<std::size_t>(src) < nodes,
-                   bad("has source node " + std::to_string(src) +
-                       " outside the " + std::to_string(nodes) + "-node world")
-                       .c_str());
-    ABCL_CHECK_MSG(to >= 0 && static_cast<std::size_t>(to) == dst,
-                   bad("is addressed to node " + std::to_string(to)).c_str());
-    ABCL_CHECK_MSG(dup <= 1, bad("has dup mark " + std::to_string(dup) +
-                                 " (expected 0 or 1)")
-                                 .c_str());
-    p.handler = static_cast<net::HandlerId>(handler);
-    p.src = src;
-    p.dst = to;
-    p.retries = static_cast<std::uint16_t>(retries);
-    p.dup = dup != 0;
-    p.nwords = static_cast<std::uint8_t>(nwords);
-    for (std::uint32_t i = 0; i < nwords; ++i) p.payload[i] = r.u64();
+    wide<std::uint32_t>(ar, p.handler, [&](std::uint32_t h) {
+      ABCL_CHECK_MSG(h < handlers, bad("names handler " + std::to_string(h) +
+                                       ", but the Program registers " +
+                                       std::to_string(handlers))
+                                       .c_str());
+    });
+    ar.u32(p.src);
+    ar.u32(p.dst);
+    ar.u64(p.send_time);
+    ar.u64(p.arrive_time);
+    ar.u64(p.seq);
+    wide<std::uint64_t>(ar, p.dup, [&](std::uint64_t dup) {
+      ABCL_CHECK_MSG(dup <= 1, bad("has dup mark " + std::to_string(dup) +
+                                   " (expected 0 or 1)")
+                                   .c_str());
+    });
+    wide<std::uint32_t>(ar, p.retries, [&](std::uint32_t retries) {
+      ABCL_CHECK_MSG(retries <= 0xFFFF,
+                     bad("has retry count " + std::to_string(retries) +
+                         " (max 65535)")
+                         .c_str());
+    });
+    wide<std::uint32_t>(ar, p.nwords, [&](std::uint32_t nwords) {
+      ABCL_CHECK_MSG(nwords <= net::kMaxPacketWords,
+                     bad("carries " + std::to_string(nwords) +
+                         " payload words (max " +
+                         std::to_string(net::kMaxPacketWords) + ")")
+                         .c_str());
+    });
+    if constexpr (Ar::kLoading) {
+      ABCL_CHECK_MSG(p.src >= 0 && static_cast<std::size_t>(p.src) < nodes,
+                     bad("has source node " + std::to_string(p.src) +
+                         " outside the " + std::to_string(nodes) +
+                         "-node world")
+                         .c_str());
+      ABCL_CHECK_MSG(p.dst >= 0 && static_cast<std::size_t>(p.dst) == dst,
+                     bad("is addressed to node " + std::to_string(p.dst))
+                         .c_str());
+    }
+    for (int i = 0; i < p.nwords; ++i) ar.u64(p.payload[i]);
   }
 
   // Channel-indexed word state (arrival floors, link seqs): flat matrix on
-  // small machines, sorted (key, value) pairs above the matrix threshold.
-  template <class V>
-  static void save_channel_words(
-      Writer& w, bool use_matrix, const std::vector<V>& matrix,
-      const std::unordered_map<std::uint64_t, V>& map) {
+  // small machines, (key, value) pairs above the matrix threshold.
+  template <class Ar, class V>
+  static void channel_words(Ar& ar, bool use_matrix, std::vector<V>& matrix,
+                            std::unordered_map<std::uint64_t, V>& map) {
     if (use_matrix) {
-      w.bytes(matrix.data(), matrix.size() * sizeof(V));
+      ar.bytes(matrix.data(), matrix.size() * sizeof(V));
       return;
     }
-    std::vector<std::uint64_t> keys;
-    keys.reserve(map.size());
-    for (const auto& [k, v] : map) keys.push_back(k);
-    std::sort(keys.begin(), keys.end());
-    w.u64(keys.size());
-    for (std::uint64_t k : keys) {
-      w.u64(k);
-      w.u64(static_cast<std::uint64_t>(map.at(k)));
-    }
-  }
-
-  template <class V>
-  static void load_channel_words(Reader& r, bool use_matrix,
-                                 std::vector<V>& matrix,
-                                 std::unordered_map<std::uint64_t, V>& map) {
-    if (use_matrix) {
-      r.bytes(matrix.data(), matrix.size() * sizeof(V));
-      return;
-    }
-    std::uint64_t count = r.u64();
-    for (std::uint64_t i = 0; i < count; ++i) {
-      std::uint64_t k = r.u64();
-      map[k] = static_cast<V>(r.u64());
-    }
+    ar.map(map, [&ar](auto, auto& v) { ar.u64(v); });
   }
 
   // ----- one node ----------------------------------------------------------
-
-  static void save_node(Writer& w, const core::NodeRuntime& rt) {
-    // Boundary invariants: nothing mid-dispatch.
-    ABCL_CHECK_MSG(rt.cur_obj_ == nullptr && rt.call_depth_ == 0,
-                   "checkpoint: capture attempted mid-quantum");
-    ABCL_CHECK_MSG(rt.block_reason_.kind ==
-                       core::NodeRuntime::BlockReason::Kind::kNone,
-                   "checkpoint: capture attempted with a block in progress");
-    ABCL_CHECK_MSG(rt.arena_.reserved(),
-                   "checkpoint: node heap is not a reserved arena");
-
-    // Raw heap image (see file comment). view()-restored, so the image is
-    // the one genuinely large section and is never copied twice.
-    w.u64(rt.arena_.base());
-    w.u64(rt.arena_.used());
-    w.u64(rt.arena_.bytes_allocated());
-    w.bytes(word_ptr<const void>(rt.arena_.base()), rt.arena_.used());
-
-    w.u64(rt.clock_);
-    w.u64(rt.quanta_run_);
-    w.u64(rt.total_created_);
-    w.u64(rt.live_objects_);
-    w.u64(ptr_word(rt.live_head_));
-    w.raw(rt.stats_);
-    w.raw(rt.rng_);
-
-    // Slab allocator: freelist chains live inside the arena image; only the
-    // per-class heads and bump cursors live out here.
-    for (std::size_t c = 0; c < util::SlabAllocator::kNumClasses; ++c) {
-      w.u64(ptr_word(rt.pool_.free_[c]));
-      w.u64(ptr_word(rt.pool_.fresh_[c]));
-      w.u64(rt.pool_.fresh_left_[c]);
-    }
-    w.raw(rt.pool_.stats_);
-
-    // Scheduling FIFO, head to tail (relinked in this order on restore).
-    w.u64(rt.sched_.size());
-    rt.sched_.for_each(
-        [&w](const core::ObjectHeader& o) { w.u64(ptr_word(&o)); });
-
-    save_stock(w, rt.stock_);
-    save_loads(w, rt.loads_);
-    w.u32(rt.placement_.cursor_);
-    save_migration(w, rt);
-  }
 
   // The image's own pointers, checked before anything follows them: the
   // checksum proves integrity, not authorship, and an image restored at a
   // forged base keeps pointing where it was captured.
   struct ImageBounds {
-    core::NodeId node;
+    core::NodeId node;  // whose state holds the words checked
     std::uint64_t base;
     std::uint64_t used;
+    core::NodeId image_of = node;  // whose arena image [base, base + used) is
 
     // Checks that the `bytes` bytes at `word` lie inside [base, base +
     // used), or that `word` is null where `null_ok`; a bytes == 0 cursor
@@ -453,73 +355,188 @@ struct WorldIo {
       ABCL_CHECK_MSG((null_ok && word == 0) || inside,
                      ("checkpoint restore: node " + std::to_string(node) +
                       " " + what + " " + std::to_string(word) +
-                      " falls outside its arena image [" +
-                      std::to_string(base) + ", " +
+                      " falls outside " +
+                      (image_of == node
+                           ? std::string("its")
+                           : "node " + std::to_string(image_of) + "'s") +
+                      " arena image [" + std::to_string(base) + ", " +
                       std::to_string(base + used) + ")")
                          .c_str());
     }
   };
 
-  static void load_node(Reader& r, core::NodeId id, World& world) {
-    const std::uint64_t base = r.u64();
-    // A reserved arena only ever sits on a slot base; any other word (the
-    // kReserveAuto sentinel included) would place the image elsewhere.
-    ABCL_CHECK_MSG(util::Arena::is_slot_base(base),
-                   ("checkpoint restore: node " + std::to_string(id) +
-                    " arena base " + std::to_string(base) +
-                    " is not a slot base of the checkpoint window")
-                       .c_str());
-    const std::uint64_t used = r.u64();
-    ABCL_CHECK_MSG(used <= util::Arena::kSlotBytes,
-                   ("checkpoint restore: node " + std::to_string(id) +
-                    " arena image of " + std::to_string(used) +
-                    " bytes exceeds the slot")
-                       .c_str());
-    const ImageBounds image_bounds{id, base, used};
-    std::uint64_t ballo = r.u64();
-    const void* image = r.view(used);
-    // Always a reserved arena, whatever the snapshot's ckpt.enabled word
-    // says: a forged false must not put an arena image into a malloc arena.
-    core::NodeRuntime& rt = world.add_node(/*reserved_arena=*/true, base);
-    rt.arena_.restore_image(image, used, ballo);
+  // W is World, const when capturing. Restore builds the node through
+  // World::add_node once its arena image is read.
+  template <class Ar, class W>
+  static void node(Ar& ar, W& world, core::NodeId id) {
+    core::NodeRuntime* rt = nullptr;
+    std::uint64_t base = 0;
+    std::uint64_t used = 0;
+    std::uint64_t ballo = 0;
+    if constexpr (!Ar::kLoading) {
+      rt = world.nodes_[static_cast<std::size_t>(id)].get();
+      // Boundary invariants: nothing mid-dispatch.
+      ABCL_CHECK_MSG(rt->cur_obj_ == nullptr && rt->call_depth_ == 0,
+                     "checkpoint: capture attempted mid-quantum");
+      ABCL_CHECK_MSG(rt->block_reason_.kind ==
+                         core::NodeRuntime::BlockReason::Kind::kNone,
+                     "checkpoint: capture attempted with a block in progress");
+      ABCL_CHECK_MSG(rt->arena_.reserved(),
+                     "checkpoint: node heap is not a reserved arena");
+      base = rt->arena_.base();
+      used = rt->arena_.used();
+      ballo = rt->arena_.bytes_allocated();
+    }
 
-    rt.clock_ = r.u64();
+    // Raw heap image (see file comment).
+    ar.u64(base);
+    if constexpr (Ar::kLoading) {
+      // A reserved arena only ever sits on a slot base; any other word (the
+      // kReserveAuto sentinel included) would place the image elsewhere.
+      ABCL_CHECK_MSG(util::Arena::is_slot_base(base),
+                     ("checkpoint restore: node " + std::to_string(id) +
+                      " arena base " + std::to_string(base) +
+                      " is not a slot base of the checkpoint window")
+                         .c_str());
+    }
+    ar.u64(used);
+    if constexpr (Ar::kLoading) {
+      ABCL_CHECK_MSG(used <= util::Arena::kSlotBytes,
+                     ("checkpoint restore: node " + std::to_string(id) +
+                      " arena image of " + std::to_string(used) +
+                      " bytes exceeds the slot")
+                         .c_str());
+    }
+    ar.u64(ballo);
+    const void* image = word_ptr<const void>(base);
+    ar.image(image, used);
+    if constexpr (Ar::kLoading) {
+      // Always a reserved arena, whatever the snapshot's ckpt.enabled word
+      // says: a forged false must not put an arena image into a malloc
+      // arena.
+      rt = &world.add_node(/*reserved_arena=*/true, base);
+      rt->arena_.restore_image(image, used, ballo);
+    }
+    const ImageBounds bounds{id, base, used};
+
+    ar.u64(rt->clock_);
     // A restored quantum starts exactly at the restored clock: the budget
     // accounting continues as if the run had never stopped.
-    rt.quantum_start_clock_ = rt.clock_;
-    rt.quanta_run_ = r.u64();
-    rt.total_created_ = r.u64();
-    rt.live_objects_ = r.u64();
-    const std::uint64_t live_head = r.u64();
-    image_bounds.check(live_head, sizeof(core::ObjectHeader), "live-list head");
-    rt.live_head_ = word_ptr<core::ObjectHeader>(live_head);
-    r.raw_into(rt.stats_);
-    r.raw_into(rt.rng_);
+    if constexpr (Ar::kLoading) rt->quantum_start_clock_ = rt->clock_;
+    ar.u64(rt->quanta_run_);
+    ar.u64(rt->total_created_);
+    ar.u64(rt->live_objects_);
+    ar.u64(rt->live_head_);
+    if constexpr (Ar::kLoading) {
+      bounds.check(ptr_word(rt->live_head_), sizeof(core::ObjectHeader),
+                   "live-list head");
+      check_live_list(*rt, bounds, *world.prog_);
+    }
+    ar.raw(rt->stats_);
+    ar.raw(rt->rng_);
 
+    // Slab allocator: freelist chains live inside the arena image; only the
+    // per-class heads and bump cursors live out here.
+    util::SlabAllocator& pool = rt->pool_;
     for (std::size_t c = 0; c < util::SlabAllocator::kNumClasses; ++c) {
-      const std::uint64_t free_head = r.u64();
-      image_bounds.check(free_head, sizeof(util::SlabAllocator::FreeNode),
-                         "slab free-list head");
-      rt.pool_.free_[c] = word_ptr<util::SlabAllocator::FreeNode>(free_head);
-      const std::uint64_t bump = r.u64();
-      image_bounds.check(bump, 0, "slab bump head");
-      rt.pool_.fresh_[c] = word_ptr<std::byte>(bump);
-      rt.pool_.fresh_left_[c] = r.u64();
+      ar.u64(pool.free_[c]);
+      ar.u64(pool.fresh_[c]);
+      ar.u64(pool.fresh_left_[c]);
+      if constexpr (Ar::kLoading) {
+        bounds.check(ptr_word(pool.free_[c]),
+                     sizeof(util::SlabAllocator::FreeNode),
+                     "slab free-list head");
+        bounds.check(ptr_word(pool.fresh_[c]), 0, "slab bump head");
+      }
     }
-    r.raw_into(rt.pool_.stats_);
+    ar.raw(pool.stats_);
 
-    std::uint64_t nsched = r.u64();
-    for (std::uint64_t i = 0; i < nsched; ++i) {
-      const std::uint64_t o = r.u64();
-      image_bounds.check(o, sizeof(core::ObjectHeader),
-                         "scheduling-FIFO entry", /*null_ok=*/false);
-      rt.sched_.ckpt_relink_tail(word_ptr<core::ObjectHeader>(o));
+    // Scheduling FIFO, head to tail (relinked in this order on restore).
+    std::vector<std::uint64_t> fifo;
+    if constexpr (!Ar::kLoading) {
+      rt->sched_.for_each([&fifo](const core::ObjectHeader& o) {
+        fifo.push_back(ptr_word(&o));
+      });
     }
+    ar.seq(fifo, [&](auto& o) {
+      ar.u64(o);
+      if constexpr (Ar::kLoading) {
+        bounds.check(o, sizeof(core::ObjectHeader), "scheduling-FIFO entry",
+                     /*null_ok=*/false);
+        rt->sched_.ckpt_relink_tail(word_ptr<core::ObjectHeader>(o));
+      }
+    });
 
-    load_stock(r, rt.stock_);
-    load_loads(r, rt.loads_);
-    rt.placement_.cursor_ = r.u32();
-    load_migration(r, rt);
+    stock(ar, rt->stock_, id, world.cfg_.nodes);
+    loads(ar, rt->loads_);
+    ar.u32(rt->placement_.cursor_);
+    migration(ar, *rt, bounds);
+  }
+
+  // The restored live list links every object, chunk and stub header of
+  // the node (link_live always pairs with ++live_objects_). Each link must
+  // stay inside the image, aligned, with its back link pointing at its
+  // predecessor's forward link (destroy_object writes through it); the
+  // walk must end after exactly live_objects headers; and each header's
+  // vftp must be one of the restoring Program's tables, since every
+  // message to the object calls through it. Spilled frames' resume entries
+  // are not checked.
+  static void check_live_list(const core::NodeRuntime& rt,
+                              const ImageBounds& bounds,
+                              const core::Program& prog) {
+    auto fail = [&rt](const std::string& why) {
+      return "checkpoint restore: node " + std::to_string(rt.id_) + " " + why;
+    };
+    std::uint64_t back = 0;  // the link the next header's live_pprev holds
+    std::size_t n = 0;
+    for (const core::ObjectHeader* o = rt.live_head_; o != nullptr;
+         o = o->live_next) {
+      const std::uint64_t at = ptr_word(o);
+      ABCL_CHECK_MSG(n < rt.live_objects_,
+                     fail("live list runs past its " +
+                          std::to_string(rt.live_objects_) + " objects")
+                         .c_str());
+      bounds.check(at, sizeof(core::ObjectHeader), "live-list link",
+                   /*null_ok=*/false);
+      ABCL_CHECK_MSG(at % alignof(core::ObjectHeader) == 0,
+                     fail("live-list link " + std::to_string(at) +
+                          " is misaligned")
+                         .c_str());
+      ABCL_CHECK_MSG(ptr_word(o->live_pprev) == back,
+                     fail("object header " + std::to_string(at) +
+                          " has live-list back link " +
+                          std::to_string(ptr_word(o->live_pprev)) +
+                          ", not " + std::to_string(back))
+                         .c_str());
+      ABCL_CHECK_MSG(prog.has_vft(o->vftp),
+                     fail("object header " + std::to_string(at) +
+                          " has vftp " + std::to_string(ptr_word(o->vftp)) +
+                          ", which is not a table of the restoring Program")
+                         .c_str());
+      back = ptr_word(&o->live_next);
+      ++n;
+    }
+    ABCL_CHECK_MSG(n == rt.live_objects_,
+                   fail("live list ends after " + std::to_string(n) + " of " +
+                        std::to_string(rt.live_objects_) + " objects")
+                       .c_str());
+  }
+
+  // Every stocked chunk must lie in its peer's arena image. Checked once
+  // all nodes are loaded: a stock names later nodes' chunks.
+  static void check_stocked_chunks(const World& world) {
+    for (const auto& rt : world.nodes_) {
+      for (const auto& [key, rec] : rt->stock_.records_) {
+        const core::NodeRuntime& peer =
+            *world.nodes_[static_cast<std::size_t>(key >> 16)];
+        const ImageBounds image{rt->id_, peer.arena_.base(),
+                                peer.arena_.used(), peer.id_};
+        for (const core::ObjectHeader* chunk : rec.chunks) {
+          image.check(ptr_word(chunk), sizeof(core::ObjectHeader),
+                     "stocked chunk", /*null_ok=*/false);
+        }
+      }
+    }
   }
 
   // ----- node components ---------------------------------------------------
@@ -527,232 +544,113 @@ struct WorldIo {
   // The non-empty stocks, then the non-zero pendings, each in key order:
   // an emptied record writes nothing, so the bytes are a function of the
   // stock's contents alone.
-  static void save_stock(Writer& w, const remote::ChunkStock& s) {
-    std::vector<std::pair<std::uint64_t, const remote::ChunkStock::Record*>>
-        recs;
-    recs.reserve(s.records_.size());
-    std::uint64_t nstocks = 0;
-    std::uint64_t npend = 0;
-    for (const auto& [k, rec] : s.records_) {
-      recs.emplace_back(k, &rec);
-      if (!rec.chunks.empty()) ++nstocks;
-      if (rec.pending != 0) ++npend;
-    }
-    std::sort(recs.begin(), recs.end());  // keys are unique
-    w.u64(nstocks);
-    for (const auto& [k, rec] : recs) {
-      if (rec->chunks.empty()) continue;
-      w.u64(k);
-      w.u64(rec->chunks.size());
-      for (const core::ObjectHeader* c : rec->chunks) w.u64(ptr_word(c));
-    }
-    w.u64(npend);
-    for (const auto& [k, rec] : recs) {
-      if (rec->pending == 0) continue;
-      w.u64(k);
-      w.u64(rec->pending);
-    }
-    w.raw(s.stats_);
-  }
-
-  static void load_stock(Reader& r, remote::ChunkStock& s) {
-    std::uint64_t nstocks = r.u64();
-    for (std::uint64_t i = 0; i < nstocks; ++i) {
-      std::uint64_t k = r.u64();
-      std::uint64_t depth = r.u64();
-      auto& vec = s.records_[k].chunks;
-      vec.reserve(depth);
-      for (std::uint64_t j = 0; j < depth; ++j) {
-        vec.push_back(word_ptr<core::ObjectHeader>(r.u64()));
+  //
+  // Restore checks each key: it must name a node of the `nodes`-node world
+  // and a slab size class (ChunkStock::key packs peer << 16 | size class).
+  template <class Ar>
+  static void stock(Ar& ar, remote::ChunkStock& s, core::NodeId node,
+                    std::int32_t nodes) {
+    using Record = remote::ChunkStock::Record;
+    auto key = [&](std::uint64_t k) {
+      if constexpr (Ar::kLoading) {
+        auto bad = [&](const std::string& why) {
+          return "checkpoint restore: node " + std::to_string(node) +
+                 " chunk-stock key " + std::to_string(k) + " names " + why;
+        };
+        constexpr std::size_t kClasses = util::SlabAllocator::kNumClasses;
+        const std::uint64_t peer = k >> 16;
+        const std::uint64_t size_class = k & 0xFFFF;
+        ABCL_CHECK_MSG(peer < static_cast<std::uint64_t>(nodes),
+                       bad("node " + std::to_string(peer) + " outside the " +
+                           std::to_string(nodes) + "-node world")
+                           .c_str());
+        ABCL_CHECK_MSG(size_class < kClasses,
+                       bad("size class " + std::to_string(size_class) +
+                           " (max " + std::to_string(kClasses - 1) + ")")
+                           .c_str());
       }
-    }
-    std::uint64_t npend = r.u64();
-    for (std::uint64_t i = 0; i < npend; ++i) {
-      std::uint64_t k = r.u64();
-      s.records_[k].pending = r.u64();
-    }
-    r.raw_into(s.stats_);
+    };
+    ar.map(
+        s.records_,
+        [&](std::uint64_t k, auto& rec) {
+          key(k);
+          ar.seq(rec.chunks, [&ar](auto& chunk) { ar.u64(chunk); });
+        },
+        [](const Record& rec) { return !rec.chunks.empty(); });
+    ar.map(
+        s.records_,
+        [&](std::uint64_t k, auto& rec) {
+          key(k);
+          ar.u64(rec.pending);
+        },
+        [](const Record& rec) { return rec.pending != 0; });
+    ar.raw(s.stats_);
   }
 
   // Peers in ascending id order, not the map's first-heard order: the
   // bytes stay a function of the map's contents alone.
-  static void save_loads(Writer& w, const remote::LoadMap& m) {
-    std::vector<remote::LoadMap::Entry> entries = m.loads_;
-    std::sort(entries.begin(), entries.end(),
-              [](const remote::LoadMap::Entry& a,
-                 const remote::LoadMap::Entry& b) { return a.peer < b.peer; });
-    w.u64(entries.size());
-    for (const remote::LoadMap::Entry& e : entries) {
-      w.u32(static_cast<std::uint32_t>(e.peer));
-      w.u32(e.load);
-      w.u64(e.stamp);
+  template <class Ar>
+  static void loads(Ar& ar, remote::LoadMap& m) {
+    std::vector<remote::LoadMap::Entry> entries;
+    if constexpr (!Ar::kLoading) {
+      entries = m.loads_;
+      std::sort(entries.begin(), entries.end(),
+                [](const auto& a, const auto& b) { return a.peer < b.peer; });
     }
-  }
-
-  static void load_loads(Reader& r, remote::LoadMap& m) {
-    std::uint64_t count = r.u64();
-    for (std::uint64_t i = 0; i < count; ++i) {
-      auto peer = static_cast<core::NodeId>(r.u32());
-      const std::uint32_t load = r.u32();
-      m.note(peer, load, r.u64());
-    }
-  }
-
-  // Migration directories: all keyed by header/pointer words, iterated here
-  // in sorted key order (the runtime itself never iterates them).
-  static void save_migration(Writer& w, const core::NodeRuntime& rt) {
-    // stubs_
-    {
-      std::vector<std::uint64_t> keys = sorted_ptr_keys(rt.stubs_);
-      w.u64(keys.size());
-      for (std::uint64_t k : keys) {
-        const core::NodeRuntime::StubInfo& si =
-            rt.stubs_.at(word_ptr<core::ObjectHeader>(k));
-        w.u64(k);
-        w.raw(si.fwd);
-        w.u32(si.fwd_epoch);
-        w.u64(si.parked.size());
-        for (const auto& pm : si.parked) w.raw(pm);
-      }
-    }
-    // redirects_
-    {
-      std::vector<std::uint64_t> keys = sorted_word_keys(rt.redirects_);
-      w.u64(keys.size());
-      for (std::uint64_t k : keys) {
-        const core::NodeRuntime::RedirectEntry& re = rt.redirects_.at(k);
-        w.u64(k);
-        w.raw(re.fwd);
-        w.u32(re.epoch);
-        w.b(re.flushing);
-        w.u64(re.held.size());
-        for (const auto& hm : re.held) w.raw(hm);
-      }
-    }
-    // inbound_
-    {
-      std::vector<std::uint64_t> keys = sorted_word_keys(rt.inbound_);
-      w.u64(keys.size());
-      for (std::uint64_t k : keys) {
-        const core::NodeRuntime::InboundMigration& in = rt.inbound_.at(k);
-        w.u64(k);
-        w.b(in.have_start);
-        w.u32(in.cls_id);
-        w.u32(in.flags);
-        w.u32(in.epoch);
-        w.i64(in.wait_site);
-        w.u32(in.blob_words);
-        w.u32(in.received_words);
-        w.u32(static_cast<std::uint32_t>(in.src));
-        w.u64(in.priors.size());
-        for (const auto& a : in.priors) w.raw(a);
-        w.u64(in.blob.size());
-        for (core::Word word : in.blob) w.u64(word);
-      }
-    }
-    // migrated_meta_
-    {
-      std::vector<std::uint64_t> keys = sorted_ptr_keys(rt.migrated_meta_);
-      w.u64(keys.size());
-      for (std::uint64_t k : keys) {
-        const core::NodeRuntime::MigratedMeta& mm =
-            rt.migrated_meta_.at(word_ptr<core::ObjectHeader>(k));
-        w.u64(k);
-        w.u32(mm.epoch);
-        w.u64(mm.priors.size());
-        for (const auto& a : mm.priors) w.raw(a);
+    ar.seq(entries, [&ar](auto& e) {
+      ar.u32(e.peer);
+      ar.u32(e.load);
+      ar.u64(e.stamp);
+    });
+    if constexpr (Ar::kLoading) {
+      for (const remote::LoadMap::Entry& e : entries) {
+        m.note(e.peer, e.load, e.stamp);
       }
     }
   }
 
-  static void load_migration(Reader& r, core::NodeRuntime& rt) {
-    {
-      std::uint64_t count = r.u64();
-      for (std::uint64_t i = 0; i < count; ++i) {
-        auto* key = word_ptr<core::ObjectHeader>(r.u64());
-        core::NodeRuntime::StubInfo si;
-        r.raw_into(si.fwd);
-        si.fwd_epoch = r.u32();
-        std::uint64_t nparked = r.u64();
-        si.parked.reserve(nparked);
-        for (std::uint64_t j = 0; j < nparked; ++j) {
-          r.raw_into(si.parked.emplace_back());
-        }
-        rt.stubs_.emplace(key, std::move(si));
+  // Migration directories, each in ascending key order (the runtime itself
+  // never iterates them). Stubs and migrated-in objects are keyed by their
+  // own headers, which restore checks against the node's image.
+  template <class Ar>
+  static void migration(Ar& ar, core::NodeRuntime& rt,
+                        const ImageBounds& bounds) {
+    auto raw = [&ar](auto& v) { ar.raw(v); };
+    auto own = [&bounds](const core::ObjectHeader* key, const char* what) {
+      if constexpr (Ar::kLoading) {
+        bounds.check(ptr_word(key), sizeof(core::ObjectHeader), what,
+                     /*null_ok=*/false);
       }
-    }
-    {
-      std::uint64_t count = r.u64();
-      for (std::uint64_t i = 0; i < count; ++i) {
-        core::Word key = r.u64();
-        core::NodeRuntime::RedirectEntry re;
-        r.raw_into(re.fwd);
-        re.epoch = r.u32();
-        re.flushing = r.b();
-        std::uint64_t nheld = r.u64();
-        re.held.reserve(nheld);
-        for (std::uint64_t j = 0; j < nheld; ++j) {
-          r.raw_into(re.held.emplace_back());
-        }
-        rt.redirects_.emplace(key, std::move(re));
-      }
-    }
-    {
-      std::uint64_t count = r.u64();
-      for (std::uint64_t i = 0; i < count; ++i) {
-        core::Word key = r.u64();
-        core::NodeRuntime::InboundMigration in;
-        in.have_start = r.b();
-        in.cls_id = static_cast<core::ClassId>(r.u32());
-        in.flags = r.u32();
-        in.epoch = r.u32();
-        in.wait_site = r.i64();
-        in.blob_words = r.u32();
-        in.received_words = r.u32();
-        in.src = static_cast<core::NodeId>(r.u32());
-        std::uint64_t npriors = r.u64();
-        in.priors.reserve(npriors);
-        for (std::uint64_t j = 0; j < npriors; ++j) {
-          r.raw_into(in.priors.emplace_back());
-        }
-        std::uint64_t nblob = r.u64();
-        in.blob.reserve(nblob);
-        for (std::uint64_t j = 0; j < nblob; ++j) in.blob.push_back(r.u64());
-        rt.inbound_.emplace(key, std::move(in));
-      }
-    }
-    {
-      std::uint64_t count = r.u64();
-      for (std::uint64_t i = 0; i < count; ++i) {
-        auto* key = word_ptr<core::ObjectHeader>(r.u64());
-        core::NodeRuntime::MigratedMeta mm;
-        mm.epoch = r.u32();
-        std::uint64_t npriors = r.u64();
-        mm.priors.reserve(npriors);
-        for (std::uint64_t j = 0; j < npriors; ++j) {
-          r.raw_into(mm.priors.emplace_back());
-        }
-        rt.migrated_meta_.emplace(key, std::move(mm));
-      }
-    }
-  }
-
-  template <class Map>
-  static std::vector<std::uint64_t> sorted_ptr_keys(const Map& m) {
-    std::vector<std::uint64_t> keys;
-    keys.reserve(m.size());
-    for (const auto& [k, v] : m) keys.push_back(ptr_word(k));
-    std::sort(keys.begin(), keys.end());
-    return keys;
-  }
-
-  template <class Map>
-  static std::vector<std::uint64_t> sorted_word_keys(const Map& m) {
-    std::vector<std::uint64_t> keys;
-    keys.reserve(m.size());
-    for (const auto& [k, v] : m) keys.push_back(k);
-    std::sort(keys.begin(), keys.end());
-    return keys;
+    };
+    ar.map(rt.stubs_, [&](auto key, auto& si) {
+      own(key, "migration-stub key");
+      ar.raw(si.fwd);
+      ar.u32(si.fwd_epoch);
+      ar.seq(si.parked, raw);
+    });
+    ar.map(rt.redirects_, [&](auto, auto& re) {
+      ar.raw(re.fwd);
+      ar.u32(re.epoch);
+      ar.b(re.flushing);
+      ar.seq(re.held, raw);
+    });
+    ar.map(rt.inbound_, [&](auto, auto& in) {
+      ar.b(in.have_start);
+      ar.u32(in.cls_id);
+      ar.u32(in.flags);
+      ar.u32(in.epoch);
+      ar.i64(in.wait_site);
+      ar.u32(in.blob_words);
+      ar.u32(in.received_words);
+      ar.u32(in.src);
+      ar.seq(in.priors, raw);
+      ar.seq(in.blob, [&ar](auto& word) { ar.u64(word); });
+    });
+    ar.map(rt.migrated_meta_, [&](auto key, auto& mm) {
+      own(key, "migrated-object key");
+      ar.u32(mm.epoch);
+      ar.seq(mm.priors, raw);
+    });
   }
 };
 
@@ -765,7 +663,7 @@ void World::checkpoint(ckpt::Sink& sink) const {
                  "checkpoint(): world was not built with checkpointing "
                  "enabled (WorldConfig::ckpt / ABCLSIM_CHECKPOINT)");
   ckpt::Writer w;
-  ckpt::WorldIo::save(w, *this);
+  ckpt::WorldIo::world(w, *this);
   w.finish(ckpt::WorldIo::fingerprint(*prog_), sink);
 }
 
@@ -775,8 +673,15 @@ std::unique_ptr<World> World::restore(core::Program& prog, ckpt::Source& src,
                  "checkpoint restore: finalize the Program first");
   ckpt::Reader r(src, ckpt::WorldIo::fingerprint(prog));
   std::unique_ptr<World> w(new World(RestoreTag{}, prog));
-  ckpt::WorldIo::load(r, *w, host_threads_override);
+  ckpt::WorldIo::world(r, *w);
   r.expect_end();
+  if (host_threads_override != 0) w->cfg_.host_threads = host_threads_override;
+  w->resumed_quanta_ = w->quanta_total_;
+  // The snapshot's own boundary already fired; a restored world resumes
+  // straight to its caller's horizon instead of re-stopping at cfg.ckpt.at
+  // (which is in its past).
+  w->ckpt_taken_ = true;
+  w->build_machine();
   return w;
 }
 

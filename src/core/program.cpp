@@ -24,4 +24,15 @@ void Program::finalize() {
   finalized_ = true;
 }
 
+bool Program::has_vft(const Vft* v) const {
+  if (v == &fault_vft_) return true;
+  for (const auto& c : classes_) {
+    if (v == &c->dormant || v == &c->active || v == &c->lazy_init) return true;
+    for (const auto& site : c->wait_sites) {
+      if (v == &site->vft) return true;
+    }
+  }
+  return false;
+}
+
 }  // namespace abcl::core

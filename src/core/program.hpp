@@ -46,6 +46,11 @@ class Program {
 
   const Vft& fault_vft() const { return fault_vft_; }
 
+  // True iff `v` is one of this Program's tables: a class's dormant,
+  // active, lazy-init or wait-site table, or the fault table. A restore
+  // checks every object header's vftp with it.
+  bool has_vft(const Vft* v) const;
+
   // Active-message handler id blocks (valid after finalize()).
   net::HandlerId h_obj_msg(PatternId p) const {
     return static_cast<net::HandlerId>(h_obj_msg_base_ + p);

@@ -18,10 +18,8 @@
 
 namespace abcl::obs {
 
+// `events` is one sim::Tracer::snapshot(); a caller that also reads the
+// events itself passes the same snapshot to both.
 std::string chrome_trace_json(const std::vector<sim::Tracer::Event>& events);
-
-inline std::string chrome_trace_json(const sim::Tracer& tracer) {
-  return chrome_trace_json(tracer.snapshot());
-}
 
 }  // namespace abcl::obs

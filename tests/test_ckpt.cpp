@@ -13,10 +13,13 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 
+#include "abcl/class_def.hpp"
 #include "abcl/machine_api.hpp"
 #include "abcl/termination.hpp"
 #include "apps/nqueens.hpp"
@@ -27,6 +30,7 @@
 #include "obs/json.hpp"
 #include "sim/parallel_machine.hpp"
 #include "util/arena.hpp"
+#include "util/slab.hpp"
 
 namespace {
 
@@ -689,6 +693,218 @@ TEST(CkptIntegrityDeath, ForgedArenaBaseIsRejectedAtRestore) {
   expect_restore_death(forge_word(bytes, at, free_slot),
                        "checkpoint restore: node 0 live-list head [0-9]+ "
                        "falls outside its arena image");
+}
+
+// The forgeries below restore under the Program the snapshot was captured
+// under, which the test keeps alive: every unforged code pointer in the
+// images is then valid, the unforged snapshot restores, and only the
+// forged word can stop the restore.
+void expect_restores(core::Program& prog, const std::string& bytes) {
+  ckpt::MemSource src(bytes);
+  EXPECT_NE(World::restore(prog, src), nullptr);
+}
+
+void expect_restore_death(core::Program& prog, const std::string& bytes,
+                          const char* diagnostic) {
+  ckpt::MemSource src(bytes);
+  EXPECT_DEATH({ World::restore(prog, src); }, diagnostic);
+}
+
+std::string words(std::initializer_list<std::uint64_t> ws) {
+  std::string s;
+  for (std::uint64_t w : ws) s.append(reinterpret_cast<const char*>(&w), 8);
+  return s;
+}
+
+std::uint64_t word_at(const std::string& s, std::size_t pos) {
+  std::uint64_t w = 0;
+  std::memcpy(&w, &s[pos], sizeof w);
+  return w;
+}
+
+// Node 0 stocks two chunks of node 1. Its stock section is the record
+// count (1), the key (peer << 16 | size class), the depth (2) and the two
+// chunk words; `at` is where the key is.
+struct StockedSnapshot {
+  std::string bytes;
+  std::size_t at = 0;
+  std::uint64_t size_class = 0;
+};
+
+StockedSnapshot stocked_snapshot(core::Program& prog,
+                                 const core::ClassInfo& cls) {
+  StockedSnapshot m;
+  m.size_class = util::SlabAllocator::size_class(
+      core::object_alloc_bytes(cls.state_bytes));
+  {
+    World w(prog, WorldConfig{}.with_nodes(2).with_ckpt(at_config(100)));
+    w.node(0).seed_stock_from(w.node(1), cls, 2);
+    EXPECT_EQ(w.node(0).stock_depth(
+                  1, static_cast<std::uint16_t>(m.size_class)),
+              2u);
+    ckpt::MemSink sink;
+    w.checkpoint(sink);
+    m.bytes = sink.take();
+  }
+  const std::string record = words({1, (1u << 16) | m.size_class, 2});
+  m.at = m.bytes.find(record);
+  EXPECT_NE(m.at, std::string::npos);
+  EXPECT_EQ(m.bytes.find(record, m.at + 1), std::string::npos);
+  m.at += 8;
+  return m;
+}
+
+TEST(CkptIntegrityDeath, ForgedChunkStockKeyIsRejectedAtRestore) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  core::Program prog;
+  fuzz::register_interp(prog);
+  const CompletionPatterns lp = register_completion_latch(prog);
+  prog.finalize();
+  const StockedSnapshot m = stocked_snapshot(prog, *lp.cls);
+  ASSERT_FALSE(HasFailure());
+  expect_restores(prog, m.bytes);
+  const std::uint64_t off_world = (2u << 16) | m.size_class;
+  expect_restore_death(prog, forge_word(m.bytes, m.at, off_world),
+                       ("checkpoint restore: node 0 chunk-stock key " +
+                        std::to_string(off_world) +
+                        " names node 2 outside the 2-node world")
+                           .c_str());
+  constexpr std::uint64_t kClasses = util::SlabAllocator::kNumClasses;
+  const std::uint64_t no_class = (1u << 16) | kClasses;
+  expect_restore_death(prog, forge_word(m.bytes, m.at, no_class),
+                       ("checkpoint restore: node 0 chunk-stock key " +
+                        std::to_string(no_class) + " names size class " +
+                        std::to_string(kClasses) + " \\(max " +
+                        std::to_string(kClasses - 1) + "\\)")
+                           .c_str());
+}
+
+// A stocked chunk is node 1's, and node 1 is restored after node 0: the
+// check runs once every image is in place.
+TEST(CkptIntegrityDeath, ForgedStockedChunkIsRejectedAtRestore) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  core::Program prog;
+  fuzz::register_interp(prog);
+  const CompletionPatterns lp = register_completion_latch(prog);
+  prog.finalize();
+  const StockedSnapshot m = stocked_snapshot(prog, *lp.cls);
+  ASSERT_FALSE(HasFailure());
+  const std::size_t chunk_at = m.at + 16;  // past the key and the depth
+  ASSERT_NE(word_at(m.bytes, chunk_at), 0u);
+  expect_restore_death(prog, forge_word(m.bytes, chunk_at, std::uint64_t{8}),
+                       "checkpoint restore: node 0 stocked chunk 8 falls "
+                       "outside node 1's arena image");
+}
+
+// One object moved from node 0 to node 1: node 0 keeps a forwarding stub
+// keyed by the old header, node 1 a migrated-object record keyed by the
+// new one.
+struct MigratedSnapshot {
+  std::string bytes;
+  std::uint64_t old_ptr = 0;
+  std::uint64_t new_ptr = 0;
+};
+
+struct MigrantState {
+  std::uint64_t value = 0;
+};
+
+MigratedSnapshot migrated_snapshot(core::Program& prog,
+                                   const core::ClassInfo& cls) {
+  MigratedSnapshot m;
+  World w(prog, WorldConfig{}.with_nodes(2).with_ckpt(at_config(1u << 30)));
+  MailAddr a;
+  w.boot(0, [&](Ctx& ctx) {
+    a = ctx.create_local(cls, {});
+    ctx.migrate_object_to(a.ptr, 1);
+  });
+  EXPECT_EQ(w.run().stop_reason, StopReason::kQuiesced);
+  const std::optional<MailAddr> home = w.node(0).forward_target(a.ptr);
+  EXPECT_TRUE(home.has_value() && home->node == 1);
+  m.old_ptr = reinterpret_cast<std::uint64_t>(a.ptr);
+  if (home.has_value()) m.new_ptr = reinterpret_cast<std::uint64_t>(home->ptr);
+  ckpt::MemSink sink;
+  w.checkpoint(sink);
+  m.bytes = sink.take();
+  return m;
+}
+
+core::ClassInfo& register_migrant(core::Program& prog) {
+  ClassDef<MigrantState> def(prog, "CkptMigrant");
+  def.migratable();
+  return def.info();
+}
+
+TEST(CkptIntegrityDeath, ForgedMigrationStubKeyIsRejectedAtRestore) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  core::Program prog;
+  fuzz::register_interp(prog);
+  register_completion_latch(prog);
+  const core::ClassInfo& cls = register_migrant(prog);
+  prog.finalize();
+  const MigratedSnapshot m = migrated_snapshot(prog, cls);
+  ASSERT_FALSE(HasFailure());
+  expect_restores(prog, m.bytes);
+  // Node 0's stub map: one entry, its key (the old header), then the
+  // forwarding address {node 1, pad 0, new header}.
+  const std::string entry = words({1, m.old_ptr, 1, m.new_ptr});
+  const std::size_t at = m.bytes.find(entry);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(m.bytes.find(entry, at + 1), std::string::npos);
+  expect_restore_death(prog, forge_word(m.bytes, at + 8, std::uint64_t{8}),
+                       "checkpoint restore: node 0 migration-stub key 8 falls "
+                       "outside its arena image");
+}
+
+TEST(CkptIntegrityDeath, ForgedMigratedObjectKeyIsRejectedAtRestore) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  core::Program prog;
+  fuzz::register_interp(prog);
+  register_completion_latch(prog);
+  const core::ClassInfo& cls = register_migrant(prog);
+  prog.finalize();
+  const MigratedSnapshot m = migrated_snapshot(prog, cls);
+  ASSERT_FALSE(HasFailure());
+  // Node 1's migrated-object map is the snapshot's last section: one
+  // entry keyed by the new header, its epoch and its one prior address.
+  const std::size_t at = m.bytes.size() - (8 + 4 + 8 + 16);
+  ASSERT_EQ(word_at(m.bytes, at - 8), 1u);
+  ASSERT_EQ(word_at(m.bytes, at), m.new_ptr);
+  expect_restore_death(prog, forge_word(m.bytes, at, std::uint64_t{8}),
+                       "checkpoint restore: node 1 migrated-object key 8 "
+                       "falls outside its arena image");
+}
+
+// An object's vftp is a process pointer every message calls through:
+// restore accepts only the restoring Program's own tables.
+TEST(CkptIntegrityDeath, ForgedVftpIsRejectedAtRestore) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  core::Program prog;
+  fuzz::register_interp(prog);
+  const CompletionPatterns lp = register_completion_latch(prog);
+  prog.finalize();
+  std::string bytes;
+  {
+    World w(prog, WorldConfig{}.with_nodes(2).with_ckpt(at_config(100)));
+    w.boot(0, [&](Ctx& ctx) { ctx.create_local(*lp.cls, {}); });
+    ckpt::MemSink sink;
+    w.checkpoint(sink);
+    bytes = sink.take();
+  }
+  expect_restores(prog, bytes);
+  // A fresh local object awaits its lazy init: its header's first word.
+  const std::string vftp =
+      words({reinterpret_cast<std::uint64_t>(&lp.cls->lazy_init)});
+  const std::size_t at = bytes.find(vftp);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(bytes.find(vftp, at + 1), std::string::npos);
+  // The class record itself: a live address, but not a table. (The death
+  // test's child process runs at other addresses, hence the wildcards.)
+  const auto not_a_table = reinterpret_cast<std::uint64_t>(lp.cls);
+  expect_restore_death(prog, forge_word(bytes, at, not_a_table),
+                       "checkpoint restore: node 0 object header [0-9]+ has "
+                       "vftp [0-9]+, which is not a table of the restoring "
+                       "Program");
 }
 
 // A faulted packet's later copies carry their dup mark through a snapshot:

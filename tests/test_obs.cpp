@@ -183,7 +183,7 @@ Snapshots run_nqueens_snapshots(int host_threads, int nodes, int n) {
   auto r = apps::run_nqueens(world, np, apps::NQueensParams::paper_calibrated(n));
   Snapshots s;
   s.metrics = obs::metrics_json(world, &r.rep);
-  s.chrome = obs::chrome_trace_json(tracer);
+  s.chrome = obs::chrome_trace_json(tracer.snapshot());
   s.quanta = r.rep.quanta;
   return s;
 }
@@ -321,7 +321,7 @@ TEST(ChromeTrace, EmitsLoadableTraceEventJson) {
   sim::Tracer t(16);
   t.record(5, 0, sim::TraceEv::kQuantum, 3);
   t.record(9, 1, sim::TraceEv::kSendRemote, 7);
-  std::string out = obs::chrome_trace_json(t);
+  std::string out = obs::chrome_trace_json(t.snapshot());
   std::string err;
   auto v = obs::parse_json(out, &err);
   ASSERT_TRUE(v.has_value()) << err;
