@@ -907,6 +907,38 @@ TEST(CkptIntegrityDeath, ForgedVftpIsRejectedAtRestore) {
                        "Program");
 }
 
+// The live-list walk must end after exactly the node's live-object count.
+// Node 0 holds one object; its scalars write the count just before the
+// list head, which is that object.
+TEST(CkptIntegrityDeath, ForgedLiveObjectCountIsRejectedAtRestore) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  core::Program prog;
+  fuzz::register_interp(prog);
+  const CompletionPatterns lp = register_completion_latch(prog);
+  prog.finalize();
+  std::string bytes;
+  std::uint64_t obj = 0;
+  {
+    World w(prog, WorldConfig{}.with_nodes(2).with_ckpt(at_config(100)));
+    w.boot(0, [&](Ctx& ctx) {
+      obj = reinterpret_cast<std::uint64_t>(ctx.create_local(*lp.cls, {}).ptr);
+    });
+    ckpt::MemSink sink;
+    w.checkpoint(sink);
+    bytes = sink.take();
+  }
+  const std::string scalars = words({1, obj});
+  const std::size_t at = bytes.find(scalars);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(bytes.find(scalars, at + 1), std::string::npos);
+  expect_restore_death(prog, forge_word(bytes, at, std::uint64_t{2}),
+                       "checkpoint restore: node 0 live list ends after 1 of "
+                       "2 objects");
+  expect_restore_death(prog, forge_word(bytes, at, std::uint64_t{0}),
+                       "checkpoint restore: node 0 live list runs past its 0 "
+                       "objects");
+}
+
 // A faulted packet's later copies carry their dup mark through a snapshot:
 // captured after the delivered copy was polled, while its duplicate is
 // still queued, the restored duplicate polls as one, and capture, restore
