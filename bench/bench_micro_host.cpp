@@ -113,8 +113,8 @@ BENCHMARK(BM_NetworkSendPollDeep);
 
 // ---- barrier flush ----------------------------------------------------------
 
-// The coordinator-side cost of flush_outboxes committing a window's sends
-// from 8 worker outboxes, box by box in append order. state.range(0) =
+// The serial-phase cost of flush_outboxes committing a window's sends from
+// 8 shard outboxes, box by box in append order. state.range(0) =
 // packets per box. Fill and drain run under PauseTiming.
 void BM_FlushOutboxes(benchmark::State& state) {
   const auto per_box = static_cast<int>(state.range(0));

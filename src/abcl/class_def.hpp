@@ -67,6 +67,7 @@ class ClassDef {
     if (methods.size() <= p) methods.resize(p + 1);
     ABCL_CHECK_MSG(methods[p].body == nullptr, "duplicate method for pattern");
     methods[p].body = &core::method_entry<T, FrameT>;
+    methods[p].resume = &core::resume_frame<T, FrameT>;
     methods[p].arity = prog_->patterns().info(p).arity;
     return *this;
   }
@@ -75,9 +76,7 @@ class ClassDef {
   // Returns the site id the method passes to ABCL_SELECT.
   template <class FrameT>
   std::int32_t wait_site() {
-    auto ws = std::make_unique<core::WaitSite>();
-    ws->resume = &core::resume_frame<T, FrameT>;
-    cls_->wait_sites.push_back(std::move(ws));
+    cls_->wait_sites.push_back(std::make_unique<core::WaitSite>());
     return static_cast<std::int32_t>(cls_->wait_sites.size() - 1);
   }
 

@@ -12,8 +12,8 @@
 // ids are validated against the restoring Program via a fingerprint; code
 // pointers (vftps, entry functions) are process pointers and require the
 // same finalized Program, exactly like live migration's resume_entry words.
-// Restore checks every object header's vftp against the Program's tables;
-// spilled frames' resume entries are taken as they are.
+// Restore checks every object header's vftp against the Program's tables
+// and every spilled frame's resume entry against its methods' entries.
 //
 // Integrity contract ("never a partial world"): Reader drains the whole
 // stream and verifies magic, version, fingerprint, length and checksum
@@ -38,7 +38,7 @@ namespace abcl::ckpt {
 
 // "ABCLCKPT" little-endian; bump kVersion on any layout change.
 inline constexpr std::uint64_t kMagic = 0x54504b434c434241ull;
-inline constexpr std::uint32_t kVersion = 10;
+inline constexpr std::uint32_t kVersion = 11;
 
 // ---------------------------------------------------------------------------
 // Byte transport
@@ -302,6 +302,9 @@ class Reader {
     }
   }
 
+  // Payload bytes not yet read.
+  std::size_t left() const { return payload_.size() - pos_; }
+
   // Every byte must be consumed: trailing garbage means reader and writer
   // disagree about the layout.
   void expect_end() const {
@@ -321,14 +324,14 @@ class Reader {
   // forged count fails here instead of reserving its size.
   std::uint64_t count() {
     const std::uint64_t n = word<std::uint64_t>();
-    ABCL_CHECK_MSG(n <= payload_.size() - pos_,
+    ABCL_CHECK_MSG(n <= left(),
                    "checkpoint restore: truncated stream (payload section "
                    "shorter than its own framing)");
     return n;
   }
   // Zero-copy window into the payload.
   const void* view(std::size_t n) {
-    ABCL_CHECK_MSG(payload_.size() - pos_ >= n,
+    ABCL_CHECK_MSG(left() >= n,
                    "checkpoint restore: truncated stream (payload section "
                    "shorter than its own framing)");
     const void* p = payload_.data() + pos_;

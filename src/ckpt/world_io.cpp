@@ -32,7 +32,8 @@
 // pointers; the restoring Program is validated via a fingerprint over its
 // handler registry, exactly the contract live migration already relies on
 // when it ships resume entries as raw words. Restore also checks each
-// object header's vftp (check_live_list); resume entries stay unchecked.
+// object header's vftp and each spilled frame's resume entry against the
+// Program (check_live_list).
 #include <algorithm>
 #include <cstddef>
 #include <functional>
@@ -93,6 +94,18 @@ struct WorldIo {
     if constexpr (Ar::kLoading) {
       ABCL_CHECK_MSG(cfg.nodes >= 1,
                      "checkpoint restore: snapshot carries no nodes");
+      // Each node adds at least its source-seq word and its queue count to
+      // the network section, so a count the payload cannot hold dies here,
+      // before it sizes the Topology and the Network.
+      constexpr std::size_t kMinNodeBytes = 2 * sizeof(std::uint64_t);
+      ABCL_CHECK_MSG(static_cast<std::size_t>(cfg.nodes) <=
+                         ar.left() / kMinNodeBytes,
+                     ("checkpoint restore: node count " +
+                      std::to_string(cfg.nodes) + " needs at least " +
+                      std::to_string(kMinNodeBytes) +
+                      " bytes per node, but " + std::to_string(ar.left()) +
+                      " payload bytes are left")
+                         .c_str());
     }
     enum_word(ar, cfg.topology, net::TopologyKind::kHypercube, "topology");
     config_fields(ar, cfg.cost);
@@ -479,8 +492,10 @@ struct WorldIo {
   // predecessor's forward link (destroy_object writes through it); the
   // walk must end after exactly live_objects headers; and each header's
   // vftp must be one of the restoring Program's tables, since every
-  // message to the object calls through it. Spilled frames' resume entries
-  // are not checked.
+  // message to the object calls through it. A blocked object's spilled
+  // frame and its CtxTrailer must lie inside the image too, and the
+  // trailer's resume entry, which resuming the object calls, must be one
+  // of the Program's methods' (core::Program::has_resume).
   static void check_live_list(const core::NodeRuntime& rt,
                               const ImageBounds& bounds,
                               const core::Program& prog) {
@@ -513,6 +528,25 @@ struct WorldIo {
                           " has vftp " + std::to_string(ptr_word(o->vftp)) +
                           ", which is not a table of the restoring Program")
                          .c_str());
+      if (const core::CtxFrameBase* f = o->blocked_frame()) {
+        const std::uint64_t fa = ptr_word(f);
+        bounds.check(fa, sizeof(core::CtxFrameBase), "blocked frame",
+                     /*null_ok=*/false);
+        ABCL_CHECK_MSG(fa % alignof(core::CtxTrailer) == 0,
+                       fail("blocked frame " + std::to_string(fa) +
+                            " is misaligned")
+                           .c_str());
+        bounds.check(fa + core::ctx_trailer_offset(f->bytes),
+                     sizeof(core::CtxTrailer), "context trailer",
+                     /*null_ok=*/false);
+        const core::ResumeFn resume = o->resume_entry();
+        ABCL_CHECK_MSG(
+            prog.has_resume(resume),
+            fail("object header " + std::to_string(at) + " has resume entry " +
+                 std::to_string(reinterpret_cast<std::uintptr_t>(resume)) +
+                 ", which is not an entry of the restoring Program")
+                .c_str());
+      }
       back = ptr_word(&o->live_next);
       ++n;
     }
@@ -584,7 +618,6 @@ struct WorldIo {
           ar.u64(rec.pending);
         },
         [](const Record& rec) { return rec.pending != 0; });
-    ar.raw(s.stats_);
   }
 
   // Peers in ascending id order, not the map's first-heard order: the

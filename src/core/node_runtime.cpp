@@ -630,7 +630,7 @@ CreateCall NodeRuntime::remote_create_begin(const ClassInfo& cls, NodeId target,
   charge(cm_->create_remote_local_part);
   stats_.creations_remote += 1;
   std::uint16_t szcls = object_size_class(cls);
-  if (auto chunk = stock_try_pop(target, szcls)) {
+  if (auto chunk = stock_.try_pop(target, szcls)) {
     stats_.chunk_stock_hits += 1;
     send_create_packet(cls, target, *chunk, args, nargs);
     return CreateCall{MailAddr{target, *chunk}, {}};
@@ -726,26 +726,12 @@ void NodeRuntime::free_reply_box(ReplyBox* b) {
 // Chunk stock
 // ----------------------------------------------------------------------------
 
-std::optional<ObjectHeader*> NodeRuntime::stock_try_pop(NodeId peer,
-                                                        std::uint16_t szcls) {
-  return stock_.try_pop(peer, szcls);
-}
-
-void NodeRuntime::stock_push(NodeId peer, std::uint16_t szcls,
-                             ObjectHeader* chunk) {
-  stock_.push(peer, szcls, chunk);
-}
-
-std::size_t NodeRuntime::stock_depth(NodeId peer, std::uint16_t szcls) const {
-  return stock_.depth(peer, szcls);
-}
-
 void NodeRuntime::seed_stock_from(NodeRuntime& peer_rt, const ClassInfo& cls,
                                   int depth) {
   ABCL_CHECK(&peer_rt != this);
   std::uint16_t szcls = object_size_class(cls);
   for (int i = 0; i < depth; ++i) {
-    stock_push(peer_rt.node_id(), szcls, peer_rt.format_chunk(szcls));
+    stock_.push(peer_rt.node_id(), szcls, peer_rt.format_chunk(szcls));
   }
 }
 

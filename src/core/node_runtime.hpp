@@ -261,7 +261,7 @@ class NodeRuntime final : public sim::NodeExec {
 
   // Placement policy used by apps for remote creation targets.
   remote::Placement& placement() { return placement_; }
-  const remote::ChunkStock& chunk_stock() const { return stock_; }
+  remote::ChunkStock& chunk_stock() { return stock_; }
 
   // Runs `fn` as bootstrap code on this node (before or between machine
   // runs); `fn` may create objects and send messages.
@@ -277,11 +277,6 @@ class NodeRuntime final : public sim::NodeExec {
   void trace(sim::TraceEv ev, std::uint64_t payload = 0) {
     if (tracer_ != nullptr) tracer_->record(clock_, id_, ev, payload);
   }
-
-  // Chunk-stock interface (implementation in remote/chunk_stock).
-  std::optional<ObjectHeader*> stock_try_pop(NodeId peer, std::uint16_t szcls);
-  void stock_push(NodeId peer, std::uint16_t szcls, ObjectHeader* chunk);
-  std::size_t stock_depth(NodeId peer, std::uint16_t szcls) const;
 
   // Boot-time warm-up: pre-issues `depth` chunks of `cls`'s size class from
   // `peer_rt`'s heap into this node's stock (models the paper's

@@ -35,4 +35,14 @@ bool Program::has_vft(const Vft* v) const {
   return false;
 }
 
+bool Program::has_resume(ResumeFn r) const {
+  if (r == nullptr) return false;
+  for (const auto& c : classes_) {
+    for (const MethodInfo& m : c->methods) {
+      if (m.resume == r) return true;
+    }
+  }
+  return false;
+}
+
 }  // namespace abcl::core

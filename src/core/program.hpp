@@ -50,6 +50,9 @@ class Program {
   // active, lazy-init or wait-site table, or the fault table. A restore
   // checks every object header's vftp with it.
   bool has_vft(const Vft* v) const;
+  // True iff `r` is the resume entry of one of this Program's methods
+  // (MethodInfo::resume). A restore checks every spilled frame's with it.
+  bool has_resume(ResumeFn r) const;
 
   // Active-message handler id blocks (valid after finalize()).
   net::HandlerId h_obj_msg(PatternId p) const {

@@ -90,7 +90,6 @@ void build_class_vfts(ClassInfo& cls, std::size_t npatterns) {
   std::int32_t site_idx = 0;
   for (auto& site_ptr : cls.wait_sites) {
     WaitSite& ws = *site_ptr;
-    ABCL_CHECK_MSG(ws.resume != nullptr, "wait site missing resume entry");
     ws.vft.cls = &cls;
     ws.vft.mode = Mode::kWaiting;
     ws.vft.wait_site = site_idx++;

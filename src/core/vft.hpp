@@ -50,6 +50,9 @@ struct Vft {
 
 struct MethodInfo {
   EntryFn body = nullptr;   // dormant-mode entry (nullptr = not understood)
+  // The continuation entry a blocked invocation of `body` leaves in its
+  // spilled frame's CtxTrailer (core/dispatch.hpp).
+  ResumeFn resume = nullptr;
   std::uint8_t arity = 0;
 };
 
@@ -65,8 +68,7 @@ struct WaitSite {
   };
 
   std::vector<Accept> accepts;
-  ResumeFn resume = nullptr;  // runs the saved frame after copy-in
-  Vft vft;                    // built at Program::finalize()
+  Vft vft;  // built at Program::finalize()
 
   const Accept* find(PatternId p) const {
     for (const auto& a : accepts) {

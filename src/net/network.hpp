@@ -24,13 +24,13 @@
 // transmission order", and not on how sends of different sources
 // interleave.
 //
-// Host-parallel support: during a ParallelMachine time window each worker
-// thread redirects its nodes' sends into a private Outbox (set_outbox);
-// flush_outboxes commits the boxes at the window barrier, each in append
-// order. A source lives in exactly one outbox and appends in program
+// Host-parallel support: during a ParallelMachine time window each
+// participant thread redirects its nodes' sends into its shard's Outbox
+// (set_outbox); flush_outboxes commits the boxes in the window barrier's
+// completion step, each in append order. A source lives in exactly one outbox and appends in program
 // order, so seqs, channel floors and Stats are bit-identical to a serial
 // run. Destination queues are only popped by the worker that owns the
-// destination node and only pushed by the barrier-side flush; the
+// destination node and only pushed by the flush between windows; the
 // in-flight count is summed from the queue sizes between runs, so polls
 // update no shared counter. Deliverability wakeups are batched: instead of
 // one on_deliverable(dst) per committed packet, flush_outboxes runs a
@@ -48,10 +48,10 @@
 // copies (retransmits, duplicates) are the only whole-packet copies: each
 // gets its own slot, and the original slot goes back to the pool once the
 // last copy is enqueued. Per-node magazine hooks (set_magazine) route a
-// node's acquires and releases to the worker that runs it; the home
-// magazine serves the serial driver, boot code, restores and the
-// coordinator's fault copies. Slot addresses are host-dependent, but
-// nothing observable reads them.
+// node's acquires and releases to the participant that runs it; the home
+// magazine serves the serial driver, boot code, restores and the fault
+// copies the flush commits between windows. Slot addresses are
+// host-dependent, but nothing observable reads them.
 #pragma once
 
 #include <cstdint>
@@ -204,11 +204,11 @@ class Network {
   void set_magazine(NodeId node, PacketPool::Magazine* m);
 
   PacketPool& packet_pool() { return pool_; }
-  // Coordinator-side magazine: the serial driver, boot code, restores and
-  // the fault layer's delivery copies.
+  // The magazine of the serial driver, boot code, restores and the fault
+  // layer's delivery copies (committed between windows).
   const PacketPool::Magazine& home_magazine() const { return home_mag_; }
   // Free slots in the pool's depot plus the home magazine (host-dependent;
-  // never exported into metrics). The parallel driver drains its workers'
+  // never exported into metrics). The parallel driver drains its shards'
   // magazines at the end of every run, so between runs at quiescence this
   // is packet_pool().slabs_allocated() * PacketPool::kSlabPackets.
   std::uint64_t free_slots() const {

@@ -16,14 +16,16 @@
 // the first `nwords` payload words of a slot are ever meaningful. The ASan
 // job's malloc fill turns a forgotten field into a failure.
 //
-// Threading model (matches the ParallelMachine window discipline): each
-// thread acquires and releases through its own magazine. Inside a window a
-// worker acquires for its nodes' sends and releases after its nodes'
-// handlers; the coordinator uses the Network's home magazine for the serial
-// driver, boot code, restores and the fault layer's delivery copies at the
-// window barrier. Magazines are single-owner by construction; the depot
-// mutex orders slot handoff between threads, and the driver's window
-// barrier orders a sender's writes to a slot before any poll reads it.
+// Threading model (matches the ParallelMachine window discipline): a
+// magazine has one owner at a time. Inside a window each participant
+// acquires through its shard's magazine for its nodes' sends and releases
+// after its nodes' handlers. The Network's home magazine serves the serial
+// driver, boot code and restores, and between windows the fault layer's
+// delivery copies: the window barrier's completion step commits them on
+// whichever participant arrives last, and the barrier hands the home
+// magazine from one window's such participant to the next. The depot mutex
+// orders slot handoff between threads, and the window barrier orders a
+// sender's writes to a slot before any poll reads it.
 //
 // Determinism: slot addresses depend on host interleaving, but nothing
 // observable does — queues order by simulated quantities only, snapshots

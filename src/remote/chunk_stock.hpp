@@ -25,21 +25,13 @@ namespace abcl::remote {
 
 class ChunkStock {
  public:
-  struct Stats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t pushes = 0;
-  };
-
   // Pops a predelivered chunk on `peer` of the given size class, if any.
   std::optional<core::ObjectHeader*> try_pop(core::NodeId peer,
                                              std::uint16_t size_class) {
     auto it = records_.find(key(peer, size_class));
     if (it == records_.end() || it->second.chunks.empty()) {
-      ++stats_.misses;
       return std::nullopt;
     }
-    ++stats_.hits;
     core::ObjectHeader* chunk = it->second.chunks.back();
     it->second.chunks.pop_back();
     return chunk;
@@ -48,7 +40,6 @@ class ChunkStock {
   void push(core::NodeId peer, std::uint16_t size_class,
             core::ObjectHeader* chunk) {
     ABCL_CHECK(chunk != nullptr);
-    ++stats_.pushes;
     records_[key(peer, size_class)].chunks.push_back(chunk);
   }
 
@@ -72,7 +63,6 @@ class ChunkStock {
   void replenish_arrived(core::NodeId peer, std::uint16_t size_class,
                          core::ObjectHeader* chunk) {
     ABCL_CHECK(chunk != nullptr);
-    ++stats_.pushes;
     Record& r = records_[key(peer, size_class)];
     if (r.pending > 0) r.pending -= 1;
     r.chunks.push_back(chunk);
@@ -89,14 +79,6 @@ class ChunkStock {
     const Record* r = find(peer, size_class);
     return r == nullptr ? 0 : r->chunks.size() + r->pending;
   }
-
-  std::size_t total_chunks() const {
-    std::size_t n = 0;
-    for (const auto& [k, r] : records_) n += r.chunks.size();
-    return n;
-  }
-
-  const Stats& stats() const { return stats_; }
 
  private:
   friend struct abcl::ckpt::WorldIo;  // checkpoint serializer
@@ -119,7 +101,6 @@ class ChunkStock {
   }
 
   std::unordered_map<std::uint64_t, Record> records_;
-  Stats stats_;
 };
 
 }  // namespace abcl::remote

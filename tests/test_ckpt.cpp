@@ -22,6 +22,7 @@
 #include "abcl/class_def.hpp"
 #include "abcl/machine_api.hpp"
 #include "abcl/termination.hpp"
+#include "apps/buffer.hpp"
 #include "apps/nqueens.hpp"
 #include "ckpt/snapshot.hpp"
 #include "fuzz/interp.hpp"
@@ -633,6 +634,24 @@ TEST(CkptIntegrityDeath, ForgedConfigEnumIsRejectedAtRestore) {
                        "range");
 }
 
+// The node count is the payload's first word, and it sizes the network
+// tables: restore bounds it by the payload left before it builds anything.
+TEST(CkptIntegrityDeath, ForgedNodeCountIsRejectedAtRestore) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const MarkedSnapshot m = marked_snapshot();
+  ASSERT_FALSE(HasFailure());
+  constexpr std::size_t kNodesAt = 40;
+  std::uint32_t nodes = 0;
+  std::memcpy(&nodes, &m.bytes[kNodesAt], sizeof nodes);
+  ASSERT_EQ(nodes, 2u);
+  expect_restore_death(forge_word(m.bytes, kNodesAt, std::uint32_t{0x7FFFFFFF}),
+                       "checkpoint restore: node count 2147483647 needs at "
+                       "least 16 bytes per node, but [0-9]+ payload bytes are "
+                       "left");
+  expect_restore_death(forge_word(m.bytes, kNodesAt, std::uint32_t{0}),
+                       "checkpoint restore: snapshot carries no nodes");
+}
+
 // A forged driver width must not spin up that many worker threads: restore
 // holds the word to int and to the ABCLSIM_HOST_THREADS ceiling of 1024.
 TEST(CkptIntegrityDeath, ForgedHostThreadsIsRejectedAtRestore) {
@@ -739,7 +758,7 @@ StockedSnapshot stocked_snapshot(core::Program& prog,
   {
     World w(prog, WorldConfig{}.with_nodes(2).with_ckpt(at_config(100)));
     w.node(0).seed_stock_from(w.node(1), cls, 2);
-    EXPECT_EQ(w.node(0).stock_depth(
+    EXPECT_EQ(w.node(0).chunk_stock().depth(
                   1, static_cast<std::uint16_t>(m.size_class)),
               2u);
     ckpt::MemSink sink;
@@ -937,6 +956,54 @@ TEST(CkptIntegrityDeath, ForgedLiveObjectCountIsRejectedAtRestore) {
   expect_restore_death(prog, forge_word(bytes, at, std::uint64_t{0}),
                        "checkpoint restore: node 0 live list runs past its 0 "
                        "objects");
+}
+
+// A blocked object's spilled frame ends in a trailer holding its resume
+// entry, which resuming the object calls: restore accepts a frame inside
+// the image only, and a resume entry of the restoring Program's methods
+// only.
+TEST(CkptIntegrityDeath, ForgedResumeEntryIsRejectedAtRestore) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  core::Program prog;
+  const apps::BufferProgram bp = apps::register_buffer(prog);
+  prog.finalize();
+  std::string bytes;
+  std::uint64_t frame = 0;
+  std::uint64_t resume = 0;
+  {
+    World w(prog, WorldConfig{}.with_nodes(2).with_ckpt(at_config(100)));
+    MailAddr buf;
+    // A get on the empty buffer select-waits for a put: its frame spills.
+    w.boot(0, [&](Ctx& ctx) {
+      buf = ctx.create_local(*bp.cls, {});
+      ctx.send_past(buf, bp.get, nullptr, 0);
+    });
+    w.run();
+    frame = reinterpret_cast<std::uint64_t>(buf.ptr->blocked_frame());
+    resume = reinterpret_cast<std::uintptr_t>(buf.ptr->resume_entry());
+    ckpt::MemSink sink;
+    w.checkpoint(sink);
+    bytes = sink.take();
+  }
+  ASSERT_NE(frame, 0u);
+  expect_restores(prog, bytes);
+  // The frame word is the header's continuation word, the resume word the
+  // trailer's first; each appears once.
+  const std::size_t frame_at = bytes.find(words({frame}));
+  const std::size_t resume_at = bytes.find(words({resume}));
+  ASSERT_NE(frame_at, std::string::npos);
+  ASSERT_NE(resume_at, std::string::npos);
+  ASSERT_EQ(bytes.find(words({frame}), frame_at + 1), std::string::npos);
+  ASSERT_EQ(bytes.find(words({resume}), resume_at + 1), std::string::npos);
+  expect_restore_death(prog, forge_word(bytes, frame_at, std::uint64_t{8}),
+                       "checkpoint restore: node 0 blocked frame 8 falls "
+                       "outside its arena image");
+  // The class record: a live address, but no method's resume entry.
+  const auto not_an_entry = reinterpret_cast<std::uint64_t>(bp.cls);
+  expect_restore_death(prog, forge_word(bytes, resume_at, not_an_entry),
+                       "checkpoint restore: node 0 object header [0-9]+ has "
+                       "resume entry [0-9]+, which is not an entry of the "
+                       "restoring Program");
 }
 
 // A faulted packet's later copies carry their dup mark through a snapshot:

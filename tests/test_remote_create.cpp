@@ -53,9 +53,6 @@ TEST(ChunkStock, PushPopDepth) {
   EXPECT_EQ(stock.try_pop(1, 3).value(), c2);
   EXPECT_EQ(stock.try_pop(1, 3).value(), c1);
   EXPECT_FALSE(stock.try_pop(1, 3).has_value());
-  EXPECT_EQ(stock.stats().hits, 2u);
-  EXPECT_EQ(stock.stats().misses, 2u);
-  EXPECT_EQ(stock.stats().pushes, 2u);
 }
 
 TEST(ChunkStock, PendingReplenishClampsAtZero) {
@@ -76,7 +73,6 @@ TEST(ChunkStock, PendingReplenishClampsAtZero) {
   stock.replenish_arrived(1, 3, c);  // over-arrival clamps
   EXPECT_EQ(stock.pending_replenish(1, 3), 0u);
   EXPECT_EQ(stock.depth(1, 3), 4u);
-  EXPECT_EQ(stock.stats().pushes, 4u);
   stock.note_replenish_requested(1, 3);
   EXPECT_EQ(stock.planned_depth(1, 3), 5u);
 }
@@ -102,7 +98,7 @@ TEST(RemoteCreate, OverfullStockDrainsBackToTargetInsteadOfGrowing) {
   auto st = world.total_stats();
   EXPECT_EQ(st.chunk_stock_misses, 0u);  // never drained dry
   EXPECT_EQ(st.chunk_stock_hits, 8u);
-  EXPECT_LE(world.node(0).stock_depth(1, fx.counter_szcls()), 2u)
+  EXPECT_LE(world.node(0).chunk_stock().depth(1, fx.counter_szcls()), 2u)
       << "stock must decay to chunk_stock_target, not hold its seeded depth";
 }
 
@@ -124,7 +120,7 @@ TEST(RemoteCreate, FirstCreateMissesThenStockStaysWarm) {
   EXPECT_EQ(c1.node, 1);
   EXPECT_EQ(apps::counter_state(c1).count, 2);
   // The creation replenished the stock.
-  EXPECT_EQ(world.node(0).stock_depth(1, fx.counter_szcls()), 1u);
+  EXPECT_EQ(world.node(0).chunk_stock().depth(1, fx.counter_szcls()), 1u);
 
   fx.make(world, sp, 1, 3);
   world.run();
@@ -135,7 +131,7 @@ TEST(RemoteCreate, FirstCreateMissesThenStockStaysWarm) {
   MailAddr c2 = sp.ptr->state_as<SpawnerState>()->last_created;
   EXPECT_NE(c1.ptr, c2.ptr);
   EXPECT_EQ(apps::counter_state(c2).count, 3);
-  EXPECT_EQ(world.node(0).stock_depth(1, fx.counter_szcls()), 1u);
+  EXPECT_EQ(world.node(0).chunk_stock().depth(1, fx.counter_szcls()), 1u);
 }
 
 TEST(RemoteCreate, SeededStocksNeverMiss) {
@@ -185,7 +181,7 @@ TEST(RemoteCreate, MessagesRacingAheadAreFaultQueuedThenProcessedInOrder) {
   // seed it into node 0's stock (exactly what predelivery does).
   std::uint16_t szcls = fx.counter_szcls();
   core::ObjectHeader* chunk = world.node(1).format_chunk(szcls);
-  world.node(0).stock_push(1, szcls, chunk);
+  world.node(0).chunk_stock().push(1, szcls, chunk);
   MailAddr obj{1, chunk};
 
   // Node 2 sends to the object before it exists.

@@ -3,6 +3,8 @@
 // serial and host-parallel — using mock nodes.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <thread>
 #include <vector>
 
 #include "sim/cost_model.hpp"
@@ -105,6 +107,7 @@ class MockNode : public sim::NodeExec {
   void advance_clock(Instr t) override { clock_ = t; }
   void step() override {
     exec_order->push_back({id_, clock_});
+    step_threads.insert(std::this_thread::get_id());
     if (pending_local_ > 0) {
       --pending_local_;
     } else {
@@ -134,6 +137,8 @@ class MockNode : public sim::NodeExec {
   mutable std::uint64_t queries = 0;
   std::vector<Delivery> inbox_;
   std::vector<std::pair<sim::NodeId, Instr>>* exec_order = nullptr;
+  // The host threads that ran this node's quanta.
+  std::set<std::thread::id> step_threads;
 };
 
 struct MachineFixture {
@@ -386,6 +391,37 @@ TEST_P(ParallelMachineThreads, InterruptedRunMatchesUninterrupted) {
     const auto u = static_cast<size_t>(i);
     EXPECT_EQ(split.raw[u]->clock_, whole.raw[u]->clock_) << "node " << i;
     EXPECT_EQ(split.per_node_order[u], whole.per_node_order[u]) << "node " << i;
+  }
+}
+
+// The thread that calls run() is participant 0 and runs shard 0; every
+// other shard (node i is in shard i mod T) runs on one spawned thread of
+// its own, the same thread in every window.
+TEST(ParallelMachineShards, CallerRunsShardZeroAndEachShardKeepsOneThread) {
+  constexpr int kNodes = 9;
+  for (const int threads : {1, 3}) {
+    SCOPED_TRACE(threads);
+    ParallelFixture p(kNodes, threads);
+    for (auto* n : p.raw) n->pending_local_ = 5;
+    const auto rep = p.machine->run();
+    ASSERT_EQ(rep.quanta, 5u * kNodes);
+    ASSERT_EQ(p.machine->windows_run(), 5u);  // unit lookahead
+
+    std::vector<std::set<std::thread::id>> by_shard(
+        static_cast<std::size_t>(threads));
+    for (int i = 0; i < kNodes; ++i) {
+      const auto& ids = p.raw[static_cast<std::size_t>(i)]->step_threads;
+      by_shard[static_cast<std::size_t>(i % threads)].insert(ids.begin(),
+                                                            ids.end());
+    }
+    const std::thread::id caller = std::this_thread::get_id();
+    EXPECT_EQ(by_shard[0], std::set<std::thread::id>{caller});
+    std::set<std::thread::id> seen{caller};
+    for (std::size_t s = 1; s < by_shard.size(); ++s) {
+      ASSERT_EQ(by_shard[s].size(), 1u) << "shard " << s;
+      EXPECT_TRUE(seen.insert(*by_shard[s].begin()).second)
+          << "shard " << s << " shares a thread";
+    }
   }
 }
 
